@@ -2,10 +2,11 @@
 
 Four suites, each reporting the worst residual it saw:
 
-* ccr          -- [c^-(f), c^+(h)] acts as the kernel value computed by an
-                  independent quadrature of the commutator integral;
-                  creator/creator and annihilator/annihilator commutators
-                  vanish.
+* ccr          -- [c^-(f), c^+(h)] acts as the kernel value computed on the
+                  frequency side, gamma (-1)^n int x^n conj(f_F) h_F, a
+                  route independent of the derivative route that fills the
+                  sector pairing matrix; creator/creator and
+                  annihilator/annihilator commutators vanish.
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
@@ -13,8 +14,8 @@ Four suites, each reporting the worst residual it saw:
                   metric reconciles the two Fock inner products, and the
                   modulated Gaussian witness has squared norm -5.
 * fock_wick    -- vacuum correlations of noise words agree between the pair
-                  partition sum (quadrature kernels) and the explicit Fock
-                  representation.
+                  partition sum (exact kernels on the smears) and the
+                  explicit Fock representation.
 
 Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
 reproducible bit for bit.  Commutator residuals are norms relative to
@@ -33,7 +34,7 @@ from .fock import (FockVector, Sector, annihilate, apply_sector_metric,
                    apply_word, build_sector, create, fock_inner,
                    max_symmetry_defect, multi_inner, symmetrize, vacuum_state)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
-                    metric_apply, to_grid)
+                    indefinite_inner_frequency, metric_apply, to_grid)
 from .wick import Letter, correlation
 
 __all__ = [
@@ -133,7 +134,7 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
             ch = random_coefficients(rng, sector.size)
             f = linear_combination(cf, sector.basis)
             h = linear_combination(ch, sector.basis)
-            kernel = indefinite_inner(sector.n, sector.gamma, f, h)
+            kernel = indefinite_inner_frequency(sector.n, sector.gamma, f, h)
 
             phi = random_fock_vector(sector, rng, max_rank=cap - 1)
             ac = annihilate(sector, cf, create(sector, ch, phi))

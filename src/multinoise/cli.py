@@ -7,8 +7,9 @@ Exit codes: 0 success, 2 bad config, 3 support condition failed, 4 oracle or
 computation mismatch, 5 representation invariant violated, 6 rate criterion
 failed.  Artifacts are written to a temporary file and renamed into place, so
 a failing run never leaves partial files.  MULTINOISE_THREADS caps the worker
-pool used for independent study points; results are reduced in grid order
-either way, so outputs are byte-identical for a fixed config and seed.
+pool used for independent study points, up to the CPU count; results are
+reduced in grid order either way, so outputs are byte-identical for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -41,14 +42,15 @@ CORR_WORD_SIGNS = (-1, -1, +1, +1)
 
 
 def _thread_cap() -> int:
+    cpus = os.cpu_count() or 1
     raw = os.environ.get("MULTINOISE_THREADS", "")
     try:
         cap = int(raw)
     except ValueError:
         cap = 0
     if cap < 1:
-        cap = min(4, os.cpu_count() or 1)
-    return cap
+        cap = 4
+    return min(cap, cpus)
 
 
 def _ordered_map(fun, items):

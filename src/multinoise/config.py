@@ -35,8 +35,6 @@ class StudyConfig:
     basis_size: int = 6
     particle_cap: int = 4
     sector_max: int = 3
-    quad_abs: float = 1e-14
-    quad_rel: float = 1e-11
     assert_rel: float = 1e-6
     seed: int = 0
     out_dir: str = "out"
@@ -103,12 +101,11 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(particle_cap >= 2, "particle_cap must be at least 2")
     _require(sector_max >= 0, "sector_max must be nonnegative")
 
+    # tolerances.quad_abs and quad_rel are accepted for old configs but have
+    # no effect: the forms are exact and the remaining quadratures fix their own
     tols = raw.get("tolerances", {})
-    quad_abs = float(tols.get("quad_abs", 1e-14))
-    quad_rel = float(tols.get("quad_rel", 1e-11))
     assert_rel = float(tols.get("assert_rel", 1e-6))
-    _require(quad_abs > 0 and quad_rel > 0 and assert_rel > 0,
-             "tolerances must be positive")
+    _require(assert_rel > 0, "tolerances.assert_rel must be positive")
 
     output = raw.get("output", {})
     out_format = output.get("format", "csv")
@@ -132,8 +129,6 @@ def parse_config(raw: dict) -> StudyConfig:
         basis_size=basis_size,
         particle_cap=particle_cap,
         sector_max=sector_max,
-        quad_abs=quad_abs,
-        quad_rel=quad_rel,
         assert_rel=assert_rel,
         seed=int(raw.get("seed", 0)),
         out_dir=str(output.get("directory", "out")),

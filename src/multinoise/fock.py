@@ -61,16 +61,9 @@ class Sector:
         return len(self.basis)
 
 
-def _hermitian_form_matrix(form, basis) -> np.ndarray:
-    m = len(basis)
-    out = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(a, m):
-            val = form(basis[a], basis[b])
-            out[a, b] = val
-            if b != a:
-                out[b, a] = np.conj(val)  # hermitian by construction
-    return out
+def _hermitian(matrix: np.ndarray) -> np.ndarray:
+    """Keep the upper triangle and mirror it, so the result is exactly hermitian."""
+    return np.triu(matrix) + np.triu(matrix, 1).conj().T
 
 
 def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
@@ -81,14 +74,13 @@ def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
     if particle_cap < 1:
         raise ValueError("particle_cap must be at least 1")
     basis = tuple(basis)
-    gram = _hermitian_form_matrix(lambda f, h: weighted_inner(n, f, h), basis)
+    gram = _hermitian(weighted_inner(n, basis, basis))
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
         raise IllConditionedBasis(
             f"gram condition number {eigs[-1] / max(eigs[0], 1e-300):.3g} "
             f"exceeds {cond_limit:g}")
-    pairing = _hermitian_form_matrix(
-        lambda f, h: indefinite_inner(n, gamma, f, h), basis)
+    pairing = _hermitian(indefinite_inner(n, gamma, basis, basis))
     gram.setflags(write=False)
     pairing.setflags(write=False)
     return Sector(n, float(gamma), basis, gram, pairing, int(particle_cap))
@@ -118,14 +110,6 @@ class FockVector:
         comps[0] = np.array(1.0 + 0j)
         return cls(sector, tuple(comps))
 
-    @classmethod
-    def from_components(cls, sector: Sector, comps) -> "FockVector":
-        padded = [np.asarray(c, dtype=complex).copy() for c in comps]
-        m = sector.size
-        while len(padded) < sector.particle_cap + 1:
-            padded.append(np.zeros((m,) * len(padded), dtype=complex))
-        return cls(sector, tuple(padded))
-
     def positive_norm(self) -> float:
         """Norm in the positive (gram-kernel) inner product."""
         return math.sqrt(max(fock_inner(self, self, use_metric=False).real, 0.0))
@@ -149,9 +133,9 @@ def project_coefficients(sector: Sector, f: TestFunction, *,
     Raises NotInSpan when the projection residual exceeds the tolerance
     relative to max(1, |f|).
     """
-    v = np.array([weighted_inner(sector.n, b, f) for b in sector.basis])
+    column = weighted_inner(sector.n, sector.basis + (f,), f)[:, 0]
+    v, norm_sq = column[:-1], column[-1].real
     coeffs = np.linalg.solve(sector.gram, v)
-    norm_sq = weighted_inner(sector.n, f, f).real
     residual_sq = norm_sq - float(np.real(np.vdot(v, coeffs)))
     residual = math.sqrt(max(residual_sq, 0.0))
     if residual > residual_tol * max(1.0, math.sqrt(max(norm_sq, 0.0))):
@@ -194,8 +178,7 @@ def create(sector: Sector, f, phi: FockVector) -> FockVector:
 def _pairing_vector(sector: Sector, f) -> np.ndarray:
     if isinstance(f, TestFunction):
         project_coefficients(sector, f)  # span check
-        return np.array([indefinite_inner(sector.n, sector.gamma, f, b)
-                         for b in sector.basis])
+        return indefinite_inner(sector.n, sector.gamma, f, sector.basis)[0]
     coeffs = np.asarray(f, dtype=complex)
     if coeffs.shape != (sector.size,):
         raise ValueError(f"coefficient vector must have shape ({sector.size},)")
@@ -217,10 +200,19 @@ def annihilate(sector: Sector, f, phi: FockVector) -> FockVector:
     return FockVector(sector, tuple(out))
 
 
+def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Apply the matrix kernel to every slot of the tensor S.
+
+    Each pass contracts the leading slot and appends the result as the last
+    axis, so after S.ndim passes the slots are back in their original order.
+    """
+    for _ in range(S.ndim):
+        S = np.tensordot(S, kernel, axes=([0], [1]))
+    return S
+
+
 def _kernel_contract(T: np.ndarray, S: np.ndarray, kernel: np.ndarray) -> complex:
-    for i in range(T.ndim):
-        S = np.moveaxis(np.tensordot(kernel, S, axes=(1, i)), 0, i)
-    return complex(np.vdot(T, S))
+    return complex(np.vdot(T, _apply_slotwise(kernel, S)))
 
 
 def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> complex:
@@ -243,13 +235,8 @@ def sector_metric_matrix(sector: Sector) -> np.ndarray:
 def apply_sector_metric(phi: FockVector) -> FockVector:
     """Second-quantized metric: the sector metric matrix on every slot."""
     eta = sector_metric_matrix(phi.sector)
-    comps = []
-    for comp in phi.components:
-        S = comp.copy()
-        for i in range(comp.ndim):
-            S = np.moveaxis(np.tensordot(eta, S, axes=(1, i)), 0, i)
-        comps.append(S)
-    return FockVector(phi.sector, tuple(comps))
+    return FockVector(phi.sector, tuple(_apply_slotwise(eta, comp)
+                                        for comp in phi.components))
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:

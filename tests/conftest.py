@@ -34,13 +34,13 @@ def rng():
     return np.random.default_rng(20240711)
 
 
-def random_test_function(rng, n_atoms=2, max_poly=3):
+def random_test_function(rng, n_atoms=2, max_poly=3, max_modulation=3.0):
     """Random small atom combination with moderate modulations."""
     atoms = []
     for _ in range(n_atoms):
         center = float(rng.uniform(-1.5, 1.5))
         width = float(rng.uniform(0.6, 1.6))
-        modulation = float(rng.uniform(-3.0, 3.0))
+        modulation = float(rng.uniform(-max_modulation, max_modulation))
         degree = int(rng.integers(1, max_poly + 1))
         poly = tuple(complex(rng.standard_normal(), rng.standard_normal()) * 0.5
                      for _ in range(degree))

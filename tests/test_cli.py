@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
 from multinoise import cli
 from multinoise.atoms import gaussian
+from multinoise.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,6 +158,20 @@ def test_thread_cap_does_not_change_artifacts(tmp_path, monkeypatch):
     for name in ("kernel_points.csv", "kernel_rates.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_thread_cap_is_bounded_by_cpu_count(monkeypatch):
+    monkeypatch.setenv("MULTINOISE_THREADS", "100000")
+    assert cli._thread_cap() == (os.cpu_count() or 1)
+    monkeypatch.setenv("MULTINOISE_THREADS", "1")
+    assert cli._thread_cap() == 1
+
+
+def test_quadrature_tolerance_keys_are_accepted_and_ignored(tmp_path):
+    with_keys = load_config(write_config(tmp_path, "a.json"))
+    without = load_config(write_config(
+        tmp_path, "b.json", tolerances={"assert_rel": 1e-6}))
+    assert with_keys == without
 
 
 def test_no_partial_files_on_support_failure(tmp_path):

@@ -8,8 +8,23 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise.errors import QuadratureFailure, ZeroGamma
-from multinoise.forms import complex_quad
+from multinoise.forms import ENVELOPE_TOL, QUAD_REL, complex_quad
 from conftest import random_test_function
+
+
+def quad_oracle(weight, f, h):
+    """integral weight(t) conj(f(t)) h(t) dt by adaptive quadrature.
+
+    The range comes from the Gaussian envelopes and is split at 0, where
+    |t|^n is not smooth.
+    """
+    ends = [end for fn in (f, h) for end in fn.envelope_interval(ENVELOPE_TOL)]
+    lo, hi = min(0.0, *ends), max(0.0, *ends)
+
+    def integrand(t):
+        return weight(t) * np.conj(f(t)) * h(t)
+
+    return complex_quad(integrand, lo, 0.0) + complex_quad(integrand, 0.0, hi)
 
 
 # -- L2 ----------------------------------------------------------------------
@@ -110,6 +125,128 @@ def test_indefiniteness_witnesses(n):
     minus = mn.gaussian(modulation=-5.0)  # frequency content at +5
     assert mn.indefinite_inner(n, 1.0, plus, plus).real > 1.0
     assert mn.indefinite_inner(n, 1.0, minus, minus).real < -1.0
+
+
+# -- exact forms against the quadrature oracle ------------------------------------
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exact_forms_match_quadrature(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(2):
+        f = random_test_function(rng, max_modulation=5.0)
+        h = random_test_function(rng, max_modulation=5.0)
+        fF, hF = f.fourier(), h.fourier()
+        fd = f.derivative(n)
+        cases = [
+            (mn.l2_inner(f, h), quad_oracle(lambda t: 1.0, f, h)),
+            (mn.weighted_inner(n, f, h),
+             quad_oracle(lambda x: np.abs(x) ** n, fF, hF)),
+            (mn.indefinite_inner(n, 0.7, f, h),
+             (1j) ** n * 0.7 * quad_oracle(lambda t: 1.0, fd, h)),
+            (mn.indefinite_inner_frequency(n, 0.7, f, h),
+             (-1.0) ** n * 0.7 * quad_oracle(lambda x: x ** n, fF, hF)),
+        ]
+        for exact, oracle in cases:
+            assert abs(exact - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+def test_batched_forms_match_pairwise_calls(rng):
+    fs = [random_test_function(rng) for _ in range(3)]
+    hs = [random_test_function(rng, n_atoms=1) for _ in range(2)]
+    for n in (0, 1, 2, 3):
+        forms = (lambda f, h: mn.l2_inner(f, h),
+                 lambda f, h: mn.weighted_inner(n, f, h),
+                 lambda f, h: mn.indefinite_inner(n, 1.3, f, h),
+                 lambda f, h: mn.indefinite_inner_frequency(n, 1.3, f, h))
+        for form in forms:
+            matrix = form(fs, hs)
+            assert matrix.shape == (3, 2)
+            for i, f in enumerate(fs):
+                for j, h in enumerate(hs):
+                    assert_allclose(matrix[i, j], form(f, h), rtol=1e-13)
+            assert_allclose(form(fs[0], hs), matrix[:1], rtol=1e-13)
+    zero_row = mn.weighted_inner(1, [mn.zero()], hs)
+    assert zero_row.shape == (1, 2) and not np.any(zero_row)
+
+
+# Reference values at large modulation gaps, computed with mpmath 1.3.0 at
+# 60 digits (composite 24-point Gauss-Legendre on panels of width 1/2 over
+# +-12 widths of every atom, split at 0).  Row n holds
+# (indefinite_inner(n, 1, f, h), weighted_inner(n, f, h)).
+GAP_CASES = {
+    "gap 8.5": (
+        ((0.3, 0.8, -4.0, (1.0, 0.5j, -0.25)),
+         (-0.2, 1.2, 4.5, (0.7, 0.0, 0.3 + 0.1j))),
+        [(-5.831143407523067e-06 - 5.2018298543950204e-05j,
+          -5.831143407523071e-06 - 5.201829854395026e-05j),
+         (9.814461371738239e-07 - 8.622646006698429e-05j,
+          8.66717020499507e-07 - 8.627944212342711e-05j),
+         (1.61469201515416e-05 - 0.00016093472547287608j,
+          1.6146920151541622e-05 - 0.0001609347254728762j),
+         (5.7426603248559445e-05 - 0.0003251689162054911j,
+          5.74007298438732e-05 - 0.0003251763587388567j),
+         (0.00017039685950967192 - 0.000698569892010235j,
+          0.00017039685950967205 - 0.0006985698920102354j),
+         (0.00048039904874138767 - 0.0015760070411480862j,
+          0.0004803838321715213 - 0.0015760093638400503j),
+         (0.0013321419853982767 - 0.0036990207631493214j,
+          0.0013321419853982773 - 0.003699020763149323j)],
+    ),
+    "gap 16": (
+        ((0.5, 1.1, -7.5, (1.0, -0.3)),
+         (-0.4, 0.9, 8.5, (0.5j, 0.2, 0.0, 0.1))),
+        [(-3.0032381964054943e-24 + 1.5021319361588417e-24j,
+          -3.0032381964055156e-24 + 1.5021319361588538e-24j),
+         (2.8865704241873707e-24 - 3.005456838940454e-24j,
+          -2.942347165486661e-24 + 2.9193773523638244e-24j),
+         (-3.576738755472742e-24 + 5.431820561860475e-24j,
+          -3.576738755472768e-24 + 5.431820561860508e-24j),
+         (4.72322377083424e-24 - 1.0721655012061438e-23j,
+          -4.732544623954897e-24 + 1.0686190557470729e-23j),
+         (-6.285991843740053e-24 + 2.2328616083900088e-23j,
+          -6.285991843741071e-24 + 2.2328616083901878e-23j),
+         (7.308232637410924e-24 - 4.934796923477875e-23j,
+          -7.308200519874055e-24 + 4.931520119498571e-23j),
+         (-3.545157659583231e-24 + 1.144846699229209e-22j,
+          -3.545157658310194e-24 + 1.1448466992228256e-22j)],
+    ),
+}
+
+
+def _atom_function(center, width, modulation, poly):
+    return mn.TestFunction(((1.0 + 0j, mn.Atom(
+        center, width, modulation, tuple(complex(p) for p in poly))),))
+
+
+@pytest.mark.parametrize("case", sorted(GAP_CASES))
+def test_large_modulation_gap_against_high_precision(case):
+    (fa, fb), rows = GAP_CASES[case]
+    f, h = _atom_function(*fa), _atom_function(*fb)
+    for n, (kernel, weighted) in enumerate(rows):
+        # the values lie far below the size of their integrands (down to
+        # 1e-27 of it); QUAD_REL is the accuracy the forms promise
+        assert abs(mn.indefinite_inner(n, 1.0, f, h) - kernel) \
+            <= QUAD_REL * abs(kernel)
+        assert abs(mn.weighted_inner(n, f, h) - weighted) \
+            <= QUAD_REL * abs(weighted)
+
+
+def test_separated_atoms_odd_weighted_form_raises():
+    """Atoms ten widths apart in time: the odd-order weighted form oscillates
+    on the frequency side, and its half-line recurrence loses accuracy as the
+    order grows.  It must report that instead of returning the value."""
+    f, h = mn.gaussian(center=-5.0), mn.gaussian(center=5.0)
+    # mpmath at 60 digits, as above
+    assert_allclose(mn.weighted_inner(1, f, h), -0.012040225606926656,
+                    rtol=QUAD_REL)
+    assert_allclose(mn.weighted_inner(2, f, h), -3.4025462469161855e-10,
+                    rtol=QUAD_REL)
+    assert_allclose(mn.indefinite_inner(5, 1.0, f, h), -3.498025860987813e-08j,
+                    rtol=QUAD_REL)
+    for n in (3, 5):
+        with pytest.raises(QuadratureFailure):
+            mn.weighted_inner(n, f, h)
 
 
 # -- grids and the metric operator ----------------------------------------------
