@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .atoms import TestFunction, gaussian
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
+from .gamma import MAX_ORDER
 
 __all__ = ["StudyConfig", "load_config", "parse_config",
            "DEFAULT_KERNEL_SMEARS", "DEFAULT_WORD_SMEARS"]
@@ -50,6 +52,31 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _order(value) -> int:
+    # bool is an int subclass and int() truncates floats; both would slip
+    # through a bare int() as a different order than the one written
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"orders entry {value!r} is not an integer")
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"orders entry {value!r} is not an integer") from None
+    _require(0 <= n <= MAX_ORDER,
+             f"orders entries must lie in 0..{MAX_ORDER}, got {n}")
+    return n
+
+
+def _finite(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    _require(not isinstance(value, bool) and math.isfinite(x),
+             f"{what} must be a finite number, got {value!r}")
+    return x
+
+
 def _parse_dispersion(d: dict) -> Dispersion:
     _require(isinstance(d, dict) and "kind" in d, "dispersion needs a 'kind'")
     kind = d["kind"]
@@ -84,10 +111,11 @@ def parse_config(raw: dict) -> StudyConfig:
     form_factor = _parse_test_function(raw["form_factor"], "form_factor")
     _require(form_factor.atoms != (), "form_factor must be nonempty")
 
-    orders = tuple(int(n) for n in raw["orders"])
-    _require(all(n >= 0 for n in orders), "orders must be nonnegative")
+    _require(isinstance(raw["orders"], list), "orders must be a list")
+    orders = tuple(_order(n) for n in raw["orders"])
 
-    grid = tuple(float(x) for x in raw["lambda_grid"])
+    _require(isinstance(raw["lambda_grid"], list), "lambda_grid must be a list")
+    grid = tuple(_finite(x, "lambda_grid entry") for x in raw["lambda_grid"])
     _require(len(grid) > 0, "lambda_grid must be nonempty")
     _require(all(x > 0 for x in grid), "lambda_grid entries must be positive")
     _require(all(a > b for a, b in zip(grid, grid[1:])),
@@ -117,6 +145,9 @@ def parse_config(raw: dict) -> StudyConfig:
                  "smears must be a nonempty list")
         smears = tuple(_parse_test_function(s, "smear") for s in raw["smears"])
 
+    eps_supp = _finite(raw.get("eps_supp", 1e-10), "eps_supp")
+    _require(0 < eps_supp < 1, "eps_supp must lie strictly between 0 and 1")
+
     fault = raw.get("fault_injection")
     _require(fault in (None, "transpose_pairing"),
              f"unknown fault_injection {fault!r}")
@@ -133,7 +164,7 @@ def parse_config(raw: dict) -> StudyConfig:
         seed=int(raw.get("seed", 0)),
         out_dir=str(output.get("directory", "out")),
         out_format=out_format,
-        eps_supp=float(raw.get("eps_supp", 1e-10)),
+        eps_supp=eps_supp,
         smears=smears,
         rep_pairs=int(raw.get("rep_pairs", 50)),
         fault_injection=fault,

@@ -8,7 +8,14 @@ The n-th coefficient is
 computed by truncating the sigma integral where |I(sigma)| has decayed below
 a bound, with Gauss-Legendre panels narrow enough to resolve both oscillation
 rates (sigma * max|omega'| in momentum, max|omega| in sigma).  I(sigma) is
-evaluated once on the sigma nodes and memoized.
+evaluated once on the sigma nodes and memoized.  The sigma panels share one
+half-width h, so every node is mid_p + h x_j with the same Legendre nodes x_j,
+and exp(i sigma omega) = exp(i mid_p omega) exp(i h x_j omega) exactly: per
+momentum block the table is one (panels x momentum) by (momentum x 16)
+matrix product of the two phase factors, and no sigma x momentum matrix is
+formed.  Its checks are the direct outer-product sum ``_i_sigma_on_rule``
+(which also serves the decay probes), the adaptive ``i_sigma``, and, for the
+coefficients themselves, the energy-shell oracle below.
 
 The independent oracle pushes |g|^2 through omega:  with
 rho(E) = sum_{omega(k)=E} w(k) |g(k)|^2 / |omega'(k)|  (the shell density),
@@ -85,15 +92,22 @@ def check_support(disp: Dispersion, g: TestFunction,
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(lo: float, hi: float, width: float) -> tuple[np.ndarray, np.ndarray]:
+def _panel_rule(lo: float, hi: float, width: float):
+    """Equal Gauss-Legendre panels on [lo, hi], none wider than ``width``.
+
+    Returns ``(nodes, weights, mids, offsets)``: node ``p * _GL_ORDER + j`` is
+    ``mids[p] + offsets[j]``.  Every panel shares one half-width, so the
+    offsets are the same floats in every panel, which is what lets the sigma
+    table factor its phase per panel.
+    """
     n_panels = int(math.ceil((hi - lo) / width))
+    half = 0.5 * (hi - lo) / n_panels
     x, w = leggauss(_GL_ORDER)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    mids = lo + half * (2.0 * np.arange(n_panels) + 1.0)
+    offsets = half * x
+    nodes = (mids[:, None] + offsets[None, :]).ravel()
+    weights = np.tile(half * w, n_panels)
+    return nodes, weights, mids, offsets
 
 
 def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
@@ -120,9 +134,10 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
 
     if lo < 0.0 < hi:
         radius = max(-lo, hi)
-        nodes, weights = _panel_rule(0.0, radius, width)
+        nodes, weights, _, _ = _panel_rule(0.0, radius, width)
         return (block(nodes, weights), block(-nodes, weights))
-    return (block(*_panel_rule(lo, hi, width)),)
+    nodes, weights, _, _ = _panel_rule(lo, hi, width)
+    return (block(nodes, weights),)
 
 
 def i_sigma(disp: Dispersion, g: TestFunction, sigma: float, *,
@@ -150,14 +165,28 @@ def _i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
     return acc.sum(axis=1)
 
 
-@lru_cache(maxsize=32)
-def _oscillation_table(disp: Dispersion, g: TestFunction,
-                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sigma nodes, weights and memoized I values on the positive half line.
+def _i_sigma_on_panels(blocks, mids, offsets) -> np.ndarray:
+    """I on the nodes ``mids[p] + offsets[j]``, raveled panel by panel.
 
-    The truncation point Sigma is the first point of a doubling ladder where
-    |I(sigma)| stays below ``tol`` (three probes guard against hitting an
-    oscillation zero); SlowDecay if the cap is reached.
+    exp(i sigma omega) splits exactly into exp(i mid omega) exp(i offset
+    omega), so each momentum block costs (P + J) K exponentials and one
+    P x K by K x J matrix product instead of P J K exponentials.
+    """
+    acc = np.zeros((mids.size, offsets.size), dtype=complex)
+    for omega_nodes, density in blocks:
+        # a mirror block's product is the bitwise conjugate of its partner's,
+        # so odd coefficients of symmetric configurations still cancel exactly
+        acc += ((np.exp(1j * np.outer(mids, omega_nodes)) * density)
+                @ np.exp(1j * np.outer(offsets, omega_nodes)).T)
+    return acc.ravel()
+
+
+def _sigma_cutoff(disp: Dispersion, g: TestFunction, tol: float) -> float:
+    """Truncation point Sigma of the sigma integral.
+
+    Sigma is the first point of a doubling ladder where |I(sigma)| stays below
+    ``tol`` (three probes guard against hitting an oscillation zero);
+    SlowDecay if the cap is reached.
     """
     def probe_mag(sig: float) -> float:
         blocks = _momentum_rule(disp, g, 1.7 * sig)
@@ -171,13 +200,21 @@ def _oscillation_table(disp: Dispersion, g: TestFunction,
             raise SlowDecay(
                 f"|I(sigma)| not below {tol:g} by sigma = {SIGMA_CAP:g}; "
                 f"stationary phase point suspected")
+    return sigma_end
 
+
+@lru_cache(maxsize=32)
+def _oscillation_table(disp: Dispersion, g: TestFunction,
+                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sigma nodes, weights and memoized I values on [0, Sigma]."""
+    sigma_end = _sigma_cutoff(disp, g, tol)
     blocks = _momentum_rule(disp, g, sigma_end)
     omega_max = max((float(np.max(np.abs(om))) for om, _ in blocks),
                     default=0.0)
     panel = math.pi / max(omega_max, 1e-6)
-    nodes, weights = _panel_rule(0.0, sigma_end, min(panel, sigma_end / 4.0))
-    values = _i_sigma_on_rule(blocks, nodes)
+    nodes, weights, mids, offsets = _panel_rule(
+        0.0, sigma_end, min(panel, sigma_end / 4.0))
+    values = _i_sigma_on_panels(blocks, mids, offsets)
     for arr in (nodes, weights, values):
         arr.setflags(write=False)
     return nodes, weights, values

@@ -57,6 +57,26 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     assert cli.main(["kernel-check", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("gamma", {"orders": [7]}),
+    ("kernel-check", {"orders": [7]}),
+    ("gamma", {"orders": ["a"]}),
+    ("gamma", {"orders": [True]}),
+    ("gamma", {"orders": [1.5]}),
+    ("kernel-check", {"lambda_grid": [math.inf, 0.35, 0.25, 0.15]}),
+    ("gamma", {"eps_supp": 0}),
+    ("gamma", {"eps_supp": 2.0}),
+], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
+        "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2"])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command,
+                                        overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_gamma_writes_table_and_succeeds(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["gamma", "--config", str(cfg)]) == 0

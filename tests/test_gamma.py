@@ -1,15 +1,24 @@
 """Weak-coupling coefficients: oscillatory route, shell oracle, support check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import multinoise as mn
+from multinoise import gamma as gamma_mod
 from multinoise.errors import DegenerateRoot, SlowDecay
 
 TWO_SQRT_PI = 2 * math.sqrt(math.pi)
+
+
+@pytest.fixture(scope="session")
+def radial_catalog():
+    """d = 3 radial reduction of the quadratic catalog (|I(0)| is about 51)."""
+    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0, dimension=3)
+    return disp, mn.gaussian(center=2.0, width=0.35)
 
 
 def test_i_sigma_at_zero_is_norm(linear_catalog):
@@ -34,7 +43,8 @@ def test_i_sigma_gaussian_closed_form(linear_catalog):
 def test_gamma_osc_linear_catalog(linear_catalog):
     disp, g = linear_catalog
     assert_allclose(mn.gamma_osc(disp, g, 0), TWO_SQRT_PI, rtol=1e-8)
-    assert mn.gamma_osc(disp, g, 1) == 0.0  # even |g|^2, odd-symmetric omega
+    for n in (1, 3, 5):  # even |g|^2, odd-symmetric omega
+        assert mn.gamma_osc(disp, g, n) == 0.0
     assert_allclose(mn.gamma_osc(disp, g, 2), -TWO_SQRT_PI, rtol=1e-8)
 
 
@@ -151,10 +161,9 @@ def test_gamma_table_csv_round_trip(linear_catalog):
         assert float(rel) == row.rel_diff
 
 
-def test_radial_reduction_runs():
+def test_radial_reduction_runs(radial_catalog):
     """d = 3 radial option shares the code paths and stays self-consistent."""
-    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0, dimension=3)
-    g = mn.gaussian(center=2.0, width=0.35)
+    disp, g = radial_catalog
     table = mn.gamma_table(disp, g, range(3))
     for row in table.rows:
         assert abs(row.gamma_osc - row.gamma_shell) <= \
@@ -165,3 +174,39 @@ def test_radial_reduction_runs():
     kstar = 2.0
     assert_allclose(table.rows[0].gamma_osc / base, 4 * math.pi * kstar ** 2,
                     rtol=0.05)
+
+
+def test_sigma_table_matches_direct_and_adaptive_routes(
+        linear_catalog, quadratic_catalog, radial_catalog):
+    """The factored panel table against I evaluated node by node."""
+    tol = gamma_mod.SIGMA_DECAY_TOL
+    for disp, g in (linear_catalog, quadratic_catalog, radial_catalog):
+        nodes, _, values = gamma_mod._oscillation_table(disp, g, tol)
+        blocks = gamma_mod._momentum_rule(
+            disp, g, gamma_mod._sigma_cutoff(disp, g, tol))
+        scale = max(1.0, abs(gamma_mod._i_sigma_on_rule(blocks, [0.0])[0]))
+        picks = np.linspace(0, nodes.size - 1, 40).round().astype(int)
+        direct = gamma_mod._i_sigma_on_rule(blocks, nodes[picks])
+        assert np.max(np.abs(values[picks] - direct)) <= 1e-12 * scale
+        # adaptive quadrature asks for 1e-11 relative; allow ten times that
+        for k in range(0, 40, 8):
+            adaptive = mn.i_sigma(disp, g, float(nodes[k]))
+            assert abs(values[k] - adaptive) <= 1e-10 * scale
+
+
+def test_sigma_table_never_builds_the_dense_sigma_momentum_matrix(
+        quadratic_catalog):
+    """Peak traced memory of the table stays far below the dense matrix.
+
+    The dense sigma x momentum matrix on this catalog alone is about 440 MB;
+    numpy reports its buffers to tracemalloc, so the peak repeats exactly.
+    """
+    disp, g = quadratic_catalog
+    gamma_mod._oscillation_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gamma_mod._oscillation_table(disp, g, gamma_mod.SIGMA_DECAY_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100e6
