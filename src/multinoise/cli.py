@@ -235,6 +235,8 @@ def main(argv=None) -> int:
         if args.format is not None:
             cfg.out_format = args.format
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
 
         if args.command == "gamma":

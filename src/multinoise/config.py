@@ -52,16 +52,24 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass and int() truncates floats and parses strings;
+    # each would slip through a bare int() as a different value than written
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    _require(isinstance(value, dict), f"{key} must be a JSON object")
+    return value
+
+
 def _order(value) -> int:
-    # bool is an int subclass and int() truncates floats; both would slip
-    # through a bare int() as a different order than the one written
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ConfigError(f"orders entry {value!r} is not an integer")
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"orders entry {value!r} is not an integer") from None
+    n = _integer(value, "orders entry")
     _require(0 <= n <= MAX_ORDER,
              f"orders entries must lie in 0..{MAX_ORDER}, got {n}")
     return n
@@ -78,18 +86,20 @@ def _finite(value, what: str) -> float:
 
 
 def _parse_dispersion(d: dict) -> Dispersion:
-    _require(isinstance(d, dict) and "kind" in d, "dispersion needs a 'kind'")
+    _require(isinstance(d, dict) and "kind" in d,
+             "dispersion must be a JSON object with a 'kind'")
     kind = d["kind"]
-    dim = int(d.get("dimension", 1))
+    dim = _integer(d.get("dimension", 1), "dispersion.dimension")
+    offset = _finite(d.get("offset", 0.0), "dispersion.offset")
     try:
         if kind == "linear":
-            return LinearDispersion(slope=float(d.get("slope", 1.0)),
-                                    offset=float(d.get("offset", 0.0)),
-                                    dimension=dim)
+            return LinearDispersion(
+                slope=_finite(d.get("slope", 1.0), "dispersion.slope"),
+                offset=offset, dimension=dim)
         if kind == "quadratic":
-            return QuadraticDispersion(mass=float(d.get("mass", 1.0)),
-                                       offset=float(d.get("offset", 0.0)),
-                                       dimension=dim)
+            return QuadraticDispersion(
+                mass=_finite(d.get("mass", 1.0), "dispersion.mass"),
+                offset=offset, dimension=dim)
     except ValueError as exc:
         raise ConfigError(f"bad dispersion parameters: {exc}") from exc
     raise ConfigError(f"unknown dispersion kind {kind!r}")
@@ -121,21 +131,26 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(all(a > b for a, b in zip(grid, grid[1:])),
              "lambda_grid must be strictly decreasing")
 
-    trunc = raw.get("truncation", {})
-    basis_size = int(trunc.get("basis_size", 6))
-    particle_cap = int(trunc.get("particle_cap", 4))
-    sector_max = int(trunc.get("sector_max", 3))
+    trunc = _object(raw, "truncation")
+    basis_size = _integer(trunc.get("basis_size", 6), "basis_size")
+    particle_cap = _integer(trunc.get("particle_cap", 4), "particle_cap")
+    sector_max = _integer(trunc.get("sector_max", 3), "sector_max")
     _require(basis_size >= 2, "basis_size must be at least 2")
     _require(particle_cap >= 2, "particle_cap must be at least 2")
     _require(sector_max >= 0, "sector_max must be nonnegative")
 
     # tolerances.quad_abs and quad_rel are accepted for old configs but have
     # no effect: the forms are exact and the remaining quadratures fix their own
-    tols = raw.get("tolerances", {})
-    assert_rel = float(tols.get("assert_rel", 1e-6))
+    tols = _object(raw, "tolerances")
+    assert_rel = _finite(tols.get("assert_rel", 1e-6), "tolerances.assert_rel")
     _require(assert_rel > 0, "tolerances.assert_rel must be positive")
 
-    output = raw.get("output", {})
+    seed = _integer(raw.get("seed", 0), "seed")
+    _require(seed >= 0, "seed must be nonnegative")
+    rep_pairs = _integer(raw.get("rep_pairs", 50), "rep_pairs")
+    _require(rep_pairs >= 1, "rep_pairs must be at least 1")
+
+    output = _object(raw, "output")
     out_format = output.get("format", "csv")
     _require(out_format in ("csv", "json"), "output format must be csv or json")
 
@@ -161,12 +176,12 @@ def parse_config(raw: dict) -> StudyConfig:
         particle_cap=particle_cap,
         sector_max=sector_max,
         assert_rel=assert_rel,
-        seed=int(raw.get("seed", 0)),
+        seed=seed,
         out_dir=str(output.get("directory", "out")),
         out_format=out_format,
         eps_supp=eps_supp,
         smears=smears,
-        rep_pairs=int(raw.get("rep_pairs", 50)),
+        rep_pairs=rep_pairs,
         fault_injection=fault,
     )
 

@@ -24,8 +24,10 @@ moments in closed form (``_odd_weighted_pairs``).  Where the half-line
 recurrence would lose more accuracy than QUAD_REL of the terms it combines,
 the form raises QuadratureFailure instead of returning a degraded value.
 
-``complex_quad`` is the adaptive quadrature used by the reservoir kernel and
-the gamma integrals, and the test suite's oracle for the exact forms.
+``complex_quad`` is the adaptive quadrature behind gamma's ``i_sigma`` and the
+tests' oracle for the exact forms and the reservoir kernel.  scipy is
+imported inside it and inside ``_odd_weighted_pairs``, so importing the
+package loads no scipy.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ from typing import Sequence, Union
 import numpy as np
 from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import erfcx
 
 from .atoms import TestFunction
 from .errors import QuadratureFailure, ZeroGamma
@@ -78,6 +78,10 @@ def complex_quad(fun, lo: float, hi: float, *, epsabs: float = QUAD_ABS,
                  epsrel: float = QUAD_REL, limit: int = 200,
                  points=None) -> complex:
     """Adaptive Gauss-Kronrod integration of a complex-valued integrand."""
+    # imported here: scipy.integrate costs a large share of the package's
+    # import time, and no CLI command reaches this routine
+    from scipy.integrate import IntegrationWarning, quad
+
     if hi <= lo:
         return 0j
     with warnings.catch_warnings():
@@ -202,6 +206,10 @@ def _odd_weighted_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     its rounding error is kept beside it; a pair whose bound exceeds QUAD_REL
     of the terms it combines raises QuadratureFailure.
     """
+    # imported here, like complex_quad's scipy: of the CLI commands only
+    # rep-check builds the odd-order sector Gram matrices that need it
+    from scipy.special import erfcx
+
     A, B, C = _gaussian_parameters(fa, fb)
     line = _line_pairs(fa, fb, k)
     sign = np.where(B.real <= 0.0, 1.0, -1.0)

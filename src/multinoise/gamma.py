@@ -61,11 +61,24 @@ DEGENERATE_SLOPE = 1e-6
 MAX_ORDER = 6
 _INTEGRATION_TOL = 1e-9    # |g| threshold bounding the momentum domain
 _GL_ORDER = 16
+# leggauss refines its nodes by Newton steps, about half a millisecond a call,
+# and the reservoir kernel builds a panel rule per doubling step
+_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+
+
+@lru_cache(maxsize=64)
+def _envelope(f: TestFunction, tol: float) -> tuple[float, float]:
+    """``f.envelope_interval(tol)``, computed once per function and threshold.
+
+    The support gate, both gamma routes and the reservoir kernel each ask
+    for the same form factor's interval, the kernel once per pair and lambda.
+    """
+    return f.envelope_interval(tol)
 
 
 def effective_support(g: TestFunction, eps_supp: float = EPS_SUPP_DEFAULT) -> tuple[float, float]:
     """Interval outside which |g(k)|^2 is provably below eps_supp."""
-    return g.envelope_interval(math.sqrt(eps_supp))
+    return _envelope(g, math.sqrt(eps_supp))
 
 
 @dataclass(frozen=True)
@@ -102,11 +115,10 @@ def _panel_rule(lo: float, hi: float, width: float):
     """
     n_panels = int(math.ceil((hi - lo) / width))
     half = 0.5 * (hi - lo) / n_panels
-    x, w = leggauss(_GL_ORDER)
     mids = lo + half * (2.0 * np.arange(n_panels) + 1.0)
-    offsets = half * x
+    offsets = half * _GL_NODES
     nodes = (mids[:, None] + offsets[None, :]).ravel()
-    weights = np.tile(half * w, n_panels)
+    weights = np.tile(half * _GL_WEIGHTS, n_panels)
     return nodes, weights, mids, offsets
 
 
@@ -119,7 +131,7 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     elementwise then cancels the imaginary part identically, which is what
     makes symmetry-forced odd coefficients come out as exact zeros.
     """
-    lo, hi = clip_domain(disp, *g.envelope_interval(_INTEGRATION_TOL))
+    lo, hi = clip_domain(disp, *_envelope(g, _INTEGRATION_TOL))
     if hi <= lo:
         return ()
     corners = [lo, hi, *(p for p in disp.stationary_points() if lo < p < hi)]
@@ -143,7 +155,7 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
 def i_sigma(disp: Dispersion, g: TestFunction, sigma: float, *,
             epsabs: float = 1e-13, epsrel: float = 1e-11) -> complex:
     """Characteristic-function integral I(sigma) by adaptive quadrature."""
-    lo, hi = clip_domain(disp, *g.envelope_interval(_INTEGRATION_TOL))
+    lo, hi = clip_domain(disp, *_envelope(g, _INTEGRATION_TOL))
 
     def integrand(k):
         return (np.exp(1j * sigma * disp.omega(k)) * measure_weight(disp, k)

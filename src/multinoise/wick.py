@@ -8,15 +8,23 @@ contractions.  Two channel families are supported:
 * multipole noise of order n, pair value lambda^(2n) i^n gamma_n
   integral conj(f_minus^(n)) f_plus dt, zero across unequal orders;
 * the rescaled reservoir field, whose pair value is the smeared kernel
-  (1/lambda^2) integral dk |g(k)|^2 exp(i omega(k) (tau - t) / lambda^2),
-  evaluated as a single momentum integral after substituting
-  u = omega(k)/lambda^2 on each monotone branch of the dispersion.
+  (1/lambda^2) integral dk |g(k)|^2 exp(i omega(k) (tau - t) / lambda^2).
+  The time integrals are done exactly by the smears' Fourier transforms,
+  leaving one momentum integral.  On each monotone branch of the dispersion
+  it runs over the k-window where u = omega(k)/lambda^2 lies inside both
+  smears' spectra, as a vectorized Gauss-Legendre panel sum (the panel
+  layout of ``gamma._panel_rule``) whose panel count doubles until two
+  successive sums agree.  Each smear's transform and spectral interval, and
+  the form factor's momentum interval, are computed once per function.  The
+  test suite checks the kernel against adaptive quadrature in u and against
+  a time-domain tensor rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +32,9 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, branch_inverse, clip_domain,
                          measure_weight, monotone_branches)
-from .errors import ZeroGamma
-from .forms import complex_quad, indefinite_inner
+from .errors import QuadratureFailure, ZeroGamma
+from .forms import indefinite_inner
+from .gamma import _envelope, _panel_rule
 
 __all__ = [
     "Letter",
@@ -39,6 +48,7 @@ __all__ = [
 
 MAX_WORD_LENGTH = 12  # exhaustive matching enumeration only
 RESERVOIR_SUPPORT_TOL = 1e-9  # |g| threshold bounding the momentum integral
+_MAX_PANELS = 1024  # doubling cap of the reservoir kernel's panel sum
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,57 @@ def noise_pair(n: int, gamma: float, lam: float, f_minus: TestFunction,
     return lam ** (2 * n) * indefinite_inner(n, gamma, f_minus, f_plus)
 
 
+@lru_cache(maxsize=256)
+def _spectrum(f: TestFunction):
+    """A smear's Fourier transform and the interval where it exceeds 1e-12."""
+    f_hat = f.fourier()
+    return f_hat, f_hat.envelope_interval(1e-12)
+
+
+def _k_window(disp: Dispersion, a: float, b: float, lam2: float,
+              u_lo: float, u_hi: float) -> Optional[tuple[float, float]]:
+    """Momenta of the branch [a, b] with omega(k)/lambda^2 inside [u_lo, u_hi].
+
+    An end the u-window does not cut stays the branch end exactly: inverting
+    omega there would move a stationary end by the square root of a rounding
+    error.
+    """
+    ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
+    if min(u_hi, max(ua, ub)) <= max(u_lo, min(ua, ub)):
+        return None
+
+    def end(k: float, u: float) -> float:
+        if u_lo <= u <= u_hi:
+            return k
+        return float(branch_inverse(disp, a, b, lam2 * min(max(u, u_lo), u_hi)))
+
+    return end(a, ua), end(b, ub)
+
+
+def _panel_sum(fun, lo: float, hi: float, *, epsabs: float,
+               epsrel: float) -> complex:
+    """Gauss-Legendre panel sum of a vectorized integrand over [lo, hi].
+
+    The panel count doubles until two successive sums agree to
+    max(epsabs, epsrel |I|); past _MAX_PANELS the integral is reported as
+    QuadratureFailure.
+    """
+    previous, change = None, math.inf
+    panels = 1
+    while panels <= _MAX_PANELS:
+        nodes, weights, _, _ = _panel_rule(lo, hi, (hi - lo) / panels)
+        total = complex(np.dot(weights, fun(nodes)))
+        if previous is not None:
+            change = abs(total - previous)
+            if change <= max(epsabs, epsrel * abs(total)):
+                return total
+        previous = total
+        panels *= 2
+    raise QuadratureFailure(
+        f"panel sum on [{lo:g}, {hi:g}] not converged to {epsabs:g}/{epsrel:g} "
+        f"with {_MAX_PANELS} panels; last change {change:g}")
+
+
 def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
                    f_plus: TestFunction, *, epsabs: float = 1e-12,
                    epsrel: float = 1e-10) -> complex:
@@ -117,42 +178,41 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
 
     Computed per monotone dispersion branch as
 
-        2 pi * integral du  w(k(u)) |g(k(u))|^2 / |omega'(k(u))|
-                            * conj(f_minus_F(u)) f_plus_F(u)
+        2 pi * integral dk  lambda^-2 w(k) |g(k)|^2
+                            * conj(f_minus_F(u)) f_plus_F(u),   u = omega(k)/lambda^2,
 
-    with u = omega(k)/lambda^2, which resolves the O(lambda^2)-wide energy
-    shell exactly.
+    over the momenta whose u lies where both smears' Fourier transforms
+    exceed 1e-12 (outside that window one of the two factors is below it).
+    For small lambda that window is O(lambda^2) wide, so it resolves the
+    energy shell at every lambda, and the k integrand carries no 1/|omega'|
+    Jacobian, so a branch ending at a stationary point stays smooth.  Each
+    window is a Gauss-Legendre panel sum whose panel count doubles until two
+    successive sums agree to max(epsabs, epsrel |I|); QuadratureFailure if
+    they still differ at _MAX_PANELS panels.  The oracles live in the test
+    suite: adaptive quadrature of the u-substituted integral (the
+    Jacobian form), a time-domain tensor rule, and a dense sum for a narrow
+    spectral overlap.
     """
     disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
-    lo, hi = g.envelope_interval(RESERVOIR_SUPPORT_TOL)
-    lo, hi = clip_domain(disp, lo, hi)
+    lo, hi = clip_domain(disp, *_envelope(g, RESERVOIR_SUPPORT_TOL))
     if hi <= lo:
         return 0j
-    fmF = f_minus.fourier()
-    fpF = f_plus.fourier()
-    # the smears bound the u range independently of lambda; without this clamp
-    # the interval grows like 1/lambda^2 and the quadrature can overlook the
-    # narrow band where the integrand lives
-    m_lo, m_hi = fmF.envelope_interval(1e-12)
-    p_lo, p_hi = fpF.envelope_interval(1e-12)
-    smear_lo, smear_hi = min(m_lo, p_lo), max(m_hi, p_hi)
+    fm_hat, (m_lo, m_hi) = _spectrum(f_minus)
+    fp_hat, (p_lo, p_hi) = _spectrum(f_plus)
+    u_lo, u_hi = max(m_lo, p_lo), min(m_hi, p_hi)
     lam2 = lam * lam
+
+    def integrand(k):
+        u = disp.omega(k) / lam2
+        return (measure_weight(disp, k) * np.abs(g(k)) ** 2
+                * np.conj(fm_hat(u)) * fp_hat(u)) / lam2
+
     total = 0j
     for a, b in monotone_branches(disp, lo, hi):
-        ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
-        u_lo = max(min(ua, ub), smear_lo)
-        u_hi = min(max(ua, ub), smear_hi)
-        if u_hi <= u_lo:
-            continue
-
-        def integrand(u, _a=a, _b=b):
-            k = branch_inverse(disp, _a, _b, lam2 * u)
-            dens = measure_weight(disp, k) * abs(g(k)) ** 2 / abs(disp.domega(k))
-            return dens * np.conj(fmF(u)) * fpF(u)
-
-        pts = [0.0] if u_lo < 0.0 < u_hi else None
-        total += complex_quad(integrand, u_lo, u_hi, epsabs=epsabs,
-                              epsrel=epsrel, limit=400, points=pts)
+        window = _k_window(disp, a, b, lam2, u_lo, u_hi)
+        if window is not None:
+            total += _panel_sum(integrand, *window, epsabs=epsabs,
+                                epsrel=epsrel)
     return 2.0 * math.pi * total
 
 

@@ -21,6 +21,13 @@ def quadratic_catalog():
 
 
 @pytest.fixture(scope="session")
+def radial_catalog():
+    """d = 3 radial reduction of the quadratic catalog (|I(0)| is about 51)."""
+    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0, dimension=3)
+    return disp, mn.gaussian(center=2.0, width=0.35)
+
+
+@pytest.fixture(scope="session")
 def small_sectors():
     """Sectors n = 0..2 on a 4-element basis, cheap enough for unit tests."""
     basis = default_basis(4)

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import multinoise
 from multinoise import cli
 from multinoise.atoms import gaussian
 from multinoise.config import load_config
@@ -66,8 +69,28 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("kernel-check", {"lambda_grid": [math.inf, 0.35, 0.25, 0.15]}),
     ("gamma", {"eps_supp": 0}),
     ("gamma", {"eps_supp": 2.0}),
+    ("gamma", {"truncation": {"basis_size": "x"}}),
+    ("rep-check", {"truncation": {"particle_cap": 2.5}}),
+    ("rep-check", {"truncation": {"sector_max": True}}),
+    ("gamma", {"truncation": [4, 3, 1]}),
+    ("rep-check", {"seed": "x"}),
+    ("rep-check", {"seed": -1}),
+    ("rep-check", {"rep_pairs": 0}),
+    ("gamma", {"tolerances": {"assert_rel": "x"}}),
+    ("gamma", {"tolerances": {"assert_rel": math.inf}}),
+    ("gamma", {"tolerances": [1e-6]}),
+    ("gamma", {"output": "out"}),
+    ("gamma", {"dispersion": ["linear"]}),
+    ("gamma", {"dispersion": {"kind": "linear", "dimension": "x"}}),
+    ("gamma", {"dispersion": {"kind": "linear", "slope": None}}),
+    ("gamma", {"dispersion": {"kind": "quadratic", "mass": "heavy"}}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
-        "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2"])
+        "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
+        "basis-size-string", "particle-cap-fraction", "sector-max-bool",
+        "truncation-list", "seed-string", "seed-negative", "rep-pairs-0",
+        "assert-rel-string", "assert-rel-infinite", "tolerances-list",
+        "output-string", "dispersion-list", "dimension-string", "slope-null",
+        "mass-string"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -75,6 +98,41 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert cli.main(["rep-check", "--config", str(cfg), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: seed must be nonnegative"]
+    assert not (tmp_path / "out").exists()
+
+
+IMPORT_GUARD = """
+import sys
+from multinoise import cli
+for command, name in (("gamma", "catalog_linear"),
+                      ("kernel-check", "kernel_linear")):
+    code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
+                     "--out", f"{sys.argv[2]}/{name}"])
+    assert code == 0, (command, code)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_gamma_and_kernel_check_run_without_scipy(tmp_path):
+    """scipy is imported only where adaptive quadrature or erfcx is needed.
+
+    Runs in a fresh interpreter, since this one has scipy loaded already.
+    """
+    package_root = str(Path(multinoise.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, str(CONFIG_DIR), str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_gamma_writes_table_and_succeeds(tmp_path):

@@ -14,13 +14,6 @@ from multinoise.errors import DegenerateRoot, SlowDecay
 TWO_SQRT_PI = 2 * math.sqrt(math.pi)
 
 
-@pytest.fixture(scope="session")
-def radial_catalog():
-    """d = 3 radial reduction of the quadratic catalog (|I(0)| is about 51)."""
-    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0, dimension=3)
-    return disp, mn.gaussian(center=2.0, width=0.35)
-
-
 def test_i_sigma_at_zero_is_norm(linear_catalog):
     disp, g = linear_catalog
     assert_allclose(mn.i_sigma(disp, g, 0.0), 1.0, rtol=1e-10)

@@ -9,8 +9,14 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 import multinoise as mn
+from multinoise import gamma as gamma_mod
+from multinoise import wick
 from multinoise.checks import random_coefficients
-from multinoise.errors import ZeroGamma
+from multinoise.config import DEFAULT_KERNEL_SMEARS, DEFAULT_WORD_SMEARS
+from multinoise.dispersion import (branch_inverse, clip_domain, measure_weight,
+                                   monotone_branches)
+from multinoise.errors import QuadratureFailure, ZeroGamma
+from multinoise.forms import complex_quad
 from conftest import random_test_function
 
 
@@ -140,6 +146,113 @@ def test_reservoir_pair_against_time_domain_oracle(quadratic_catalog):
     fast = mn.reservoir_pair(channel, f_minus, f_plus)
     slow = _time_domain_oracle(channel, f_minus, f_plus)
     assert abs(fast - slow) <= 1e-6 * (1 + abs(fast))
+
+
+def _u_substituted_oracle(channel, f_minus, f_plus):
+    """Adaptive quadrature of the kernel in u = omega(k)/lambda^2, per branch.
+
+    Independent of the production panel rule: it integrates in u with the
+    1/|omega'| Jacobian, over the union of the smears' spectral envelopes,
+    with QUADPACK choosing the nodes.
+    """
+    disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
+    lo, hi = clip_domain(disp, *g.envelope_interval(wick.RESERVOIR_SUPPORT_TOL))
+    fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
+    m_lo, m_hi = fm_hat.envelope_interval(1e-12)
+    p_lo, p_hi = fp_hat.envelope_interval(1e-12)
+    lam2 = lam * lam
+    total = 0j
+    for a, b in monotone_branches(disp, lo, hi):
+        ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
+        u_lo = max(min(ua, ub), min(m_lo, p_lo))
+        u_hi = min(max(ua, ub), max(m_hi, p_hi))
+        if u_hi <= u_lo:
+            continue
+
+        def integrand(u, a=a, b=b):
+            k = branch_inverse(disp, a, b, lam2 * u)
+            dens = measure_weight(disp, k) * abs(g(k)) ** 2 / abs(disp.domega(k))
+            return dens * np.conj(fm_hat(u)) * fp_hat(u)
+
+        points = [0.0] if u_lo < 0.0 < u_hi else None
+        total += complex_quad(integrand, u_lo, u_hi, epsabs=1e-12,
+                              epsrel=1e-10, limit=400, points=points)
+    return 2.0 * math.pi * total
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.15, 0.05])
+@pytest.mark.parametrize("catalog", ["linear_catalog", "quadratic_catalog",
+                                     "radial_catalog"])
+def test_reservoir_pair_against_adaptive_oracle(request, catalog, lam):
+    disp, g = request.getfixturevalue(catalog)
+    channel = mn.ReservoirChannel(disp, g, lam)
+    for f_minus, f_plus in itertools.product(DEFAULT_WORD_SMEARS, repeat=2):
+        fast = mn.reservoir_pair(channel, f_minus, f_plus)
+        oracle = _u_substituted_oracle(channel, f_minus, f_plus)
+        assert abs(fast - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("offset, center, lam, expected", [
+    (0.0, 0.0, 1.0, 5.7142311920694535),
+    (0.0, 0.0, 0.3, 54.50905520928797),
+    (0.0, 0.0, 0.1, 206.95029928549164),
+    (0.05, 0.3, 1.0, 5.495944740017922),
+    (0.05, 0.3, 0.85, 7.490236104546808),
+    (0.05, 0.3, 0.3, 22.67397223328982),
+    (0.05, 0.3, 0.1, 25.41660862408946),
+])
+def test_reservoir_pair_branch_ending_at_stationary_point(offset, center, lam,
+                                                          expected):
+    """Form factors reaching k = 0, where omega' vanishes at a branch end.
+
+    In u the integrand has an integrable 1/sqrt singularity there; in k it is
+    smooth.  The expected values come from adaptive quadrature in u.  At
+    lambda = 0.85, lambda^2 (omega(0) / lambda^2) rounds above omega(0), so
+    inverting omega at that end would cut about 4e-9 off the window.
+    """
+    disp = mn.QuadraticDispersion(offset=offset)
+    channel = mn.ReservoirChannel(disp, mn.gaussian(center, 0.35), lam)
+    val = mn.reservoir_pair(channel, *DEFAULT_KERNEL_SMEARS)
+    assert abs(val - expected) <= 1e-11 * abs(expected)
+
+
+def test_reservoir_pair_finds_narrow_spectral_overlap():
+    """A narrow f_plus spectrum inside a wide f_minus one.
+
+    The integrand lives within 0.13 of k = -0.777, a 0.26-wide band of the
+    38-wide momentum window that the union of the two spectra would leave;
+    adaptive quadrature over that union returns about 4e-16, and a panel
+    sum over it about 8e-51.  Checked against a dense trapezoid sum over the
+    band, for the linear dispersion at lambda = 1 where u = k.
+    """
+    g = mn.gaussian(width=3.0)
+    f_minus = mn.gaussian(width=0.05)
+    f_plus = mn.gaussian(width=60.0, modulation=0.777)
+    channel = mn.ReservoirChannel(mn.LinearDispersion(), g, 1.0)
+    k = np.linspace(-0.977, -0.577, 40001)
+    integrand = (np.abs(g(k)) ** 2 * np.conj(f_minus.fourier()(k))
+                 * f_plus.fourier()(k))
+    dense = 2.0 * math.pi * np.trapezoid(integrand, k)
+    val = mn.reservoir_pair(channel, f_minus, f_plus)
+    assert abs(val - dense) <= 1e-9 * abs(dense)
+
+
+def test_panel_sum_reports_nonconvergence():
+    with pytest.raises(QuadratureFailure):
+        wick._panel_sum(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
+                        epsabs=1e-12, epsrel=1e-10)
+
+
+def test_reservoir_pair_repeats_bitwise(quadratic_catalog):
+    disp, g = quadratic_catalog
+    channel = mn.ReservoirChannel(disp, g, 0.3)
+    f_minus, f_plus = DEFAULT_WORD_SMEARS[1], DEFAULT_WORD_SMEARS[2]
+    wick._spectrum.cache_clear()
+    gamma_mod._envelope.cache_clear()
+    cold = mn.reservoir_pair(channel, f_minus, f_plus)
+    assert mn.reservoir_pair(channel, f_minus, f_plus) == cold
+    assert mn.correlation([mn.Letter(-1, f_minus), mn.Letter(+1, f_plus)],
+                          channel=channel) == cold
 
 
 def test_reservoir_pair_small_lambda_approaches_white_noise(quadratic_catalog):
