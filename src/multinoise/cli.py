@@ -6,10 +6,7 @@
 Exit codes: 0 success, 2 bad config, 3 support condition failed, 4 oracle or
 computation mismatch, 5 representation invariant violated, 6 rate criterion
 failed.  Artifacts are written to a temporary file and renamed into place, so
-a failing run never leaves partial files.  MULTINOISE_THREADS caps the worker
-pool used for independent study points, up to the CPU count; results are
-reduced in grid order either way, so outputs are byte-identical for a fixed
-config and seed.
+a failing run never leaves partial files.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .checks import run_representation_checks
@@ -39,27 +35,6 @@ EXIT_INVARIANT = 5
 EXIT_RATE = 6
 
 CORR_WORD_SIGNS = (-1, -1, +1, +1)
-
-
-def _thread_cap() -> int:
-    cpus = os.cpu_count() or 1
-    raw = os.environ.get("MULTINOISE_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = 4
-    return min(cap, cpus)
-
-
-def _ordered_map(fun, items):
-    items = list(items)
-    workers = min(_thread_cap(), max(len(items), 1))
-    if workers == 1:
-        return [fun(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fun, items))
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -169,15 +144,15 @@ def _expansion_study(cfg: StudyConfig, force: bool, *, stem: str,
     gammas = _study_gammas(cfg, max(cfg.orders))
     channel = ReservoirChannel(cfg.dispersion, cfg.form_factor,
                                cfg.lambda_grid[0])
-    tasks = [(order, lam) for order in cfg.orders for lam in cfg.lambda_grid]
-    points = _ordered_map(
-        lambda task: point_fun(task[0], task[1], channel, gammas), tasks)
-    by_order = {}
-    for point in points:
-        by_order.setdefault(point.order, []).append(point)
+    # one exact value per lambda; rows stay grouped by order, then lambda
+    by_order = {order: [] for order in cfg.orders}
+    for lam in cfg.lambda_grid:
+        for point in point_fun(cfg.orders, lam, channel, gammas):
+            by_order[point.order].append(point)
     reports, all_pass = _fit_reports(by_order)
 
     out = Path(cfg.out_dir)
+    points = [p for pts in by_order.values() for p in pts]
     _write_text(out / f"{stem}_points.csv", _expansion_csv(points))
     _write_text(out / f"{stem}_rates.json", _json_text(reports))
     for entry in reports:
@@ -192,20 +167,20 @@ def cmd_kernel_check(cfg: StudyConfig, force: bool) -> int:
     smears = cfg.smears if len(cfg.smears) >= 2 else DEFAULT_KERNEL_SMEARS
     f_minus, f_plus = smears[0], smears[1]
 
-    def point(order, lam, channel, gammas):
-        return kernel_error(order, lam, f_minus, f_plus, channel, gammas)
+    def points(orders, lam, channel, gammas):
+        return kernel_error(orders, lam, f_minus, f_plus, channel, gammas)
 
-    return _expansion_study(cfg, force, stem="kernel", point_fun=point)
+    return _expansion_study(cfg, force, stem="kernel", point_fun=points)
 
 
 def cmd_corr_check(cfg: StudyConfig, force: bool) -> int:
     smears = cfg.smears if len(cfg.smears) >= 4 else DEFAULT_WORD_SMEARS
 
-    def point(order, lam, channel, gammas):
-        return correlation_error(CORR_WORD_SIGNS, smears[:4], order, lam,
+    def points(orders, lam, channel, gammas):
+        return correlation_error(CORR_WORD_SIGNS, smears[:4], orders, lam,
                                  channel, gammas)
 
-    return _expansion_study(cfg, force, stem="corr", point_fun=point)
+    return _expansion_study(cfg, force, stem="corr", point_fun=points)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -119,10 +119,12 @@ def parse_config(raw: dict) -> StudyConfig:
 
     dispersion = _parse_dispersion(raw["dispersion"])
     form_factor = _parse_test_function(raw["form_factor"], "form_factor")
-    _require(form_factor.atoms != (), "form_factor must be nonempty")
+    _require(not form_factor.is_zero(), "form_factor must be nonzero")
 
     _require(isinstance(raw["orders"], list), "orders must be a list")
     orders = tuple(_order(n) for n in raw["orders"])
+    _require(len(set(orders)) == len(orders),
+             f"orders must not repeat, got {list(orders)}")
 
     _require(isinstance(raw["lambda_grid"], list), "lambda_grid must be a list")
     grid = tuple(_finite(x, "lambda_grid entry") for x in raw["lambda_grid"])
@@ -159,6 +161,8 @@ def parse_config(raw: dict) -> StudyConfig:
         _require(isinstance(raw["smears"], list) and raw["smears"],
                  "smears must be a nonempty list")
         smears = tuple(_parse_test_function(s, "smear") for s in raw["smears"])
+        _require(not any(s.is_zero() for s in smears),
+                 "smears entries must be nonzero")
 
     eps_supp = _finite(raw.get("eps_supp", 1e-10), "eps_supp")
     _require(0 < eps_supp < 1, "eps_supp must lie strictly between 0 and 1")

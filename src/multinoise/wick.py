@@ -3,7 +3,9 @@
 A word is a list of letters (sign, channel, smearing function).  Its vacuum
 expectation is the sum over perfect matchings in which every pair has the
 annihilator strictly left of the creator, of the product of two-point
-contractions.  Two channel families are supported:
+contractions; ``wick_sum`` is the package's one loop over those matchings,
+and every correlation is that sum with its own pair kernel.  Two channel
+families are supported:
 
 * multipole noise of order n, pair value lambda^(2n) i^n gamma_n
   integral conj(f_minus^(n)) f_plus dt, zero across unequal orders;
@@ -40,6 +42,7 @@ __all__ = [
     "Letter",
     "ReservoirChannel",
     "enumerate_matchings",
+    "wick_sum",
     "noise_pair",
     "reservoir_pair",
     "correlation",
@@ -79,10 +82,6 @@ class ReservoirChannel:
     def at_lambda(self, lam: float) -> "ReservoirChannel":
         return replace(self, lam=lam)
 
-    def support_report(self, eps_supp: float = 1e-10):
-        from .gamma import check_support
-        return check_support(self.dispersion, self.form_factor, eps_supp)
-
 
 def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings with each annihilator paired to a later creator.
@@ -108,6 +107,27 @@ def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...
 
     recurse(tuple(range(len(signs))), ())
     return out
+
+
+def wick_sum(signs: Sequence[int], pair) -> complex:
+    """Sum over the admissible matchings of the product of pair values.
+
+    ``pair(j, k)`` is the contraction of annihilator j with creator k; it is
+    evaluated at most once per index pair, and a matching stops multiplying
+    at its first zero factor.
+    """
+    cache: dict[tuple[int, int], complex] = {}
+    total = 0j
+    for matching in enumerate_matchings(list(signs)):
+        prod = 1.0 + 0j
+        for jk in matching:
+            if jk not in cache:
+                cache[jk] = pair(*jk)
+            prod *= cache[jk]
+            if prod == 0:
+                break
+        total += prod
+    return total
 
 
 def noise_pair(n: int, gamma: float, lam: float, f_minus: TestFunction,
@@ -216,13 +236,6 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
     return 2.0 * math.pi * total
 
 
-def _noise_pair_value(left: Letter, right: Letter, gammas, lam: float) -> complex:
-    if left.order != right.order:
-        return 0j  # cross-channel Kronecker delta
-    n = left.order
-    return noise_pair(n, gammas[n], lam, left.smear, right.smear)
-
-
 def correlation(word: Sequence[Letter], *, gammas=None, lam: float = 1.0,
                 channel: Optional[ReservoirChannel] = None) -> complex:
     """Vacuum expectation of a word over one channel family.
@@ -234,33 +247,22 @@ def correlation(word: Sequence[Letter], *, gammas=None, lam: float = 1.0,
     if not word:
         return 1.0 + 0j
     is_reservoir = [letter.order is None for letter in word]
-    if any(is_reservoir) and not all(is_reservoir):
+    reservoir = all(is_reservoir)
+    if any(is_reservoir) and not reservoir:
         raise ValueError("mixed noise/reservoir words are not supported")
-    if all(is_reservoir):
+    if reservoir:
         if channel is None:
             raise ValueError("reservoir words need a ReservoirChannel")
     elif gammas is None:
         raise ValueError("noise words need the gamma coefficients")
 
-    matchings = enumerate_matchings([letter.sign for letter in word])
-    pair_cache: dict[tuple[int, int], complex] = {}
+    def pair(j: int, k: int) -> complex:
+        left, right = word[j], word[k]
+        if reservoir:
+            return reservoir_pair(channel, left.smear, right.smear)
+        if left.order != right.order:
+            return 0j  # cross-channel Kronecker delta
+        n = left.order
+        return noise_pair(n, gammas[n], lam, left.smear, right.smear)
 
-    def pair_value(j: int, k: int) -> complex:
-        if (j, k) not in pair_cache:
-            if channel is not None:
-                pair_cache[(j, k)] = reservoir_pair(channel, word[j].smear,
-                                                    word[k].smear)
-            else:
-                pair_cache[(j, k)] = _noise_pair_value(word[j], word[k],
-                                                       gammas, lam)
-        return pair_cache[(j, k)]
-
-    total = 0j
-    for matching in matchings:
-        prod = 1.0 + 0j
-        for j, k in matching:
-            prod *= pair_value(j, k)
-            if prod == 0:
-                break
-        total += prod
-    return total
+    return wick_sum([letter.sign for letter in word], pair)

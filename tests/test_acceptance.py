@@ -56,9 +56,10 @@ def kernel_reports(catalogs, gamma_tables):
     for name, (disp, g) in catalogs.items():
         channel = mn.ReservoirChannel(disp, g, 1.0)
         gammas = gamma_tables[name].gammas()
+        per_lam = [mn.kernel_error((0, 1), lam, f_minus, f_plus, channel,
+                                   gammas) for lam in LAMBDA_GRID]
         for order in (0, 1):
-            points = [mn.kernel_error(order, lam, f_minus, f_plus, channel,
-                                      gammas) for lam in LAMBDA_GRID]
+            points = [row[order] for row in per_lam]
             try:
                 out[(name, order)] = mn.fit_rate(points)
             except BelowFloor:
@@ -123,8 +124,8 @@ def test_criterion_6_four_point_word(catalogs, gamma_tables, rep_report):
     disp, g = catalogs["quadratic"]
     channel = mn.ReservoirChannel(disp, g, 1.0)
     gammas = gamma_tables["quadratic"].gammas()
-    points = [mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS, 0,
-                                   lam, channel, gammas)
+    points = [mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS, [0],
+                                   lam, channel, gammas)[0]
               for lam in LAMBDA_GRID]
     report = mn.fit_rate(points)
     fock_wick = rep_report["residuals"]["fock_wick"]

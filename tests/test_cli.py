@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import multinoise
-from multinoise import cli
+from multinoise import cli, expansion
 from multinoise.atoms import gaussian
 from multinoise.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# a nonempty atom list whose every coefficient is zero
+ZERO_SMEAR = [dict(gaussian().to_json_dict()[0], coefficient_re=0.0)]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -84,13 +86,22 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"dispersion": {"kind": "linear", "dimension": "x"}}),
     ("gamma", {"dispersion": {"kind": "linear", "slope": None}}),
     ("gamma", {"dispersion": {"kind": "quadratic", "mass": "heavy"}}),
+    ("kernel-check", {"orders": [0, 0]}),
+    ("corr-check", {"orders": [1, 0, 1]}),
+    ("kernel-check", {"smears": [ZERO_SMEAR] * 4}),
+    ("corr-check", {"smears": [ZERO_SMEAR] * 4}),
+    ("gamma", {"form_factor": ZERO_SMEAR}),
+    ("kernel-check", {"form_factor": ZERO_SMEAR}),
+    ("corr-check", {"form_factor": ZERO_SMEAR}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
         "truncation-list", "seed-string", "seed-negative", "rep-pairs-0",
         "assert-rel-string", "assert-rel-infinite", "tolerances-list",
         "output-string", "dispersion-list", "dimension-string", "slope-null",
-        "mass-string"])
+        "mass-string", "orders-repeat-kernel", "orders-repeat-corr",
+        "zero-smears-kernel", "zero-smears-corr", "zero-form-factor-gamma",
+        "zero-form-factor-kernel", "zero-form-factor-corr"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -238,11 +249,39 @@ def test_thread_cap_does_not_change_artifacts(tmp_path, monkeypatch):
             (tmp_path / "b" / name).read_bytes()
 
 
-def test_thread_cap_is_bounded_by_cpu_count(monkeypatch):
-    monkeypatch.setenv("MULTINOISE_THREADS", "100000")
-    assert cli._thread_cap() == (os.cpu_count() or 1)
-    monkeypatch.setenv("MULTINOISE_THREADS", "1")
-    assert cli._thread_cap() == 1
+def _counting(monkeypatch, module, name, keep=lambda *a, **k: True):
+    """Replace module.name by a wrapper that counts the calls ``keep`` accepts."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_kernel_check_computes_the_exact_pair_once_per_lambda(tmp_path,
+                                                             monkeypatch):
+    calls = _counting(monkeypatch, expansion, "reservoir_pair")
+    assert cli.main(["kernel-check", "--config",
+                     str(CONFIG_DIR / "kernel_linear.json"),
+                     "--out", str(tmp_path / "k")]) == 0
+    # two orders, four lambdas: one exact pair per lambda
+    assert [c[0].lam for c in calls] == [0.5, 0.35, 0.25, 0.15]
+
+
+def test_corr_check_computes_the_reservoir_word_once_per_lambda(tmp_path,
+                                                               monkeypatch):
+    calls = _counting(monkeypatch, expansion, "correlation",
+                      keep=lambda *a, channel=None, **k: channel is not None)
+    cfg = write_config(tmp_path)  # two orders, four lambdas
+    assert cli.main(["corr-check", "--config", str(cfg)]) == 0
+    assert len(calls) == 4
+    points = (tmp_path / "out" / "corr_points.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in points[1:]] == ["0"] * 4 + ["1"] * 4
 
 
 def test_quadrature_tolerance_keys_are_accepted_and_ignored(tmp_path):

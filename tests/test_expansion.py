@@ -24,7 +24,7 @@ def quadratic_study(quadratic_catalog):
 
 
 def _point(lam, order, err):
-    return mn.ExpansionPoint(lam, order, complex(err), 0j, err)
+    return mn.ExpansionPoint(lam, order, complex(err), 0j)
 
 
 def test_truncated_pair_order_zero(rng):
@@ -55,14 +55,15 @@ def test_truncated_pair_is_sum_of_noise_pairs(rng):
 def test_kernel_error_baseline_frozen(quadratic_study):
     """Regression anchor recorded from the first green build."""
     channel, gammas, f_minus, f_plus = quadratic_study
-    point = mn.kernel_error(0, 0.5, f_minus, f_plus, channel, gammas)
+    point, = mn.kernel_error([0], 0.5, f_minus, f_plus, channel, gammas)
     assert point.abs_error > 0
     assert_allclose(point.abs_error, 0.10265062869554864, rtol=1e-6)
 
 
 def test_kernel_error_decreases_along_grid(quadratic_study):
     channel, gammas, f_minus, f_plus = quadratic_study
-    errs = [mn.kernel_error(0, lam, f_minus, f_plus, channel, gammas).abs_error
+    errs = [mn.kernel_error([0], lam, f_minus, f_plus, channel,
+                            gammas)[0].abs_error
             for lam in LAMBDA_GRID]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
@@ -71,15 +72,42 @@ def test_deep_truncation_error_is_tiny(quadratic_study):
     """Once the next graded term underflows the error sits near the
     quadrature floor rather than the truncation order."""
     channel, gammas, f_minus, f_plus = quadratic_study
-    deep = mn.kernel_error(3, 0.08, f_minus, f_plus, channel, gammas).abs_error
-    shallow = mn.kernel_error(0, 0.08, f_minus, f_plus, channel, gammas).abs_error
+    shallow, deep = (p.abs_error for p in mn.kernel_error(
+        [0, 3], 0.08, f_minus, f_plus, channel, gammas))
     assert deep < 1e-5 and deep < 1e-2 * shallow
+
+
+def test_multi_order_kernel_error_shares_one_exact_value(quadratic_study):
+    channel, gammas, f_minus, f_plus = quadratic_study
+    orders = (2, 0, 1)
+    points = mn.kernel_error(orders, 0.35, f_minus, f_plus, channel, gammas)
+    assert [p.order for p in points] == list(orders)
+    lhs = mn.reservoir_pair(channel.at_lambda(0.35), f_minus, f_plus)
+    for N, p in zip(orders, points):
+        assert p.lam == 0.35 and p.lhs == lhs
+        assert p.rhs == mn.truncated_pair(N, 0.35, f_minus, f_plus, gammas)
+        assert p.abs_error == abs(p.lhs - p.rhs)
+
+
+def test_multi_order_correlation_error_shares_one_exact_value(quadratic_study):
+    from multinoise.config import DEFAULT_WORD_SMEARS
+
+    channel, gammas, *_ = quadratic_study
+    signs, smears = (-1, -1, +1, +1), DEFAULT_WORD_SMEARS
+    points = mn.correlation_error(signs, smears, (0, 1), 0.35, channel, gammas)
+    word = [mn.Letter(s, f) for s, f in zip(signs, smears)]
+    lhs = mn.correlation(word, channel=channel.at_lambda(0.35))
+    for N, p in zip((0, 1), points):
+        assert p.order == N and p.lhs == lhs
+        assert p.rhs == mn.noise_correlation_truncated(signs, smears, N, 0.35,
+                                                       gammas)
 
 
 def test_two_point_correlation_error_matches_kernel_error(quadratic_study):
     channel, gammas, f_minus, f_plus = quadratic_study
-    a = mn.correlation_error((-1, +1), [f_minus, f_plus], 0, 0.3, channel, gammas)
-    b = mn.kernel_error(0, 0.3, f_minus, f_plus, channel, gammas)
+    a, = mn.correlation_error((-1, +1), [f_minus, f_plus], [0], 0.3, channel,
+                              gammas)
+    b, = mn.kernel_error([0], 0.3, f_minus, f_plus, channel, gammas)
     assert abs(a.abs_error - b.abs_error) <= 1e-12
 
 
@@ -115,8 +143,10 @@ def test_four_point_error_shrinks_with_lambda(quadratic_study):
 
     channel, gammas, *_ = quadratic_study
     smears = DEFAULT_WORD_SMEARS
-    e_big = mn.correlation_error((-1, -1, +1, +1), smears, 0, 0.3, channel, gammas)
-    e_small = mn.correlation_error((-1, -1, +1, +1), smears, 0, 0.15, channel, gammas)
+    e_big, = mn.correlation_error((-1, -1, +1, +1), smears, [0], 0.3, channel,
+                                  gammas)
+    e_small, = mn.correlation_error((-1, -1, +1, +1), smears, [0], 0.15,
+                                    channel, gammas)
     assert e_small.abs_error < e_big.abs_error
 
 
@@ -124,11 +154,12 @@ def test_correlation_error_validates_word():
     f = mn.gaussian()
     channel = mn.ReservoirChannel(mn.LinearDispersion(), f, 1.0)
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, +1, +1), [f] * 3, 0, 0.3, channel, {0: 1.0})
+        mn.correlation_error((-1, +1, +1), [f] * 3, [0], 0.3, channel, {0: 1.0})
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, -1), [f] * 2, 0, 0.3, channel, {0: 1.0})
+        mn.correlation_error((-1, -1), [f] * 2, [0], 0.3, channel, {0: 1.0})
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, +1) * 5, [f] * 10, 0, 0.3, channel, {0: 1.0})
+        mn.correlation_error((-1, +1) * 5, [f] * 10, [0], 0.3, channel,
+                             {0: 1.0})
 
 
 def test_fit_rate_exact_power_law():
@@ -166,9 +197,7 @@ def test_fit_rate_validation():
 
 def test_expansion_point_validation():
     with pytest.raises(ValueError):
-        mn.ExpansionPoint(0.5, 0, 1 + 0j, 0j, 0.5)
-    with pytest.raises(ValueError):
-        mn.ExpansionPoint(-0.5, 0, 1 + 0j, 0j, 1.0)
+        mn.ExpansionPoint(-0.5, 0, 1 + 0j, 0j)
 
 
 def test_rate_report_emits_alternative_grading():

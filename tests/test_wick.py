@@ -280,6 +280,55 @@ def test_reservoir_pair_radial_reduction_matches_its_gamma():
     assert abs(val - white) <= 0.05 * abs(white)
 
 
+def test_wick_sum_four_letters_by_hand():
+    values = {(0, 2): 1.5 - 0.5j, (1, 3): 0.25 + 2j, (0, 3): -0.75 + 1j,
+              (1, 2): 3 - 1.25j}
+    calls = []
+
+    def pair(j, k):
+        calls.append((j, k))
+        return values[(j, k)]
+
+    total = wick.wick_sum((-1, -1, +1, +1), pair)
+    by_hand = values[(0, 2)] * values[(1, 3)] + values[(0, 3)] * values[(1, 2)]
+    assert total == by_hand
+    assert sorted(calls) == sorted(values)
+
+
+def test_wick_sum_evaluates_each_pair_once():
+    signs = (-1, -1, -1, +1, +1, +1)
+    calls = []
+
+    def pair(j, k):
+        calls.append((j, k))
+        return complex(j + 1, k)
+
+    wick.wick_sum(signs, pair)
+    used = {jk for m in mn.enumerate_matchings(signs) for jk in m}
+    assert len(calls) == len(set(calls)) and set(calls) == used
+
+
+def test_wick_sum_stops_a_matching_at_a_zero_factor():
+    calls = []
+
+    def pair(j, k):
+        calls.append((j, k))
+        return 0j if (j, k) == (0, 2) else 1.0 + 0j
+
+    assert wick.wick_sum((-1, -1, +1, +1), pair) == 1
+    assert (1, 3) not in calls  # only partner of (0, 2)
+
+
+def test_noise_word_ignores_a_reservoir_channel(rng, quadratic_catalog):
+    disp, g = quadratic_catalog
+    f = random_test_function(rng, n_atoms=1)
+    h = random_test_function(rng, n_atoms=1)
+    word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 1)]
+    channel = mn.ReservoirChannel(disp, g, 0.5)
+    assert mn.correlation(word, gammas={1: 0.8}, channel=channel) == \
+        mn.correlation(word, gammas={1: 0.8})
+
+
 def test_correlation_odd_word_vanishes(rng):
     f = random_test_function(rng, n_atoms=1)
     word = [mn.Letter(-1, f, 0), mn.Letter(+1, f, 0), mn.Letter(+1, f, 0)]
@@ -345,9 +394,3 @@ def test_letter_validation(rng):
     with pytest.raises(ValueError):
         mn.noise_pair(1, 1.0, -0.5, f, f)
 
-
-def test_channel_carries_its_support_report(quadratic_catalog):
-    disp, g = quadratic_catalog
-    channel = mn.ReservoirChannel(disp, g, 0.5)
-    report = channel.support_report()
-    assert report.passes and report.support[0] > 0
