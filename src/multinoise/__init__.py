@@ -15,9 +15,7 @@ from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
                      NotInSpan, OracleMismatch, QuadratureFailure,
                      SectorMismatch, SlowDecay, SupportConditionFailed,
                      ZeroGamma)
-from .expansion import (ExpansionPoint, RateReport, correlation_error,
-                        fit_rate, kernel_error, noise_correlation_truncated,
-                        truncated_pair)
+from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
 from .fock import (FockVector, MultiSectorState, Sector, annihilate,
                    apply_sector_metric, apply_word, build_sector, create,
                    fock_inner, multi_inner, project_coefficients,
@@ -27,7 +25,7 @@ from .forms import (GridFunction, frequency_grid, grid_weighted_inner,
                     metric_apply, to_grid, weighted_inner)
 from .gamma import (GammaRow, GammaTable, SupportReport, check_support,
                     effective_support, gamma_osc, gamma_shell, gamma_table,
-                    i_sigma, shell_density)
+                    shell_density)
 from .wick import (Letter, ReservoirChannel, correlation, enumerate_matchings,
                    noise_pair, reservoir_pair)
 

@@ -3,10 +3,12 @@
     multinoise <gamma|rep-check|kernel-check|corr-check> --config PATH
                [--out DIR] [--format csv|json] [--seed INT] [--force]
 
-Exit codes: 0 success, 2 bad config, 3 support condition failed, 4 oracle or
-computation mismatch, 5 representation invariant violated, 6 rate criterion
-failed.  Artifacts are written to a temporary file and renamed into place, so
-a failing run never leaves partial files.
+kernel-check is corr-check's expansion study on the two-letter word.  Exit
+codes: 0 success, 2 bad or unreadable config or unwritable output, 3 support
+condition failed, 4 oracle or computation mismatch, 5 representation
+invariant violated, 6 rate criterion failed.  Artifacts are written to a
+temporary file and renamed into place, so a failing run never leaves partial
+files.
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ import tempfile
 from pathlib import Path
 
 from .checks import run_representation_checks
-from .config import (DEFAULT_KERNEL_SMEARS, DEFAULT_WORD_SMEARS, StudyConfig,
-                     load_config)
+from .config import StudyConfig, load_config
 from .errors import (BelowFloor, ConfigError, MultinoiseError,
                      SupportConditionFailed)
-from .expansion import correlation_error, fit_rate, kernel_error
+from .expansion import correlation_error, fit_rate
 from .gamma import check_support, gamma_table
 from .wick import ReservoirChannel
 
@@ -34,19 +35,25 @@ EXIT_ORACLE = 4
 EXIT_INVARIANT = 5
 EXIT_RATE = 6
 
-CORR_WORD_SIGNS = (-1, -1, +1, +1)
+# expansion study per command: artifact stem and the word's letter signs,
+# smeared by the config's first len(signs) smears
+EXPANSION_STUDIES = {"kernel-check": ("kernel", (-1, +1)),
+                     "corr-check": ("corr", (-1, -1, +1, +1))}
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -92,11 +99,6 @@ def _fit_reports(points_by_order) -> tuple[list[dict], bool]:
     return reports, all_pass
 
 
-def _study_gammas(cfg: StudyConfig, n_max: int) -> dict[int, float]:
-    table = gamma_table(cfg.dispersion, cfg.form_factor, range(n_max + 1))
-    return table.gammas()
-
-
 def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
     if not cfg.orders:
         raise ConfigError("gamma study needs a nonempty orders list")
@@ -134,21 +136,22 @@ def cmd_rep_check(cfg: StudyConfig) -> int:
     return EXIT_OK
 
 
-def _expansion_study(cfg: StudyConfig, force: bool, *, stem: str,
-                     point_fun) -> int:
+def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
+    stem, signs = EXPANSION_STUDIES[command]
     if not cfg.orders:
         raise ConfigError(f"{stem} study needs a nonempty orders list")
     if len(cfg.lambda_grid) < 3:
         raise ConfigError("rate fitting needs at least three lambda points")
+    if len(cfg.smears) < len(signs):
+        raise ConfigError(f"{command} needs at least {len(signs)} smears, "
+                          f"got {len(cfg.smears)}")
     _gate_on_support(cfg, force)
-    gammas = _study_gammas(cfg, max(cfg.orders))
+    gammas = gamma_table(cfg.dispersion, cfg.form_factor,
+                         range(max(cfg.orders) + 1)).gammas()
     channel = ReservoirChannel(cfg.dispersion, cfg.form_factor,
                                cfg.lambda_grid[0])
-    # one exact value per lambda; rows stay grouped by order, then lambda
-    by_order = {order: [] for order in cfg.orders}
-    for lam in cfg.lambda_grid:
-        for point in point_fun(cfg.orders, lam, channel, gammas):
-            by_order[point.order].append(point)
+    by_order = correlation_error(signs, cfg.smears[:len(signs)], cfg.orders,
+                                 cfg.lambda_grid, channel, gammas)
     reports, all_pass = _fit_reports(by_order)
 
     out = Path(cfg.out_dir)
@@ -163,33 +166,13 @@ def _expansion_study(cfg: StudyConfig, force: bool, *, stem: str,
     return EXIT_OK if all_pass else EXIT_RATE
 
 
-def cmd_kernel_check(cfg: StudyConfig, force: bool) -> int:
-    smears = cfg.smears if len(cfg.smears) >= 2 else DEFAULT_KERNEL_SMEARS
-    f_minus, f_plus = smears[0], smears[1]
-
-    def points(orders, lam, channel, gammas):
-        return kernel_error(orders, lam, f_minus, f_plus, channel, gammas)
-
-    return _expansion_study(cfg, force, stem="kernel", point_fun=points)
-
-
-def cmd_corr_check(cfg: StudyConfig, force: bool) -> int:
-    smears = cfg.smears if len(cfg.smears) >= 4 else DEFAULT_WORD_SMEARS
-
-    def points(orders, lam, channel, gammas):
-        return correlation_error(CORR_WORD_SIGNS, smears[:4], orders, lam,
-                                 channel, gammas)
-
-    return _expansion_study(cfg, force, stem="corr", point_fun=points)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multinoise",
         description="Multipole-noise studies: gamma tables, representation "
                     "checks and expansion rate certification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gamma", "rep-check", "kernel-check", "corr-check"):
+    for name in ("gamma", "rep-check", *EXPANSION_STUDIES):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON study config")
         p.add_argument("--out", help="output directory (overrides config)")
@@ -218,9 +201,7 @@ def main(argv=None) -> int:
             return cmd_gamma(cfg, args.force)
         if args.command == "rep-check":
             return cmd_rep_check(cfg)
-        if args.command == "kernel-check":
-            return cmd_kernel_check(cfg, args.force)
-        return cmd_corr_check(cfg, args.force)
+        return cmd_expansion(cfg, args.force, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

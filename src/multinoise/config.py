@@ -12,8 +12,7 @@ from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
 from .gamma import MAX_ORDER
 
-__all__ = ["StudyConfig", "load_config", "parse_config",
-           "DEFAULT_KERNEL_SMEARS", "DEFAULT_WORD_SMEARS"]
+__all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -25,7 +24,6 @@ DEFAULT_WORD_SMEARS = (
     gaussian(width=2.2, modulation=0.3),
     gaussian(width=2.0, modulation=0.2),
 )
-DEFAULT_KERNEL_SMEARS = DEFAULT_WORD_SMEARS[:2]
 
 
 @dataclass
@@ -193,9 +191,11 @@ def parse_config(raw: dict) -> StudyConfig:
 def load_config(path: str | Path) -> StudyConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(raw)

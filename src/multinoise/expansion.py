@@ -1,12 +1,14 @@
 """Certification of the multipole expansion against exact reservoir values.
 
-``truncated_pair`` is the partial sum of graded noise pair values; comparing
-it against ``reservoir_pair`` over a decreasing lambda grid and fitting the
-log-log slope of the error quantifies the remainder order.  The exact side
-does not depend on the truncation order, so ``kernel_error`` and
-``correlation_error`` compute it once per lambda and return one point for
-every requested order.  Both sides of a word comparison are ``wick_sum``
-calls, with the reservoir kernel and the truncated noise pair as kernels.
+``correlation_error`` is the one expansion study.  For a word of letters it
+compares, along a decreasing lambda grid, the reservoir correlation against
+its noise expansion truncated after order N; fitting the log-log slope of
+the error quantifies the remainder order.  The two-point kernel is the word
+(-1, +1).  Both sides are ``wick_sum`` calls.  The exact side is one
+reservoir correlation per lambda, shared by every order.  The noise side's
+pair kernel is the graded sum over n <= N of lambda^(2n) times the order-n
+contraction i^n gamma_n integral conj(f_minus^(n)) f_plus dt, which does not
+depend on lambda, so each contraction is computed once per study.
 
 With the adopted per-pair grading lambda^(2n), a truncation after order N
 leaves an error of order lambda^(2N+2); the fit is also reported against the
@@ -16,22 +18,19 @@ alternative reading in which each order contributes a single power of lambda
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .atoms import TestFunction
 from .errors import BelowFloor
-from .wick import (Letter, ReservoirChannel, correlation, noise_pair,
-                   reservoir_pair, wick_sum)
+from .forms import indefinite_inner
+from .wick import Letter, ReservoirChannel, correlation, wick_sum
 
 __all__ = [
     "ExpansionPoint",
     "RateReport",
-    "truncated_pair",
-    "kernel_error",
-    "noise_correlation_truncated",
     "correlation_error",
     "fit_rate",
     "ERROR_FLOOR",
@@ -40,60 +39,41 @@ __all__ = [
 ERROR_FLOOR = 1e-13
 
 
-def truncated_pair(N: int, lam: float, f_minus: TestFunction,
-                   f_plus: TestFunction, gammas) -> complex:
-    """Partial sum over orders 0..N of graded noise pair values.
-
-    Orders with a vanishing coefficient contribute exactly zero.
-    """
-    total = 0j
-    for n in range(N + 1):
-        if gammas[n] == 0:
-            continue
-        total += noise_pair(n, gammas[n], lam, f_minus, f_plus)
-    return total
-
-
-def kernel_error(orders: Sequence[int], lam: float, f_minus: TestFunction,
-                 f_plus: TestFunction, channel: ReservoirChannel,
-                 gammas) -> list["ExpansionPoint"]:
-    """Exact reservoir pair vs its order-N truncation at one lambda.
-
-    The exact pair is computed once; one point per N in ``orders``.
-    """
-    lhs = reservoir_pair(channel.at_lambda(lam), f_minus, f_plus)
-    return [ExpansionPoint(lam, N, lhs,
-                           truncated_pair(N, lam, f_minus, f_plus, gammas))
-            for N in orders]
-
-
-def noise_correlation_truncated(signs: Sequence[int], smears, N: int,
-                                lam: float, gammas) -> complex:
-    """Wick sum whose pair kernel is the order-N truncated noise pair.
-
-    Equals the correlation of the word in which every letter carries the
-    graded sum over orders 0..N; only equal-order pairs survive, so the sum
-    factorizes per pair.
-    """
-    return wick_sum(signs, lambda j, k: truncated_pair(N, lam, smears[j],
-                                                       smears[k], gammas))
-
-
 def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
-                      lam: float, channel: ReservoirChannel,
-                      gammas) -> list["ExpansionPoint"]:
-    """Smeared whole-word comparison of the two channel families at one lambda.
+                      lambda_grid: Sequence[float], channel: ReservoirChannel,
+                      gammas) -> dict[int, list["ExpansionPoint"]]:
+    """Smeared whole-word comparison of the two channel families.
 
-    The reservoir correlation is computed once; one point per N in ``orders``.
+    Returns, for each N in ``orders`` (in that order), one point per lambda
+    of ``lambda_grid``.  Each contraction (n, j, k) is evaluated once, and
+    only if a matching uses it; orders with a vanishing coefficient
+    contribute exactly zero.
     """
     signs = list(signs)
     if len(signs) > 8 or len(signs) % 2 or signs.count(+1) != signs.count(-1):
         raise ValueError("word must be balanced with even length at most 8")
     word = [Letter(s, f) for s, f in zip(signs, smears, strict=True)]
-    lhs = correlation(word, channel=channel.at_lambda(lam))
-    return [ExpansionPoint(lam, N, lhs, noise_correlation_truncated(
-                signs, smears, N, lam, gammas))
-            for N in orders]
+
+    @functools.cache
+    def contraction(n: int, j: int, k: int) -> complex:
+        return indefinite_inner(n, gammas[n], smears[j], smears[k])
+
+    def truncated(lam: float, N: int):
+        def pair(j: int, k: int) -> complex:
+            total = 0j
+            for n in range(N + 1):
+                if gammas[n] != 0:
+                    total += lam ** (2 * n) * contraction(n, j, k)
+            return total
+        return pair
+
+    by_order = {N: [] for N in orders}
+    for lam in lambda_grid:
+        lhs = correlation(word, channel=channel.at_lambda(lam))
+        for N in orders:
+            by_order[N].append(
+                ExpansionPoint(lam, N, lhs, wick_sum(signs, truncated(lam, N))))
+    return by_order
 
 
 @dataclass(frozen=True)

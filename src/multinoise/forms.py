@@ -24,9 +24,8 @@ moments in closed form (``_odd_weighted_pairs``).  Where the half-line
 recurrence would lose more accuracy than QUAD_REL of the terms it combines,
 the form raises QuadratureFailure instead of returning a degraded value.
 
-``complex_quad`` is the adaptive quadrature behind gamma's ``i_sigma`` and the
-tests' oracle for the exact forms and the reservoir kernel.  scipy is
-imported inside it and inside ``_odd_weighted_pairs``, so importing the
+The test suite checks the forms against adaptive quadrature.  scipy is
+imported only inside ``_odd_weighted_pairs``, for ``erfcx``, so importing the
 package loads no scipy.
 """
 
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -46,7 +44,6 @@ from .atoms import TestFunction
 from .errors import QuadratureFailure, ZeroGamma
 
 __all__ = [
-    "QUAD_ABS",
     "QUAD_REL",
     "ENVELOPE_TOL",
     "METRIC_ORIENTATION",
@@ -61,7 +58,6 @@ __all__ = [
     "grid_weighted_inner",
 ]
 
-QUAD_ABS = 1e-14     # absolute quadrature floor
 QUAD_REL = 1e-11     # relative accuracy target of quadrature and exact forms
 ENVELOPE_TOL = 1e-18  # tail truncation threshold for Gaussian envelopes
 
@@ -72,30 +68,6 @@ Functions = Union[TestFunction, Sequence[TestFunction]]
 # i^n int conj(f^(n)) h dt under the e^{itx} Fourier convention.  Even orders
 # carry the trivial metric.  See test_forms.test_metric_orientation.
 METRIC_ORIENTATION = -1.0
-
-
-def complex_quad(fun, lo: float, hi: float, *, epsabs: float = QUAD_ABS,
-                 epsrel: float = QUAD_REL, limit: int = 200,
-                 points=None) -> complex:
-    """Adaptive Gauss-Kronrod integration of a complex-valued integrand."""
-    # imported here: scipy.integrate costs a large share of the package's
-    # import time, and no CLI command reaches this routine
-    from scipy.integrate import IntegrationWarning, quad
-
-    if hi <= lo:
-        return 0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, abserr, _info = quad(
-            fun, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit,
-            points=points, complex_func=True, full_output=True)
-    # QUADPACK reports the error it actually achieved; treat a large miss as
-    # failure rather than trusting the value silently.
-    if abs(abserr) > 50.0 * max(epsabs, epsrel * abs(val)):
-        raise QuadratureFailure(
-            f"requested {epsabs:g}/{epsrel:g} on [{lo:g}, {hi:g}], "
-            f"achieved only {abs(abserr):g}")
-    return complex(val)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +178,7 @@ def _odd_weighted_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     its rounding error is kept beside it; a pair whose bound exceeds QUAD_REL
     of the terms it combines raises QuadratureFailure.
     """
-    # imported here, like complex_quad's scipy: of the CLI commands only
-    # rep-check builds the odd-order sector Gram matrices that need it
+    # imported here: of the CLI commands only rep-check builds the odd-order sector Gram matrices that need it
     from scipy.special import erfcx
 
     A, B, C = _gaussian_parameters(fa, fb)

@@ -6,16 +6,18 @@ The n-th coefficient is
     I(sigma) = integral dk exp(i sigma omega(k)) |g(k)|^2,
 
 computed by truncating the sigma integral where |I(sigma)| has decayed below
-a bound, with Gauss-Legendre panels narrow enough to resolve both oscillation
-rates (sigma * max|omega'| in momentum, max|omega| in sigma).  I(sigma) is
+a bound, with Gauss-Legendre panels (``panels.panel_rule``) narrow enough to
+resolve both oscillation rates (sigma * max|omega'| in momentum, max|omega|
+in sigma).  I(sigma) is
 evaluated once on the sigma nodes and memoized.  The sigma panels share one
 half-width h, so every node is mid_p + h x_j with the same Legendre nodes x_j,
 and exp(i sigma omega) = exp(i mid_p omega) exp(i h x_j omega) exactly: per
 momentum block the table is one (panels x momentum) by (momentum x 16)
 matrix product of the two phase factors, and no sigma x momentum matrix is
 formed.  Its checks are the direct outer-product sum ``_i_sigma_on_rule``
-(which also serves the decay probes), the adaptive ``i_sigma``, and, for the
-coefficients themselves, the energy-shell oracle below.
+(which also serves the decay probes), the test suite's adaptive-quadrature
+I(sigma), and, for the coefficients themselves, the energy-shell oracle
+below.
 
 The independent oracle pushes |g|^2 through omega:  with
 rho(E) = sum_{omega(k)=E} w(k) |g(k)|^2 / |omega'(k)|  (the shell density),
@@ -34,18 +36,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .atoms import TestFunction
 from .dispersion import Dispersion, clip_domain, measure_weight
 from .errors import DegenerateRoot, ImaginaryResidue, OracleMismatch, SlowDecay
-from .forms import complex_quad
+from .panels import envelope, panel_rule
 
 __all__ = [
     "SupportReport",
     "check_support",
     "effective_support",
-    "i_sigma",
     "gamma_osc",
     "shell_density",
     "gamma_shell",
@@ -60,25 +60,11 @@ SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
 MAX_ORDER = 6
 _INTEGRATION_TOL = 1e-9    # |g| threshold bounding the momentum domain
-_GL_ORDER = 16
-# leggauss refines its nodes by Newton steps, about half a millisecond a call,
-# and the reservoir kernel builds a panel rule per doubling step
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
-
-
-@lru_cache(maxsize=64)
-def _envelope(f: TestFunction, tol: float) -> tuple[float, float]:
-    """``f.envelope_interval(tol)``, computed once per function and threshold.
-
-    The support gate, both gamma routes and the reservoir kernel each ask
-    for the same form factor's interval, the kernel once per pair and lambda.
-    """
-    return f.envelope_interval(tol)
 
 
 def effective_support(g: TestFunction, eps_supp: float = EPS_SUPP_DEFAULT) -> tuple[float, float]:
     """Interval outside which |g(k)|^2 is provably below eps_supp."""
-    return _envelope(g, math.sqrt(eps_supp))
+    return envelope(g, math.sqrt(eps_supp))
 
 
 @dataclass(frozen=True)
@@ -105,23 +91,6 @@ def check_support(disp: Dispersion, g: TestFunction,
 # ---------------------------------------------------------------------------
 
 
-def _panel_rule(lo: float, hi: float, width: float):
-    """Equal Gauss-Legendre panels on [lo, hi], none wider than ``width``.
-
-    Returns ``(nodes, weights, mids, offsets)``: node ``p * _GL_ORDER + j`` is
-    ``mids[p] + offsets[j]``.  Every panel shares one half-width, so the
-    offsets are the same floats in every panel, which is what lets the sigma
-    table factor its phase per panel.
-    """
-    n_panels = int(math.ceil((hi - lo) / width))
-    half = 0.5 * (hi - lo) / n_panels
-    mids = lo + half * (2.0 * np.arange(n_panels) + 1.0)
-    offsets = half * _GL_NODES
-    nodes = (mids[:, None] + offsets[None, :]).ravel()
-    weights = np.tile(half * _GL_WEIGHTS, n_panels)
-    return nodes, weights, mids, offsets
-
-
 def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     """Panel blocks of (omega values, weighted |g|^2) resolving exp(i sigma omega).
 
@@ -131,7 +100,7 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     elementwise then cancels the imaginary part identically, which is what
     makes symmetry-forced odd coefficients come out as exact zeros.
     """
-    lo, hi = clip_domain(disp, *_envelope(g, _INTEGRATION_TOL))
+    lo, hi = clip_domain(disp, *envelope(g, _INTEGRATION_TOL))
     if hi <= lo:
         return ()
     corners = [lo, hi, *(p for p in disp.stationary_points() if lo < p < hi)]
@@ -146,23 +115,10 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
 
     if lo < 0.0 < hi:
         radius = max(-lo, hi)
-        nodes, weights, _, _ = _panel_rule(0.0, radius, width)
+        nodes, weights, _, _ = panel_rule(0.0, radius, width)
         return (block(nodes, weights), block(-nodes, weights))
-    nodes, weights, _, _ = _panel_rule(lo, hi, width)
+    nodes, weights, _, _ = panel_rule(lo, hi, width)
     return (block(nodes, weights),)
-
-
-def i_sigma(disp: Dispersion, g: TestFunction, sigma: float, *,
-            epsabs: float = 1e-13, epsrel: float = 1e-11) -> complex:
-    """Characteristic-function integral I(sigma) by adaptive quadrature."""
-    lo, hi = clip_domain(disp, *_envelope(g, _INTEGRATION_TOL))
-
-    def integrand(k):
-        return (np.exp(1j * sigma * disp.omega(k)) * measure_weight(disp, k)
-                * abs(g(k)) ** 2)
-
-    return complex_quad(integrand, lo, hi, epsabs=epsabs, epsrel=epsrel,
-                        limit=400)
 
 
 def _i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
@@ -224,7 +180,7 @@ def _oscillation_table(disp: Dispersion, g: TestFunction,
     omega_max = max((float(np.max(np.abs(om))) for om, _ in blocks),
                     default=0.0)
     panel = math.pi / max(omega_max, 1e-6)
-    nodes, weights, mids, offsets = _panel_rule(
+    nodes, weights, mids, offsets = panel_rule(
         0.0, sigma_end, min(panel, sigma_end / 4.0))
     values = _i_sigma_on_panels(blocks, mids, offsets)
     for arr in (nodes, weights, values):

@@ -4,8 +4,9 @@ A word is a list of letters (sign, channel, smearing function).  Its vacuum
 expectation is the sum over perfect matchings in which every pair has the
 annihilator strictly left of the creator, of the product of two-point
 contractions; ``wick_sum`` is the package's one loop over those matchings,
-and every correlation is that sum with its own pair kernel.  Two channel
-families are supported:
+and every correlation is that sum with its own pair kernel (the expansion
+study hands it the graded sum of the noise kernels).  Two channel families
+are supported:
 
 * multipole noise of order n, pair value lambda^(2n) i^n gamma_n
   integral conj(f_minus^(n)) f_plus dt, zero across unequal orders;
@@ -14,12 +15,12 @@ families are supported:
   The time integrals are done exactly by the smears' Fourier transforms,
   leaving one momentum integral.  On each monotone branch of the dispersion
   it runs over the k-window where u = omega(k)/lambda^2 lies inside both
-  smears' spectra, as a vectorized Gauss-Legendre panel sum (the panel
-  layout of ``gamma._panel_rule``) whose panel count doubles until two
-  successive sums agree.  Each smear's transform and spectral interval, and
-  the form factor's momentum interval, are computed once per function.  The
-  test suite checks the kernel against adaptive quadrature in u and against
-  a time-domain tensor rule.
+  smears' spectra, as a vectorized Gauss-Legendre panel sum
+  (``panels.panel_sum``, the panel layout of the gamma table) whose panel
+  count doubles until two successive sums agree.  Each smear's transform and
+  spectral interval, and the form factor's momentum interval, are computed
+  once per function.  The test suite checks the kernel against adaptive
+  quadrature in u and against a time-domain tensor rule.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, branch_inverse, clip_domain,
                          measure_weight, monotone_branches)
-from .errors import QuadratureFailure, ZeroGamma
+from .errors import ZeroGamma
 from .forms import indefinite_inner
-from .gamma import _envelope, _panel_rule
+from .panels import envelope, panel_sum
 
 __all__ = [
     "Letter",
@@ -51,7 +52,6 @@ __all__ = [
 
 MAX_WORD_LENGTH = 12  # exhaustive matching enumeration only
 RESERVOIR_SUPPORT_TOL = 1e-9  # |g| threshold bounding the momentum integral
-_MAX_PANELS = 1024  # doubling cap of the reservoir kernel's panel sum
 
 
 @dataclass(frozen=True)
@@ -167,30 +167,6 @@ def _k_window(disp: Dispersion, a: float, b: float, lam2: float,
     return end(a, ua), end(b, ub)
 
 
-def _panel_sum(fun, lo: float, hi: float, *, epsabs: float,
-               epsrel: float) -> complex:
-    """Gauss-Legendre panel sum of a vectorized integrand over [lo, hi].
-
-    The panel count doubles until two successive sums agree to
-    max(epsabs, epsrel |I|); past _MAX_PANELS the integral is reported as
-    QuadratureFailure.
-    """
-    previous, change = None, math.inf
-    panels = 1
-    while panels <= _MAX_PANELS:
-        nodes, weights, _, _ = _panel_rule(lo, hi, (hi - lo) / panels)
-        total = complex(np.dot(weights, fun(nodes)))
-        if previous is not None:
-            change = abs(total - previous)
-            if change <= max(epsabs, epsrel * abs(total)):
-                return total
-        previous = total
-        panels *= 2
-    raise QuadratureFailure(
-        f"panel sum on [{lo:g}, {hi:g}] not converged to {epsabs:g}/{epsrel:g} "
-        f"with {_MAX_PANELS} panels; last change {change:g}")
-
-
 def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
                    f_plus: TestFunction, *, epsabs: float = 1e-12,
                    epsrel: float = 1e-10) -> complex:
@@ -208,13 +184,13 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
     Jacobian, so a branch ending at a stationary point stays smooth.  Each
     window is a Gauss-Legendre panel sum whose panel count doubles until two
     successive sums agree to max(epsabs, epsrel |I|); QuadratureFailure if
-    they still differ at _MAX_PANELS panels.  The oracles live in the test
+    they still differ at MAX_PANELS panels.  The oracles live in the test
     suite: adaptive quadrature of the u-substituted integral (the
     Jacobian form), a time-domain tensor rule, and a dense sum for a narrow
     spectral overlap.
     """
     disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
-    lo, hi = clip_domain(disp, *_envelope(g, RESERVOIR_SUPPORT_TOL))
+    lo, hi = clip_domain(disp, *envelope(g, RESERVOIR_SUPPORT_TOL))
     if hi <= lo:
         return 0j
     fm_hat, (m_lo, m_hi) = _spectrum(f_minus)
@@ -231,7 +207,7 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
     for a, b in monotone_branches(disp, lo, hi):
         window = _k_window(disp, a, b, lam2, u_lo, u_hi)
         if window is not None:
-            total += _panel_sum(integrand, *window, epsabs=epsabs,
+            total += panel_sum(integrand, *window, epsabs=epsabs,
                                 epsrel=epsrel)
     return 2.0 * math.pi * total
 

@@ -14,7 +14,7 @@ import pytest
 
 import multinoise as mn
 from multinoise.checks import run_representation_checks
-from multinoise.config import DEFAULT_KERNEL_SMEARS, DEFAULT_WORD_SMEARS
+from multinoise.config import DEFAULT_WORD_SMEARS
 from multinoise.errors import BelowFloor
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -51,15 +51,13 @@ def gamma_tables(catalogs):
 
 @pytest.fixture(scope="module")
 def kernel_reports(catalogs, gamma_tables):
-    f_minus, f_plus = DEFAULT_KERNEL_SMEARS
     out = {}
     for name, (disp, g) in catalogs.items():
         channel = mn.ReservoirChannel(disp, g, 1.0)
         gammas = gamma_tables[name].gammas()
-        per_lam = [mn.kernel_error((0, 1), lam, f_minus, f_plus, channel,
-                                   gammas) for lam in LAMBDA_GRID]
-        for order in (0, 1):
-            points = [row[order] for row in per_lam]
+        by_order = mn.correlation_error((-1, +1), DEFAULT_WORD_SMEARS[:2],
+                                        (0, 1), LAMBDA_GRID, channel, gammas)
+        for order, points in by_order.items():
             try:
                 out[(name, order)] = mn.fit_rate(points)
             except BelowFloor:
@@ -124,9 +122,8 @@ def test_criterion_6_four_point_word(catalogs, gamma_tables, rep_report):
     disp, g = catalogs["quadratic"]
     channel = mn.ReservoirChannel(disp, g, 1.0)
     gammas = gamma_tables["quadratic"].gammas()
-    points = [mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS, [0],
-                                   lam, channel, gammas)[0]
-              for lam in LAMBDA_GRID]
+    points = mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS, [0],
+                                  LAMBDA_GRID, channel, gammas)[0]
     report = mn.fit_rate(points)
     fock_wick = rep_report["residuals"]["fock_wick"]
     ok = report.fitted_slope >= 1.5 and fock_wick <= 1e-8

@@ -1,5 +1,6 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import multinoise
-from multinoise import cli, expansion
+from multinoise import cli, expansion, wick
 from multinoise.atoms import gaussian
 from multinoise.config import load_config
 
@@ -45,6 +46,38 @@ def test_invalid_json_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["gamma", "--config", str(bad)]) == 2
+
+
+def _assert_one_line_refusal(capsys, tmp_path, keep):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert "Traceback" not in err[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(keep)
+
+
+def test_directory_config_is_config_error(tmp_path, capsys):
+    (tmp_path / "cfg.json").mkdir()
+    assert cli.main(["gamma", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_refusal(capsys, tmp_path, ["cfg.json"])
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"orders": [0], "note": "\xff\xfe"}')
+    assert cli.main(["gamma", "--config", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_refusal(capsys, tmp_path, ["bad.json"])
+
+
+def test_output_under_a_regular_file_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    assert cli.main(["kernel-check", "--config", str(cfg),
+                     "--out", str(blocker / "out")]) == 2
+    _assert_one_line_refusal(capsys, tmp_path, ["blocker", "cfg.json"])
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_empty_orders_rejected_for_gamma(tmp_path):
@@ -93,6 +126,8 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"form_factor": ZERO_SMEAR}),
     ("kernel-check", {"form_factor": ZERO_SMEAR}),
     ("corr-check", {"form_factor": ZERO_SMEAR}),
+    ("kernel-check", {"smears": [gaussian().to_json_dict()]}),
+    ("corr-check", {"smears": [gaussian().to_json_dict()] * 3}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
@@ -101,7 +136,8 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "output-string", "dispersion-list", "dimension-string", "slope-null",
         "mass-string", "orders-repeat-kernel", "orders-repeat-corr",
         "zero-smears-kernel", "zero-smears-corr", "zero-form-factor-gamma",
-        "zero-form-factor-kernel", "zero-form-factor-corr"])
+        "zero-form-factor-kernel", "zero-form-factor-corr",
+        "short-smears-kernel", "short-smears-corr"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -123,7 +159,8 @@ IMPORT_GUARD = """
 import sys
 from multinoise import cli
 for command, name in (("gamma", "catalog_linear"),
-                      ("kernel-check", "kernel_linear")):
+                      ("kernel-check", "kernel_linear"),
+                      ("corr-check", "corr_quadratic")):
     code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
                      "--out", f"{sys.argv[2]}/{name}"])
     assert code == 0, (command, code)
@@ -265,7 +302,7 @@ def _counting(monkeypatch, module, name, keep=lambda *a, **k: True):
 
 def test_kernel_check_computes_the_exact_pair_once_per_lambda(tmp_path,
                                                              monkeypatch):
-    calls = _counting(monkeypatch, expansion, "reservoir_pair")
+    calls = _counting(monkeypatch, wick, "reservoir_pair")
     assert cli.main(["kernel-check", "--config",
                      str(CONFIG_DIR / "kernel_linear.json"),
                      "--out", str(tmp_path / "k")]) == 0
@@ -282,6 +319,21 @@ def test_corr_check_computes_the_reservoir_word_once_per_lambda(tmp_path,
     assert len(calls) == 4
     points = (tmp_path / "out" / "corr_points.csv").read_text().splitlines()
     assert [row.split(",")[1] for row in points[1:]] == ["0"] * 4 + ["1"] * 4
+
+
+def test_study_computes_each_noise_contraction_once(tmp_path, monkeypatch):
+    """Each (order, pair) contraction is lambda-free: one call per study.
+
+    The linear catalog's gamma_1 vanishes, so orders (0, 1) need only the
+    order-0 contraction of the word's four pairs, whatever the grid length.
+    """
+    calls = _counting(monkeypatch, expansion, "indefinite_inner")
+    cfg = write_config(tmp_path)  # two orders, four lambdas
+    assert cli.main(["corr-check", "--config", str(cfg)]) == 0
+    smears = load_config(cfg).smears
+    assert len(calls) == 4
+    assert {(c[0], c[2], c[3]) for c in calls} == {
+        (0, f, h) for f, h in itertools.product(smears[:2], smears[2:4])}
 
 
 def test_quadrature_tolerance_keys_are_accepted_and_ignored(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import multinoise as mn
+from multinoise import expansion
 from multinoise.errors import BelowFloor
+from multinoise.wick import wick_sum
 from conftest import random_test_function
 
 LAMBDA_GRID = (0.5, 0.35, 0.25, 0.15)
@@ -23,70 +25,110 @@ def quadratic_study(quadratic_catalog):
     return channel, gammas, f_minus, f_plus
 
 
+@pytest.fixture(scope="module")
+def linear_channel(linear_catalog):
+    return mn.ReservoirChannel(*linear_catalog, 1.0)
+
+
 def _point(lam, order, err):
     return mn.ExpansionPoint(lam, order, complex(err), 0j)
 
 
-def test_truncated_pair_order_zero(rng):
+def _kernel_study(orders, lams, channel, gammas, f_minus, f_plus):
+    """The expansion study on the two-letter word, i.e. the kernel check."""
+    return mn.correlation_error((-1, +1), [f_minus, f_plus], orders, lams,
+                                channel, gammas)
+
+
+def _noise_side(signs, smears, N, lam, channel, gammas):
+    by_order = mn.correlation_error(signs, smears, [N], [lam], channel, gammas)
+    return by_order[N][0].rhs
+
+
+def _truncated_pair_by_hand(N, lam, f_minus, f_plus, gammas):
+    """Graded partial sum over orders 0..N, skipping vanishing coefficients."""
+    total = 0j
+    for n in range(N + 1):
+        if gammas[n] != 0:
+            total += mn.noise_pair(n, gammas[n], lam, f_minus, f_plus)
+    return total
+
+
+def test_truncated_pair_order_zero(rng, linear_channel):
+    """The two-letter noise side at N = 0 is gamma_0 times the L2 pairing."""
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     gammas = {0: 1.9}
-    assert_allclose(mn.truncated_pair(0, 0.4, f, h, gammas),
+    assert_allclose(_noise_side((-1, +1), [f, h], 0, 0.4, linear_channel,
+                                gammas),
                     1.9 * mn.l2_inner(f, h), rtol=1e-10)
 
 
-def test_truncated_pair_skips_vanishing_coefficients(rng):
+def test_truncated_pair_skips_vanishing_coefficients(rng, linear_channel,
+                                                     monkeypatch):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     gammas = {0: 1.9, 1: 0.0}
-    assert mn.truncated_pair(1, 0.4, f, h, gammas) == \
-        mn.truncated_pair(0, 0.4, f, h, gammas)
+    orders_seen = []
+    original = expansion.indefinite_inner
+
+    def counted(n, *args):
+        orders_seen.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(expansion, "indefinite_inner", counted)
+    by_order = _kernel_study([0, 1], [0.4], linear_channel, gammas, f, h)
+    assert by_order[1][0].rhs == by_order[0][0].rhs
+    assert orders_seen == [0]
 
 
-def test_truncated_pair_is_sum_of_noise_pairs(rng):
+def test_truncated_pair_is_sum_of_noise_pairs(rng, linear_channel):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     gammas = {0: 1.1, 1: -0.4, 2: 0.9}
     lam = 0.6
     by_hand = sum(mn.noise_pair(n, gammas[n], lam, f, h) for n in range(3))
-    assert_allclose(mn.truncated_pair(2, lam, f, h, gammas), by_hand, rtol=1e-13)
+    assert_allclose(_noise_side((-1, +1), [f, h], 2, lam, linear_channel,
+                                gammas),
+                    by_hand, rtol=1e-13)
 
 
 def test_kernel_error_baseline_frozen(quadratic_study):
     """Regression anchor recorded from the first green build."""
-    channel, gammas, f_minus, f_plus = quadratic_study
-    point, = mn.kernel_error([0], 0.5, f_minus, f_plus, channel, gammas)
+    point, = _kernel_study([0], [0.5], *quadratic_study)[0]
     assert point.abs_error > 0
     assert_allclose(point.abs_error, 0.10265062869554864, rtol=1e-6)
 
 
 def test_kernel_error_decreases_along_grid(quadratic_study):
-    channel, gammas, f_minus, f_plus = quadratic_study
-    errs = [mn.kernel_error([0], lam, f_minus, f_plus, channel,
-                            gammas)[0].abs_error
-            for lam in LAMBDA_GRID]
+    points = _kernel_study([0], LAMBDA_GRID, *quadratic_study)[0]
+    assert [p.lam for p in points] == list(LAMBDA_GRID)
+    errs = [p.abs_error for p in points]
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
 def test_deep_truncation_error_is_tiny(quadratic_study):
     """Once the next graded term underflows the error sits near the
     quadrature floor rather than the truncation order."""
-    channel, gammas, f_minus, f_plus = quadratic_study
-    shallow, deep = (p.abs_error for p in mn.kernel_error(
-        [0, 3], 0.08, f_minus, f_plus, channel, gammas))
+    by_order = _kernel_study([0, 3], [0.08], *quadratic_study)
+    shallow, deep = by_order[0][0].abs_error, by_order[3][0].abs_error
     assert deep < 1e-5 and deep < 1e-2 * shallow
 
 
 def test_multi_order_kernel_error_shares_one_exact_value(quadratic_study):
     channel, gammas, f_minus, f_plus = quadratic_study
-    orders = (2, 0, 1)
-    points = mn.kernel_error(orders, 0.35, f_minus, f_plus, channel, gammas)
-    assert [p.order for p in points] == list(orders)
-    lhs = mn.reservoir_pair(channel.at_lambda(0.35), f_minus, f_plus)
-    for N, p in zip(orders, points):
-        assert p.lam == 0.35 and p.lhs == lhs
-        assert p.rhs == mn.truncated_pair(N, 0.35, f_minus, f_plus, gammas)
-        assert p.abs_error == abs(p.lhs - p.rhs)
+    orders, lams = (2, 0, 1), (0.35, 0.25)
+    by_order = _kernel_study(orders, lams, *quadratic_study)
+    assert list(by_order) == list(orders)
+    for N, points in by_order.items():
+        assert [p.lam for p in points] == list(lams)
+        for lam, p in zip(lams, points):
+            assert p.order == N
+            assert p.lhs == mn.reservoir_pair(channel.at_lambda(lam), f_minus,
+                                              f_plus)
+            assert p.rhs == _truncated_pair_by_hand(N, lam, f_minus, f_plus,
+                                                    gammas)
+            assert p.abs_error == abs(p.lhs - p.rhs)
 
 
 def test_multi_order_correlation_error_shares_one_exact_value(quadratic_study):
@@ -94,43 +136,47 @@ def test_multi_order_correlation_error_shares_one_exact_value(quadratic_study):
 
     channel, gammas, *_ = quadratic_study
     signs, smears = (-1, -1, +1, +1), DEFAULT_WORD_SMEARS
-    points = mn.correlation_error(signs, smears, (0, 1), 0.35, channel, gammas)
+    by_order = mn.correlation_error(signs, smears, (0, 1), (0.35, 0.25),
+                                    channel, gammas)
     word = [mn.Letter(s, f) for s, f in zip(signs, smears)]
-    lhs = mn.correlation(word, channel=channel.at_lambda(0.35))
-    for N, p in zip((0, 1), points):
-        assert p.order == N and p.lhs == lhs
-        assert p.rhs == mn.noise_correlation_truncated(signs, smears, N, 0.35,
-                                                       gammas)
+    for lam, p0, p1 in zip((0.35, 0.25), by_order[0], by_order[1]):
+        lhs = mn.correlation(word, channel=channel.at_lambda(lam))
+        for N, p in ((0, p0), (1, p1)):
+            assert p.lam == lam and p.order == N and p.lhs == lhs
+            assert p.rhs == wick_sum(signs, lambda j, k: _truncated_pair_by_hand(
+                N, lam, smears[j], smears[k], gammas))
 
 
 def test_two_point_correlation_error_matches_kernel_error(quadratic_study):
+    """The two-letter word is the single pair on both sides."""
     channel, gammas, f_minus, f_plus = quadratic_study
-    a, = mn.correlation_error((-1, +1), [f_minus, f_plus], [0], 0.3, channel,
-                              gammas)
-    b, = mn.kernel_error([0], 0.3, f_minus, f_plus, channel, gammas)
-    assert abs(a.abs_error - b.abs_error) <= 1e-12
+    point, = _kernel_study([0], [0.3], *quadratic_study)[0]
+    exact = mn.reservoir_pair(channel.at_lambda(0.3), f_minus, f_plus)
+    noise = mn.noise_pair(0, gammas[0], 0.3, f_minus, f_plus)
+    assert abs(point.lhs - exact) <= 1e-12 * abs(exact)
+    assert abs(point.rhs - noise) <= 1e-12 * abs(noise)
 
 
-def test_four_point_noise_side_hand_expansion(rng):
+def test_four_point_noise_side_hand_expansion(rng, linear_channel):
     """N = 0 Wick sum is the two-matching sum of white-noise pair products."""
     smears = [random_test_function(rng, n_atoms=1) for _ in range(4)]
     gammas = {0: 2.2}
     lam = 0.3
-    val = mn.noise_correlation_truncated((-1, -1, +1, +1), smears, 0, lam, gammas)
+    val = _noise_side((-1, -1, +1, +1), smears, 0, lam, linear_channel, gammas)
     pair = {(j, k): gammas[0] * mn.l2_inner(smears[j], smears[k])
             for j, k in ((0, 2), (1, 3), (0, 3), (1, 2))}
     by_hand = pair[(0, 2)] * pair[(1, 3)] + pair[(0, 3)] * pair[(1, 2)]
     assert abs(val - by_hand) <= 1e-10 * (1 + abs(by_hand))
 
 
-def test_noise_side_equals_brute_force_order_sum(rng):
+def test_noise_side_equals_brute_force_order_sum(rng, linear_channel):
     """Summing fixed-order words over all order tuples reproduces the
     per-pair truncated sums (cross orders die by the Kronecker delta)."""
     smears = [random_test_function(rng, n_atoms=1) for _ in range(4)]
     signs = (-1, -1, +1, +1)
     gammas = {0: 1.2, 1: 0.8}
     lam, N = 0.7, 1
-    fast = mn.noise_correlation_truncated(signs, smears, N, lam, gammas)
+    fast = _noise_side(signs, smears, N, lam, linear_channel, gammas)
     brute = 0j
     for orders in itertools.product(range(N + 1), repeat=4):
         word = [mn.Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
@@ -142,11 +188,8 @@ def test_four_point_error_shrinks_with_lambda(quadratic_study):
     from multinoise.config import DEFAULT_WORD_SMEARS
 
     channel, gammas, *_ = quadratic_study
-    smears = DEFAULT_WORD_SMEARS
-    e_big, = mn.correlation_error((-1, -1, +1, +1), smears, [0], 0.3, channel,
-                                  gammas)
-    e_small, = mn.correlation_error((-1, -1, +1, +1), smears, [0], 0.15,
-                                    channel, gammas)
+    e_big, e_small = mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS,
+                                          [0], [0.3, 0.15], channel, gammas)[0]
     assert e_small.abs_error < e_big.abs_error
 
 
@@ -154,11 +197,12 @@ def test_correlation_error_validates_word():
     f = mn.gaussian()
     channel = mn.ReservoirChannel(mn.LinearDispersion(), f, 1.0)
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, +1, +1), [f] * 3, [0], 0.3, channel, {0: 1.0})
+        mn.correlation_error((-1, +1, +1), [f] * 3, [0], [0.3], channel,
+                             {0: 1.0})
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, -1), [f] * 2, [0], 0.3, channel, {0: 1.0})
+        mn.correlation_error((-1, -1), [f] * 2, [0], [0.3], channel, {0: 1.0})
     with pytest.raises(ValueError):
-        mn.correlation_error((-1, +1) * 5, [f] * 10, [0], 0.3, channel,
+        mn.correlation_error((-1, +1) * 5, [f] * 10, [0], [0.3], channel,
                              {0: 1.0})
 
 

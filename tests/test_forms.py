@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise.errors import QuadratureFailure, ZeroGamma
-from multinoise.forms import ENVELOPE_TOL, QUAD_REL, complex_quad
+from multinoise.forms import ENVELOPE_TOL, QUAD_REL
 from conftest import random_test_function
+from oracles import complex_quad
 
 
 def quad_oracle(weight, f, h):

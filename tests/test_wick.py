@@ -9,15 +9,14 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 import multinoise as mn
-from multinoise import gamma as gamma_mod
-from multinoise import wick
+from multinoise import panels, wick
 from multinoise.checks import random_coefficients
-from multinoise.config import DEFAULT_KERNEL_SMEARS, DEFAULT_WORD_SMEARS
+from multinoise.config import DEFAULT_WORD_SMEARS
 from multinoise.dispersion import (branch_inverse, clip_domain, measure_weight,
                                    monotone_branches)
 from multinoise.errors import QuadratureFailure, ZeroGamma
-from multinoise.forms import complex_quad
 from conftest import random_test_function
+from oracles import complex_quad
 
 
 def brute_force_matchings(signs):
@@ -212,7 +211,7 @@ def test_reservoir_pair_branch_ending_at_stationary_point(offset, center, lam,
     """
     disp = mn.QuadraticDispersion(offset=offset)
     channel = mn.ReservoirChannel(disp, mn.gaussian(center, 0.35), lam)
-    val = mn.reservoir_pair(channel, *DEFAULT_KERNEL_SMEARS)
+    val = mn.reservoir_pair(channel, *DEFAULT_WORD_SMEARS[:2])
     assert abs(val - expected) <= 1e-11 * abs(expected)
 
 
@@ -239,7 +238,7 @@ def test_reservoir_pair_finds_narrow_spectral_overlap():
 
 def test_panel_sum_reports_nonconvergence():
     with pytest.raises(QuadratureFailure):
-        wick._panel_sum(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
+        panels.panel_sum(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
                         epsabs=1e-12, epsrel=1e-10)
 
 
@@ -248,7 +247,7 @@ def test_reservoir_pair_repeats_bitwise(quadratic_catalog):
     channel = mn.ReservoirChannel(disp, g, 0.3)
     f_minus, f_plus = DEFAULT_WORD_SMEARS[1], DEFAULT_WORD_SMEARS[2]
     wick._spectrum.cache_clear()
-    gamma_mod._envelope.cache_clear()
+    panels.envelope.cache_clear()
     cold = mn.reservoir_pair(channel, f_minus, f_plus)
     assert mn.reservoir_pair(channel, f_minus, f_plus) == cold
     assert mn.correlation([mn.Letter(-1, f_minus), mn.Letter(+1, f_plus)],
