@@ -25,7 +25,7 @@ from .config import StudyConfig, load_config
 from .errors import (BelowFloor, ConfigError, MultinoiseError,
                      SupportConditionFailed)
 from .expansion import correlation_error, fit_rate
-from .gamma import check_support, gamma_table
+from .gamma import GammaTable, check_support, gamma_table
 from .wick import ReservoirChannel
 
 EXIT_OK = 0
@@ -99,6 +99,16 @@ def _fit_reports(points_by_order) -> tuple[list[dict], bool]:
     return reports, all_pass
 
 
+def _oracle_agrees(table: GammaTable, assert_rel: float) -> bool:
+    """False, after one stderr line, when the two gamma routes disagree."""
+    worst = table.max_rel_diff()
+    if worst > assert_rel:
+        print(f"gamma oracle mismatch: max rel_diff {worst:.3g} exceeds "
+              f"{assert_rel:g}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
     if not cfg.orders:
         raise ConfigError("gamma study needs a nonempty orders list")
@@ -111,13 +121,10 @@ def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
         _write_text(out / "gamma.json", _json_text(rows))
     else:
         _write_text(out / "gamma.csv", table.to_csv_text())
-    worst = table.max_rel_diff()
-    if worst > cfg.assert_rel:
-        print(f"gamma oracle mismatch: max rel_diff {worst:.3g} exceeds "
-              f"{cfg.assert_rel:g}", file=sys.stderr)
+    if not _oracle_agrees(table, cfg.assert_rel):
         return EXIT_ORACLE
     print(f"gamma table written for orders {list(cfg.orders)}; "
-          f"max rel_diff {worst:.3g}")
+          f"max rel_diff {table.max_rel_diff():.3g}")
     return EXIT_OK
 
 
@@ -146,8 +153,11 @@ def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
         raise ConfigError(f"{command} needs at least {len(signs)} smears, "
                           f"got {len(cfg.smears)}")
     _gate_on_support(cfg, force)
-    gammas = gamma_table(cfg.dispersion, cfg.form_factor,
-                         range(max(cfg.orders) + 1)).gammas()
+    table = gamma_table(cfg.dispersion, cfg.form_factor,
+                        range(max(cfg.orders) + 1))
+    if not _oracle_agrees(table, cfg.assert_rel):
+        return EXIT_ORACLE
+    gammas = table.gammas()
     channel = ReservoirChannel(cfg.dispersion, cfg.form_factor,
                                cfg.lambda_grid[0])
     by_order = correlation_error(signs, cfg.smears[:len(signs)], cfg.orders,

@@ -114,17 +114,6 @@ class FockVector:
         """Norm in the positive (gram-kernel) inner product."""
         return math.sqrt(max(fock_inner(self, self, use_metric=False).real, 0.0))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.sector.n,
-            "gamma": self.sector.gamma,
-            "particle_cap": self.sector.particle_cap,
-            "components": [
-                {"k": k, "real": np.real(c).tolist(), "imag": np.imag(c).tolist()}
-                for k, c in enumerate(self.components)
-            ],
-        }
-
 
 def project_coefficients(sector: Sector, f: TestFunction, *,
                          residual_tol: float = SPAN_RESIDUAL_TOL) -> np.ndarray:

@@ -38,10 +38,10 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
-from numpy.polynomial.legendre import leggauss
 
 from .atoms import TestFunction
 from .errors import QuadratureFailure, ZeroGamma
+from .panels import panel_rule
 
 __all__ = [
     "QUAD_REL",
@@ -60,6 +60,8 @@ __all__ = [
 
 QUAD_REL = 1e-11     # relative accuracy target of quadrature and exact forms
 ENVELOPE_TOL = 1e-18  # tail truncation threshold for Gaussian envelopes
+GRID_EPS = 1e-8     # half-width of the band about 0 the grid excludes
+GRID_PANELS = 32    # panels on each half of the frequency grid
 
 Functions = Union[TestFunction, Sequence[TestFunction]]
 
@@ -329,9 +331,8 @@ class GridFunction:
             object.__setattr__(self, name, arr)
 
 
-def frequency_grid(fns, *, eps: float = 1e-8, panels: int = 32,
-                   order: int = 16) -> GridFunction:
-    """Template grid of Gauss-Legendre panels on [-X, -eps] u [eps, X].
+def frequency_grid(fns) -> GridFunction:
+    """Template grid of Gauss-Legendre panels on [-X, -GRID_EPS] u [GRID_EPS, X].
 
     X is taken from the Fourier-domain envelopes of ``fns`` so the excluded
     tails are below the envelope threshold.
@@ -340,15 +341,8 @@ def frequency_grid(fns, *, eps: float = 1e-8, panels: int = 32,
     for f in fns:
         lo, hi = f.fourier().envelope_interval(ENVELOPE_TOL)
         radius = max(radius, abs(lo), abs(hi))
-    x, w = leggauss(order)
-    edges = np.linspace(eps, radius, panels + 1)
-    pos_nodes, pos_weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        pos_nodes.append(mid + half * x)
-        pos_weights.append(half * w)
-    pos_nodes = np.concatenate(pos_nodes)
-    pos_weights = np.concatenate(pos_weights)
+    pos_nodes, pos_weights, _, _ = panel_rule(
+        GRID_EPS, radius, (radius - GRID_EPS) / GRID_PANELS)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
     weights = np.concatenate([pos_weights[::-1], pos_weights])
     return GridFunction(nodes, weights, np.zeros(nodes.shape, dtype=complex))

@@ -8,23 +8,26 @@ The n-th coefficient is
 computed by truncating the sigma integral where |I(sigma)| has decayed below
 a bound, with Gauss-Legendre panels (``panels.panel_rule``) narrow enough to
 resolve both oscillation rates (sigma * max|omega'| in momentum, max|omega|
-in sigma).  I(sigma) is
-evaluated once on the sigma nodes and memoized.  The sigma panels share one
-half-width h, so every node is mid_p + h x_j with the same Legendre nodes x_j,
-and exp(i sigma omega) = exp(i mid_p omega) exp(i h x_j omega) exactly: per
-momentum block the table is one (panels x momentum) by (momentum x 16)
-matrix product of the two phase factors, and no sigma x momentum matrix is
-formed.  Its checks are the direct outer-product sum ``_i_sigma_on_rule``
-(which also serves the decay probes), the test suite's adaptive-quadrature
-I(sigma), and, for the coefficients themselves, the energy-shell oracle
-below.
+in sigma).  ``_i_sigma_on_panels`` is the one evaluator of I:  the sigma
+panels share one half-width h, so every node is mid_p + h x_j with the same
+Legendre nodes x_j, and exp(i sigma omega) = exp(i mid_p omega)
+exp(i h x_j omega) exactly: per momentum block the table is one
+(panels x momentum) by (momentum x 16) matrix product of the two phase
+factors, and no sigma x momentum matrix is formed.  The table is evaluated
+once on the sigma nodes and memoized; the decay probes that place the cutoff
+are one-node panels.  The test suite checks I against the direct node-by-node
+sum and adaptive quadrature.
 
 The independent oracle pushes |g|^2 through omega:  with
 rho(E) = sum_{omega(k)=E} w(k) |g(k)|^2 / |omega'(k)|  (the shell density),
 
-    gamma_n = (2 pi / n!) (-1)^n rho^(n)(0),
+    gamma_n = (2 pi / n!) (-1)^n rho^(n)(0).
 
-with the derivative taken by Richardson-extrapolated central differences.
+The derivative is exact.  A root k(E) moves at dk/dE = 1/omega', so each
+root k0 of omega contributes (S^n F)(k0) / |omega'(k0)| to rho^(n)(0), with
+F = w |g|^2 and S F = (F / omega')'.  F is carried as its Taylor series about
+k0, from the exact derivatives of g; omega' is affine in k, so each division
+by it is a two-term recurrence and S loses nothing but rounding.
 Both routes require the stationary set of omega to avoid the support of g;
 ``check_support`` reports that condition.
 """
@@ -38,7 +41,8 @@ from functools import lru_cache
 import numpy as np
 
 from .atoms import TestFunction
-from .dispersion import Dispersion, clip_domain, measure_weight
+from .dispersion import (Dispersion, LinearDispersion, clip_domain,
+                         measure_weight)
 from .errors import DegenerateRoot, ImaginaryResidue, OracleMismatch, SlowDecay
 from .panels import envelope, panel_rule
 
@@ -121,18 +125,6 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     return (block(nodes, weights),)
 
 
-def _i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if not blocks:
-        return np.zeros(sigmas.shape, dtype=complex)
-    acc = np.exp(1j * np.outer(sigmas, blocks[0][0])) * blocks[0][1]
-    for omega_nodes, density in blocks[1:]:
-        # mirror blocks share the node layout; adding before the momentum sum
-        # lets conjugate pairs cancel exactly
-        acc = acc + np.exp(1j * np.outer(sigmas, omega_nodes)) * density
-    return acc.sum(axis=1)
-
-
 def _i_sigma_on_panels(blocks, mids, offsets) -> np.ndarray:
     """I on the nodes ``mids[p] + offsets[j]``, raveled panel by panel.
 
@@ -159,7 +151,9 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction, tol: float) -> float:
     def probe_mag(sig: float) -> float:
         blocks = _momentum_rule(disp, g, 1.7 * sig)
         probes = np.array([sig, 1.3 * sig, 1.7 * sig])
-        return float(np.max(np.abs(_i_sigma_on_rule(blocks, probes))))
+        # one-node panels: I at the probes themselves
+        values = _i_sigma_on_panels(blocks, probes, np.zeros(1))
+        return float(np.max(np.abs(values)))
 
     sigma_end = 1.0
     while probe_mag(sigma_end) >= tol:
@@ -214,61 +208,58 @@ def gamma_osc(disp: Dispersion, g: TestFunction, n: int, *,
 # ---------------------------------------------------------------------------
 
 
+def _shell_roots(disp: Dispersion, energy: float):
+    """Roots of omega = energy with their slopes; DegenerateRoot on a flat one."""
+    for k in disp.roots(energy):
+        slope = float(disp.domega(k))
+        if abs(slope) < DEGENERATE_SLOPE:
+            raise DegenerateRoot(
+                f"|omega'({k:g})| = {abs(slope):.3g} below {DEGENERATE_SLOPE:g}")
+        yield k, slope
+
+
 def shell_density(disp: Dispersion, g: TestFunction, energy: float) -> float:
     """Pushforward density of the weighted |g|^2 through omega."""
-    total = 0.0
-    for k in disp.roots(energy):
-        slope = abs(float(disp.domega(k)))
-        if slope < DEGENERATE_SLOPE:
-            raise DegenerateRoot(
-                f"|omega'({k:g})| = {slope:.3g} below {DEGENERATE_SLOPE:g}")
-        total += float(measure_weight(disp, k)) * abs(g(k)) ** 2 / slope
-    return total
+    return sum((float(measure_weight(disp, k)) * abs(g(k)) ** 2 / abs(slope)
+                for k, slope in _shell_roots(disp, energy)), 0.0)
 
 
-def _central_difference(fun, x0: float, order: int, h: float) -> float:
-    # symmetric offsets are combined pairwise so that even densities yield
-    # exact zeros for odd orders instead of cancellation noise
-    total = 0.0
-    for i in range(order // 2 + 1):
-        delta = (order / 2 - i) * h
-        coeff = (-1) ** i * math.comb(order, i)
-        if delta == 0:
-            total += coeff * fun(x0)
-        elif order % 2:
-            total += coeff * (fun(x0 + delta) - fun(x0 - delta))
-        else:
-            total += coeff * (fun(x0 + delta) + fun(x0 - delta))
-    return total / h ** order
+def _root_derivative(disp: Dispersion, g: TestFunction, k0: float,
+                     slope: float, n: int) -> float:
+    """(S^n F)(k0) / |omega'(k0)|, one root's share of rho^(n)(0).
 
-
-def _richardson_derivative(fun, x0: float, order: int, h0: float,
-                           levels: int = 4) -> float:
-    if order == 0:
-        return fun(x0)
-    est = [_central_difference(fun, x0, order, h0 / 2 ** lev)
-           for lev in range(levels)]
-    for m in range(1, levels):
-        fac = 4.0 ** m
-        est = [(fac * est[i + 1] - est[i]) / (fac - 1.0)
-               for i in range(len(est) - 1)]
-    return est[0]
+    F = w |g|^2 and S F = (F / omega')' are carried as Taylor coefficients in
+    delta = k - k0, truncated at degree n; each S drops one degree.
+    """
+    coeffs = [g.derivative(j)(k0) / math.factorial(j) for j in range(n + 1)]
+    taylor = [sum(coeffs[i] * coeffs[j - i].conjugate()
+                  for i in range(j + 1)).real for j in range(n + 1)]
+    if disp.dimension == 3:
+        weight = [4.0 * math.pi * k0 * k0, 8.0 * math.pi * k0, 4.0 * math.pi]
+        taylor = np.convolve(taylor, weight)[:n + 1]
+    # omega'(k0 + delta) = slope + curvature * delta, so dividing by it is a
+    # two-term recurrence
+    curvature = 0.0 if isinstance(disp, LinearDispersion) else 1.0 / disp.mass
+    for _ in range(n):
+        quotient, last = [], 0.0
+        for t in taylor:
+            last = (t - curvature * last) / slope
+            quotient.append(last)
+        taylor = [j * q for j, q in enumerate(quotient)][1:]
+    return float(taylor[0]) / abs(slope)
 
 
 def gamma_shell(disp: Dispersion, g: TestFunction, n: int) -> float:
-    """Order-n coefficient from derivatives of the shell density at E = 0."""
+    """Order-n coefficient from the exact n-th E-derivative of rho at E = 0."""
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    roots = disp.roots(0.0)
     lo, hi = effective_support(g)
-    if not roots or all(not lo <= k <= hi for k in roots):
+    if all(not lo <= k <= hi for k in disp.roots(0.0)):
         # empty energy shell on the support: make sure rho vanishes there too
         if shell_density(disp, g, 0.0) < 1e-30:
             return 0.0
-    slope_min = min((abs(float(disp.domega(k))) for k in roots), default=1.0)
-    width_min = min(a.width for _, a in g.atoms)
-    h0 = slope_min * width_min / 4.0
-    val = _richardson_derivative(lambda e: shell_density(disp, g, e), 0.0, n, h0)
+    val = sum(_root_derivative(disp, g, k, slope, n)
+              for k, slope in _shell_roots(disp, 0.0))
     return (2.0 * math.pi / math.factorial(n)) * (-1.0) ** n * val
 
 

@@ -1,8 +1,10 @@
-"""Adaptive-quadrature oracles: the tests' independent routes to the exact ones.
+"""The tests' independent routes to the package's integrals.
 
 The package computes every integral without QUADPACK; these routines redo
 them by scipy's adaptive Gauss-Kronrod quadrature, so a fault in the exact
 forms, the sigma table or the reservoir kernel shows up as a disagreement.
+``i_sigma_on_rule`` sums the sigma table's own momentum rule node by node,
+without the per-panel phase factoring.
 """
 
 import warnings
@@ -50,3 +52,16 @@ def i_sigma(disp, g, sigma: float, *, epsabs: float = 1e-13,
 
     return complex_quad(integrand, lo, hi, epsabs=epsabs, epsrel=epsrel,
                         limit=400)
+
+
+def i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
+    """I(sigma) on a momentum rule as the direct outer-product sum."""
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    if not blocks:
+        return np.zeros(sigmas.shape, dtype=complex)
+    acc = np.exp(1j * np.outer(sigmas, blocks[0][0])) * blocks[0][1]
+    for omega_nodes, density in blocks[1:]:
+        # mirror blocks share the node layout; adding before the momentum sum
+        # lets conjugate pairs cancel exactly
+        acc = acc + np.exp(1j * np.outer(sigmas, omega_nodes)) * density
+    return acc.sum(axis=1)

@@ -273,17 +273,21 @@ def test_corr_check_passes_on_quadratic_catalog(tmp_path):
     assert rates[0]["order"] == 0 and rates[0]["passes"]
 
 
-def test_thread_cap_does_not_change_artifacts(tmp_path, monkeypatch):
-    cfg = CONFIG_DIR / "kernel_linear.json"
-    monkeypatch.setenv("MULTINOISE_THREADS", "3")
-    assert cli.main(["kernel-check", "--config", str(cfg),
-                     "--out", str(tmp_path / "a")]) == 0
-    monkeypatch.setenv("MULTINOISE_THREADS", "1")
-    assert cli.main(["kernel-check", "--config", str(cfg),
-                     "--out", str(tmp_path / "b")]) == 0
-    for name in ("kernel_points.csv", "kernel_rates.json"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
+@pytest.mark.parametrize("command", ["kernel-check", "corr-check"])
+def test_expansion_study_refuses_disagreeing_gamma_oracles(tmp_path, capsys,
+                                                           command):
+    # the form factor reaches the k = 0 edge of the radial domain, so I(sigma)
+    # decays only algebraically and gamma_osc misses gamma_5 by about 4e-5
+    cfg = write_config(
+        tmp_path,
+        dispersion={"kind": "linear", "slope": 1.0, "offset": 1.5,
+                    "dimension": 3},
+        form_factor=gaussian(center=1.5, width=0.4).to_json_dict(),
+        orders=[0, 5])
+    assert cli.main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def _counting(monkeypatch, module, name, keep=lambda *a, **k: True):

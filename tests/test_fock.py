@@ -252,13 +252,3 @@ def test_apply_word_cross_sector_vanishes(small_sectors, rng):
     out = mn.apply_word([(-1, 1, cf), (+1, 2, ch)], mn.vacuum_state(),
                         small_sectors)
     assert mn.multi_inner(mn.vacuum_state(), out) == 0
-
-
-def test_fock_vector_json_dump(small_sectors, rng):
-    vec = random_fock_vector(small_sectors[1], rng, max_rank=2)
-    dump = vec.to_json_dict()
-    assert dump["order"] == 1
-    assert dump["particle_cap"] == 3
-    assert len(dump["components"]) == 4
-    assert_allclose(np.array(dump["components"][1]["real"]),
-                    vec.components[1].real, rtol=0, atol=0)

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermval
 from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import gamma as gamma_mod
 from multinoise.errors import DegenerateRoot, SlowDecay
-from oracles import i_sigma
+from oracles import i_sigma, i_sigma_on_rule
 
 TWO_SQRT_PI = 2 * math.sqrt(math.pi)
 
@@ -44,10 +45,43 @@ def test_gamma_osc_linear_catalog(linear_catalog):
 
 def test_gamma_shell_linear_pushforward(linear_catalog):
     disp, g = linear_catalog
-    # rho(E) = |g(E)|^2 = exp(-E^2)/sqrt(pi); analytic derivatives at 0
-    assert_allclose(mn.gamma_shell(disp, g, 0), TWO_SQRT_PI, rtol=1e-10)
-    assert mn.gamma_shell(disp, g, 1) == 0.0
-    assert_allclose(mn.gamma_shell(disp, g, 2), -TWO_SQRT_PI, rtol=1e-8)
+    # rho(E) = |g(E)|^2 = exp(-E^2)/sqrt(pi), so rho^(n)(0) = (-1)^n H_n(0)
+    # / sqrt(pi) and gamma_n = 2 sqrt(pi) H_n(0) / n!: gamma_4 = sqrt(pi),
+    # gamma_6 = -sqrt(pi)/3
+    for n in range(gamma_mod.MAX_ORDER + 1):
+        hermite_at_zero = hermval(0.0, [0] * n + [1])
+        expected = TWO_SQRT_PI * hermite_at_zero / math.factorial(n)
+        if n % 2:
+            assert mn.gamma_shell(disp, g, n) == 0.0
+        else:
+            assert_allclose(mn.gamma_shell(disp, g, n), expected, rtol=1e-13)
+    assert_allclose(mn.gamma_shell(disp, g, 6), -math.sqrt(math.pi) / 3,
+                    rtol=1e-13)
+
+
+# gamma_n = (2 pi / n!) (-1)^n rho^(n)(0) for n = 0..6, with rho in closed form
+# and mpmath.diff at 50 digits (mpmath 1.3.0).  To regenerate, set
+# mp.dps = 50, w = mp.mpf(0.35) (the float the fixture holds), |g(k)|^2 =
+# exp(-((k - 2)/w)^2) / (sqrt(pi) w), and rho(E) = sum over the roots
+# k = +-sqrt(2 (E + 2)) of |g(k)|^2 / |k|, keeping only k > 0 times 4 pi k^2
+# for the radial catalog.
+SHELL_PINS = {
+    "quadratic_catalog": (
+        5.0641538597300461, 1.2660384649325115, -9.8602434526504036,
+        -4.9696854283543428, 8.2102045321189881, 6.8179988364646549,
+        -3.0722777727678165),
+    "radial_catalog": (
+        254.55213699802095, -63.638034249505237, -527.44891142000648,
+        -1.9886885702970386, 537.5917097401562, 136.36505496854078,
+        -325.78452494600229),
+}
+
+
+@pytest.mark.parametrize("catalog", sorted(SHELL_PINS))
+def test_gamma_shell_matches_high_precision_pins(catalog, request):
+    disp, g = request.getfixturevalue(catalog)
+    got = [mn.gamma_shell(disp, g, n) for n in range(gamma_mod.MAX_ORDER + 1)]
+    assert_allclose(got, SHELL_PINS[catalog], rtol=1e-12, atol=0)
 
 
 def test_gamma_shell_quadratic_root_formula():
@@ -178,9 +212,9 @@ def test_sigma_table_matches_direct_and_adaptive_routes(
         nodes, _, values = gamma_mod._oscillation_table(disp, g, tol)
         blocks = gamma_mod._momentum_rule(
             disp, g, gamma_mod._sigma_cutoff(disp, g, tol))
-        scale = max(1.0, abs(gamma_mod._i_sigma_on_rule(blocks, [0.0])[0]))
+        scale = max(1.0, abs(i_sigma_on_rule(blocks, [0.0])[0]))
         picks = np.linspace(0, nodes.size - 1, 40).round().astype(int)
-        direct = gamma_mod._i_sigma_on_rule(blocks, nodes[picks])
+        direct = i_sigma_on_rule(blocks, nodes[picks])
         assert np.max(np.abs(values[picks] - direct)) <= 1e-12 * scale
         # adaptive quadrature asks for 1e-11 relative; allow ten times that
         for k in range(0, 40, 8):
