@@ -16,17 +16,15 @@ from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
                      SectorMismatch, SlowDecay, SupportConditionFailed,
                      ZeroGamma)
 from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
-from .fock import (FockVector, MultiSectorState, Sector, annihilate,
-                   apply_sector_metric, apply_word, build_sector, create,
-                   fock_inner, multi_inner, project_coefficients,
-                   sector_metric_matrix, vacuum_state)
+from .fock import (FockVector, Sector, annihilate, apply_sector_metric,
+                   build_sector, create, fock_inner, project_coefficients,
+                   sector_metric_matrix, vacuum_expectation)
 from .forms import (GridFunction, frequency_grid, grid_weighted_inner,
                     indefinite_inner, indefinite_inner_frequency, l2_inner,
                     metric_apply, to_grid, weighted_inner)
 from .gamma import (GammaRow, GammaTable, SupportReport, check_support,
                     effective_support, gamma_osc, gamma_shell, gamma_table,
                     shell_density)
-from .wick import (Letter, ReservoirChannel, correlation, enumerate_matchings,
-                   noise_pair, reservoir_pair)
+from .wick import Letter, correlation, enumerate_matchings, reservoir_pair
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ import numpy as np
 
 from .atoms import TestFunction, gaussian, hermite_fn, linear_combination
 from .fock import (FockVector, Sector, annihilate, apply_sector_metric,
-                   apply_word, build_sector, create, fock_inner,
-                   max_symmetry_defect, multi_inner, symmetrize, vacuum_state)
+                   build_sector, create, fock_inner, max_symmetry_defect,
+                   symmetrize, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, metric_apply, to_grid)
 from .wick import Letter, correlation
@@ -60,6 +60,9 @@ THRESHOLDS = {
 
 WITNESS_MODULATION = -5.0
 WITNESS_VALUE = -5.0
+METRIC_PAIRS = 10  # random (f, h) pairs per sector in the metric suite
+FOCK_WICK_MAX_ORDER = 2  # highest sector order the Fock-Wick words use
+FOCK_WICK_WORDS_PER_PATTERN = 2  # random words per sign pattern
 
 
 def default_basis(size: int) -> tuple[TestFunction, ...]:
@@ -83,15 +86,12 @@ def default_basis(size: int) -> tuple[TestFunction, ...]:
     return tuple(pool[:size])
 
 
-def build_check_sectors(sector_max: int, basis_size: int, particle_cap: int,
-                        gammas: Mapping[int, float] | None = None,
-                        ) -> dict[int, Sector]:
+def build_check_sectors(sector_max: int, basis_size: int,
+                        particle_cap: int) -> dict[int, Sector]:
+    """Sectors of orders 0..sector_max, coupling 1, on the default basis."""
     basis = default_basis(basis_size)
-    out = {}
-    for n in range(sector_max + 1):
-        gamma = 1.0 if gammas is None else gammas[n]
-        out[n] = build_sector(n, gamma, basis, particle_cap)
-    return out
+    return {n: build_sector(n, 1.0, basis, particle_cap)
+            for n in range(sector_max + 1)}
 
 
 def random_coefficients(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -175,13 +175,13 @@ def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
     return {"adjoint": worst}
 
 
-def metric_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
-                 pairs: int = 10) -> dict[str, float]:
+def metric_suite(sectors: Mapping[int, Sector],
+                 rng: np.random.Generator) -> dict[str, float]:
     report = {"metric_involution": 0.0, "metric_two_route": 0.0,
               "metric_witness": 0.0, "metric_consistency": 0.0}
     for sector in sectors.values():
         grid = frequency_grid(sector.basis)
-        for _ in range(pairs):
+        for _ in range(METRIC_PAIRS):
             cf = random_coefficients(rng, sector.size)
             ch = random_coefficients(rng, sector.size)
             f = linear_combination(cf, sector.basis)
@@ -231,14 +231,13 @@ _WORD_PATTERNS = (
 )
 
 
-def fock_wick_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
-                    max_order: int = 2, words_per_pattern: int = 2,
-                    ) -> dict[str, float]:
-    orders_avail = [n for n in sorted(sectors) if n <= max_order]
+def fock_wick_suite(sectors: Mapping[int, Sector],
+                    rng: np.random.Generator) -> dict[str, float]:
+    orders_avail = [n for n in sorted(sectors) if n <= FOCK_WICK_MAX_ORDER]
     gammas = {n: sectors[n].gamma for n in orders_avail}
     worst = 0.0
     for signs in _WORD_PATTERNS:
-        for rep in range(words_per_pattern):
+        for rep in range(FOCK_WICK_WORDS_PER_PATTERN):
             if rep == 0:
                 # all letters in one sector: nonzero matchings guaranteed
                 orders = [orders_avail[int(rng.integers(len(orders_avail)))]] * len(signs)
@@ -250,11 +249,9 @@ def fock_wick_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
             smears = [linear_combination(c, sectors[n].basis)
                       for c, n in zip(coeff_vectors, orders)]
             word = [Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
-            wick_val = correlation(word, gammas=gammas, lam=1.0)
-            state = apply_word(
-                [(s, n, c) for s, n, c in zip(signs, orders, coeff_vectors)],
-                vacuum_state(), sectors)
-            fock_val = multi_inner(vacuum_state(), state)
+            wick_val = correlation(word, gammas)
+            fock_val = vacuum_expectation(
+                list(zip(signs, orders, coeff_vectors)), sectors)
             worst = max(worst, abs(wick_val - fock_val) / (1.0 + abs(wick_val)))
     return {"fock_wick": worst}
 

@@ -26,7 +26,6 @@ from .errors import (BelowFloor, ConfigError, MultinoiseError,
                      SupportConditionFailed)
 from .expansion import correlation_error, fit_rate
 from .gamma import GammaTable, check_support, gamma_table
-from .wick import ReservoirChannel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,11 +156,9 @@ def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
                         range(max(cfg.orders) + 1))
     if not _oracle_agrees(table, cfg.assert_rel):
         return EXIT_ORACLE
-    gammas = table.gammas()
-    channel = ReservoirChannel(cfg.dispersion, cfg.form_factor,
-                               cfg.lambda_grid[0])
     by_order = correlation_error(signs, cfg.smears[:len(signs)], cfg.orders,
-                                 cfg.lambda_grid, channel, gammas)
+                                 cfg.lambda_grid, cfg.dispersion,
+                                 cfg.form_factor, table.gammas())
     reports, all_pass = _fit_reports(by_order)
 
     out = Path(cfg.out_dir)

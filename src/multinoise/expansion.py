@@ -4,8 +4,9 @@
 compares, along a decreasing lambda grid, the reservoir correlation against
 its noise expansion truncated after order N; fitting the log-log slope of
 the error quantifies the remainder order.  The two-point kernel is the word
-(-1, +1).  Both sides are ``wick_sum`` calls.  The exact side is one
-reservoir correlation per lambda, shared by every order.  The noise side's
+(-1, +1).  Both sides are ``wick_sum`` calls.  The exact side sums
+``reservoir_pair`` kernels once per lambda, shared by every order; this
+study is the only place that grades by lambda.  The noise side's
 pair kernel is the graded sum over n <= N of lambda^(2n) times the order-n
 contraction i^n gamma_n integral conj(f_minus^(n)) f_plus dt, which does not
 depend on lambda, so each contraction is computed once per study.
@@ -24,9 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .atoms import TestFunction
+from .dispersion import Dispersion
 from .errors import BelowFloor
 from .forms import indefinite_inner
-from .wick import Letter, ReservoirChannel, correlation, wick_sum
+from .wick import reservoir_pair, wick_sum
 
 __all__ = [
     "ExpansionPoint",
@@ -40,19 +43,24 @@ ERROR_FLOOR = 1e-13
 
 
 def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
-                      lambda_grid: Sequence[float], channel: ReservoirChannel,
+                      lambda_grid: Sequence[float], disp: Dispersion,
+                      g: TestFunction,
                       gammas) -> dict[int, list["ExpansionPoint"]]:
-    """Smeared whole-word comparison of the two channel families.
+    """Smeared whole-word comparison of the reservoir with its noise expansion.
 
-    Returns, for each N in ``orders`` (in that order), one point per lambda
-    of ``lambda_grid``.  Each contraction (n, j, k) is evaluated once, and
-    only if a matching uses it; orders with a vanishing coefficient
-    contribute exactly zero.
+    The reservoir has dispersion ``disp`` and form factor ``g``; letter j has
+    sign ``signs[j]`` and smear ``smears[j]``.  Returns, for each N in
+    ``orders`` (in that order), one point per lambda of ``lambda_grid``.
+    Each contraction (n, j, k) is evaluated once, and only if a matching
+    uses it; orders with a vanishing coefficient contribute exactly zero.
     """
     signs = list(signs)
+    if any(s not in (+1, -1) for s in signs):
+        raise ValueError("letter sign must be +1 or -1")
     if len(signs) > 8 or len(signs) % 2 or signs.count(+1) != signs.count(-1):
         raise ValueError("word must be balanced with even length at most 8")
-    word = [Letter(s, f) for s, f in zip(signs, smears, strict=True)]
+    if len(smears) != len(signs) or any(f.is_zero() for f in smears):
+        raise ValueError("need one nonzero smear per letter")
 
     @functools.cache
     def contraction(n: int, j: int, k: int) -> complex:
@@ -69,7 +77,8 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
 
     by_order = {N: [] for N in orders}
     for lam in lambda_grid:
-        lhs = correlation(word, channel=channel.at_lambda(lam))
+        lhs = wick_sum(signs, lambda j, k: reservoir_pair(
+            disp, g, lam, smears[j], smears[k]))
         for N in orders:
             by_order[N].append(
                 ExpansionPoint(lam, N, lhs, wick_sum(signs, truncated(lam, N))))

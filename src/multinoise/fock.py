@@ -7,9 +7,9 @@ dense symmetric tensors over basis indices, one per particle number up to the
 cap.  Creation inserts a coefficient vector symmetrically with 1/sqrt(k+1);
 annihilation contracts the first slot against the pairing vector with sqrt(k).
 
-States of the full theory live in a tensor product over sectors where all but
-finitely many factors sit at the vacuum; their inner product is the product of
-per-sector metric inner products.
+A word of operators from several orders acts sector by sector on the vacuum
+of the full theory, a tensor product over sectors; its vacuum expectation is
+the product of per-sector metric inner products with the sector vacua.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ __all__ = [
     "annihilate",
     "fock_inner",
     "sector_metric_matrix",
-    "MultiSectorState",
-    "vacuum_state",
-    "multi_inner",
-    "apply_word",
+    "vacuum_expectation",
 ]
 
 SPAN_RESIDUAL_TOL = 1e-8
@@ -67,7 +64,7 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
 
 
 def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
-                 particle_cap: int, *, cond_limit: float = COND_LIMIT) -> Sector:
+                 particle_cap: int) -> Sector:
     """Assemble gram/pairing matrices and validate the basis."""
     if gamma == 0:
         raise ZeroGamma("sector coupling gamma must be nonzero")
@@ -76,10 +73,10 @@ def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
     basis = tuple(basis)
     gram = _hermitian(weighted_inner(n, basis, basis))
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > cond_limit:
+    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
         raise IllConditionedBasis(
             f"gram condition number {eigs[-1] / max(eigs[0], 1e-300):.3g} "
-            f"exceeds {cond_limit:g}")
+            f"exceeds {COND_LIMIT:g}")
     pairing = _hermitian(indefinite_inner(n, gamma, basis, basis))
     gram.setflags(write=False)
     pairing.setflags(write=False)
@@ -115,8 +112,7 @@ class FockVector:
         return math.sqrt(max(fock_inner(self, self, use_metric=False).real, 0.0))
 
 
-def project_coefficients(sector: Sector, f: TestFunction, *,
-                         residual_tol: float = SPAN_RESIDUAL_TOL) -> np.ndarray:
+def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
     """Least-squares coefficients of f in the sector basis (positive form).
 
     Raises NotInSpan when the projection residual exceeds the tolerance
@@ -127,9 +123,9 @@ def project_coefficients(sector: Sector, f: TestFunction, *,
     coeffs = np.linalg.solve(sector.gram, v)
     residual_sq = norm_sq - float(np.real(np.vdot(v, coeffs)))
     residual = math.sqrt(max(residual_sq, 0.0))
-    if residual > residual_tol * max(1.0, math.sqrt(max(norm_sq, 0.0))):
+    if residual > SPAN_RESIDUAL_TOL * max(1.0, math.sqrt(max(norm_sq, 0.0))):
         raise NotInSpan(
-            f"projection residual {residual:.3g} exceeds {residual_tol:g}")
+            f"projection residual {residual:.3g} exceeds {SPAN_RESIDUAL_TOL:g}")
     return coeffs
 
 
@@ -249,61 +245,27 @@ def max_symmetry_defect(tensor: np.ndarray) -> float:
     return defect
 
 
-# ---------------------------------------------------------------------------
-# multi-sector states
-# ---------------------------------------------------------------------------
+def vacuum_expectation(letters: Sequence[tuple[int, int, object]],
+                       sectors: Mapping[int, Sector]) -> complex:
+    """Vacuum expectation of a word of (sign, order, smear) letters.
 
-
-@dataclass(frozen=True, eq=False)
-class MultiSectorState:
-    """Finite combination of product states; absent sectors sit at vacuum."""
-
-    terms: tuple[tuple[complex, Mapping[int, FockVector]], ...]
-
-
-def vacuum_state() -> MultiSectorState:
-    return MultiSectorState(((1.0 + 0j, {}),))
-
-
-def multi_inner(a: MultiSectorState, b: MultiSectorState) -> complex:
-    """Sesquilinear inner product; vacuum sectors contribute a factor 1."""
-    total = 0j
-    for alpha, pa in a.terms:
-        for beta, pb in b.terms:
-            prod = 1.0 + 0j
-            for n in sorted(set(pa) | set(pb)):
-                phi, psi = pa.get(n), pb.get(n)
-                if phi is not None and psi is not None and phi.sector is not psi.sector:
-                    raise SectorMismatch(f"sector {n} differs between states")
-                sector = (phi or psi).sector
-                phi = phi if phi is not None else FockVector.vacuum(sector)
-                psi = psi if psi is not None else FockVector.vacuum(sector)
-                prod *= fock_inner(phi, psi, use_metric=True)
-                if prod == 0:
-                    break
-            total += np.conj(alpha) * beta * prod
-    return complex(total)
-
-
-def apply_word(letters: Sequence[tuple[int, int, object]], state: MultiSectorState,
-               sectors: Mapping[int, Sector]) -> MultiSectorState:
-    """Apply a word of (sign, order, smear) letters, rightmost first.
-
-    sign is +1 for creation, -1 for annihilation; the smear may be a
-    TestFunction or a coefficient vector in the order's sector basis.
+    Letters act rightmost first, each on its order's sector, which starts at
+    the vacuum; sign is +1 for creation, -1 for annihilation, and the smear
+    is a TestFunction or a coefficient vector in the sector basis.  The value
+    is the product, over the touched sectors in sorted order, of the metric
+    inner product of the sector vacuum with the sector's vector; untouched
+    sectors contribute a factor 1.
     """
-    new_terms = []
-    for coeff, part in state.terms:
-        part = dict(part)
-        for sign, order, smear in reversed(list(letters)):
-            sector = sectors[order]
-            vec = part.get(order)
-            if vec is None:
-                vec = FockVector.vacuum(sector)
-            if sign > 0:
-                vec = create(sector, smear, vec)
-            else:
-                vec = annihilate(sector, smear, vec)
-            part[order] = vec
-        new_terms.append((coeff, part))
-    return MultiSectorState(tuple(new_terms))
+    vectors: dict[int, FockVector] = {}
+    for sign, order, smear in reversed(list(letters)):
+        sector = sectors[order]
+        vec = vectors[order] if order in vectors else FockVector.vacuum(sector)
+        op = create if sign > 0 else annihilate
+        vectors[order] = op(sector, smear, vec)
+    prod = 1.0 + 0j
+    for order in sorted(vectors):
+        vec = vectors[order]
+        prod *= fock_inner(FockVector.vacuum(vec.sector), vec)
+        if prod == 0:
+            break
+    return complex(prod)

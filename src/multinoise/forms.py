@@ -60,7 +60,6 @@ __all__ = [
 
 QUAD_REL = 1e-11     # relative accuracy target of quadrature and exact forms
 ENVELOPE_TOL = 1e-18  # tail truncation threshold for Gaussian envelopes
-GRID_EPS = 1e-8     # half-width of the band about 0 the grid excludes
 GRID_PANELS = 32    # panels on each half of the frequency grid
 
 Functions = Union[TestFunction, Sequence[TestFunction]]
@@ -332,17 +331,17 @@ class GridFunction:
 
 
 def frequency_grid(fns) -> GridFunction:
-    """Template grid of Gauss-Legendre panels on [-X, -GRID_EPS] u [GRID_EPS, X].
+    """Template grid of Gauss-Legendre panels on [-X, 0] u [0, X].
 
     X is taken from the Fourier-domain envelopes of ``fns`` so the excluded
-    tails are below the envelope threshold.
+    tails are below the envelope threshold.  Legendre nodes are interior, so
+    no node is 0 and the |x|^n kinks sit at a panel edge.
     """
     radius = 1.0
     for f in fns:
         lo, hi = f.fourier().envelope_interval(ENVELOPE_TOL)
         radius = max(radius, abs(lo), abs(hi))
-    pos_nodes, pos_weights, _, _ = panel_rule(
-        GRID_EPS, radius, (radius - GRID_EPS) / GRID_PANELS)
+    pos_nodes, pos_weights, _, _ = panel_rule(0.0, radius, radius / GRID_PANELS)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
     weights = np.concatenate([pos_weights[::-1], pos_weights])
     return GridFunction(nodes, weights, np.zeros(nodes.shape, dtype=complex))

@@ -44,7 +44,7 @@ from .atoms import TestFunction
 from .dispersion import (Dispersion, LinearDispersion, clip_domain,
                          measure_weight)
 from .errors import DegenerateRoot, ImaginaryResidue, OracleMismatch, SlowDecay
-from .panels import envelope, panel_rule
+from .panels import MOMENTUM_TOL, envelope, panel_rule
 
 __all__ = [
     "SupportReport",
@@ -63,7 +63,6 @@ SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
 MAX_ORDER = 6
-_INTEGRATION_TOL = 1e-9    # |g| threshold bounding the momentum domain
 
 
 def effective_support(g: TestFunction, eps_supp: float = EPS_SUPP_DEFAULT) -> tuple[float, float]:
@@ -104,7 +103,7 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     elementwise then cancels the imaginary part identically, which is what
     makes symmetry-forced odd coefficients come out as exact zeros.
     """
-    lo, hi = clip_domain(disp, *envelope(g, _INTEGRATION_TOL))
+    lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:
         return ()
     corners = [lo, hi, *(p for p in disp.stationary_points() if lo < p < hi)]
@@ -141,11 +140,11 @@ def _i_sigma_on_panels(blocks, mids, offsets) -> np.ndarray:
     return acc.ravel()
 
 
-def _sigma_cutoff(disp: Dispersion, g: TestFunction, tol: float) -> float:
+def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
     """Truncation point Sigma of the sigma integral.
 
     Sigma is the first point of a doubling ladder where |I(sigma)| stays below
-    ``tol`` (three probes guard against hitting an oscillation zero);
+    SIGMA_DECAY_TOL (three probes guard against hitting an oscillation zero);
     SlowDecay if the cap is reached.
     """
     def probe_mag(sig: float) -> float:
@@ -156,20 +155,20 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction, tol: float) -> float:
         return float(np.max(np.abs(values)))
 
     sigma_end = 1.0
-    while probe_mag(sigma_end) >= tol:
+    while probe_mag(sigma_end) >= SIGMA_DECAY_TOL:
         sigma_end *= 2.0
         if sigma_end > SIGMA_CAP:
             raise SlowDecay(
-                f"|I(sigma)| not below {tol:g} by sigma = {SIGMA_CAP:g}; "
+                f"|I(sigma)| not below {SIGMA_DECAY_TOL:g} by sigma = "
+                f"{SIGMA_CAP:g}; "
                 f"stationary phase point suspected")
     return sigma_end
 
 
 @lru_cache(maxsize=32)
-def _oscillation_table(disp: Dispersion, g: TestFunction,
-                       tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _oscillation_table(disp: Dispersion, g: TestFunction):
     """Sigma nodes, weights and memoized I values on [0, Sigma]."""
-    sigma_end = _sigma_cutoff(disp, g, tol)
+    sigma_end = _sigma_cutoff(disp, g)
     blocks = _momentum_rule(disp, g, sigma_end)
     omega_max = max((float(np.max(np.abs(om))) for om, _ in blocks),
                     default=0.0)
@@ -182,8 +181,7 @@ def _oscillation_table(disp: Dispersion, g: TestFunction,
     return nodes, weights, values
 
 
-def gamma_osc(disp: Dispersion, g: TestFunction, n: int, *,
-              tol: float = SIGMA_DECAY_TOL) -> float:
+def gamma_osc(disp: Dispersion, g: TestFunction, n: int) -> float:
     """Order-n coefficient via the truncated oscillatory sigma integral.
 
     The negative half line is folded in through the exact identity
@@ -193,7 +191,7 @@ def gamma_osc(disp: Dispersion, g: TestFunction, n: int, *,
     """
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    nodes, weights, values = _oscillation_table(disp, g, tol)
+    nodes, weights, values = _oscillation_table(disp, g)
     half = np.sum(weights * nodes ** n * values)
     raw = (1j) ** n / math.factorial(n) * (half + (-1) ** n * np.conj(half))
     if abs(raw.imag) > 1e-8 * (abs(raw.real) + 1e-14):
@@ -294,12 +292,11 @@ class GammaTable:
         return "\n".join(lines) + "\n"
 
 
-def gamma_table(disp: Dispersion, g: TestFunction, orders, *,
-                tol: float = SIGMA_DECAY_TOL) -> GammaTable:
+def gamma_table(disp: Dispersion, g: TestFunction, orders) -> GammaTable:
     """Both gamma routes for every requested order, with their disagreement."""
     rows = []
     for n in orders:
-        osc = gamma_osc(disp, g, n, tol=tol)
+        osc = gamma_osc(disp, g, n)
         shell = gamma_shell(disp, g, n)
         rel = abs(osc - shell) / (abs(shell) + 1e-10)
         rows.append(GammaRow(int(n), osc, shell, rel))

@@ -17,13 +17,15 @@ from numpy.polynomial.legendre import leggauss
 from .atoms import TestFunction
 from .errors import QuadratureFailure
 
-__all__ = ["GL_ORDER", "MAX_PANELS", "envelope", "panel_rule", "panel_sum"]
+__all__ = ["GL_ORDER", "MAX_PANELS", "MOMENTUM_TOL", "envelope", "panel_rule",
+           "panel_sum"]
 
 GL_ORDER = 16
 # leggauss refines its nodes by Newton steps, about half a millisecond a call,
 # and the reservoir kernel builds a panel rule per doubling step
 GL_NODES, GL_WEIGHTS = leggauss(GL_ORDER)
 MAX_PANELS = 1024  # doubling cap of panel_sum
+MOMENTUM_TOL = 1e-9  # |g| threshold bounding the momentum integrals over g
 
 
 @lru_cache(maxsize=64)

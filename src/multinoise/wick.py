@@ -1,33 +1,34 @@
 """Vacuum correlation functions as sums over admissible pair partitions.
 
-A word is a list of letters (sign, channel, smearing function).  Its vacuum
-expectation is the sum over perfect matchings in which every pair has the
-annihilator strictly left of the creator, of the product of two-point
+A word is a list of letters (sign, smearing function, noise order).  Its
+vacuum expectation is the sum over perfect matchings in which every pair has
+the annihilator strictly left of the creator, of the product of two-point
 contractions; ``wick_sum`` is the package's one loop over those matchings,
-and every correlation is that sum with its own pair kernel (the expansion
-study hands it the graded sum of the noise kernels).  Two channel families
-are supported:
+and every correlation is that sum with its own pair kernel.  Two kernels are
+provided:
 
-* multipole noise of order n, pair value lambda^(2n) i^n gamma_n
-  integral conj(f_minus^(n)) f_plus dt, zero across unequal orders;
-* the rescaled reservoir field, whose pair value is the smeared kernel
+* ``correlation`` contracts multipole noise: a pair of order-n letters gives
+  i^n gamma_n integral conj(f_minus^(n)) f_plus dt, letters of unequal
+  orders give exactly zero.  The expansion study grades these contractions
+  by lambda^(2n) itself.
+* ``reservoir_pair`` is the two-point function of the rescaled reservoir
+  field, the smeared kernel
   (1/lambda^2) integral dk |g(k)|^2 exp(i omega(k) (tau - t) / lambda^2).
   The time integrals are done exactly by the smears' Fourier transforms,
   leaving one momentum integral.  On each monotone branch of the dispersion
   it runs over the k-window where u = omega(k)/lambda^2 lies inside both
   smears' spectra, as a vectorized Gauss-Legendre panel sum
   (``panels.panel_sum``, the panel layout of the gamma table) whose panel
-  count doubles until two successive sums agree.  Each smear's transform and
-  spectral interval, and the form factor's momentum interval, are computed
-  once per function.  The test suite checks the kernel against adaptive
-  quadrature in u and against a time-domain tensor rule.
+  count doubles until two successive sums agree.  Each smear's spectral
+  interval, and the form factor's momentum interval, are computed once per
+  function (``panels.envelope``).  The test suite checks the kernel against
+  adaptive quadrature in u and against a time-domain tensor rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,52 +36,36 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, branch_inverse, clip_domain,
                          measure_weight, monotone_branches)
-from .errors import ZeroGamma
 from .forms import indefinite_inner
-from .panels import envelope, panel_sum
+from .panels import MOMENTUM_TOL, envelope, panel_sum
 
 __all__ = [
     "Letter",
-    "ReservoirChannel",
     "enumerate_matchings",
     "wick_sum",
-    "noise_pair",
     "reservoir_pair",
     "correlation",
     "MAX_WORD_LENGTH",
 ]
 
 MAX_WORD_LENGTH = 12  # exhaustive matching enumeration only
-RESERVOIR_SUPPORT_TOL = 1e-9  # |g| threshold bounding the momentum integral
+PAIR_ABS, PAIR_REL = 1e-12, 1e-10  # panel-doubling agreement of reservoir_pair
+SPECTRUM_TOL = 1e-12  # |f_F| threshold bounding a smear's spectrum
 
 
 @dataclass(frozen=True)
 class Letter:
-    """One operator factor: sign +1/-1, smear, and noise order (None = reservoir)."""
+    """One multipole-noise factor: sign +1/-1, smear, and noise order."""
 
     sign: int
     smear: TestFunction
-    order: Optional[int] = None
+    order: int
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("letter sign must be +1 or -1")
         if self.smear.is_zero():
             raise ValueError("letter smear must be nonzero")
-
-
-@dataclass(frozen=True)
-class ReservoirChannel:
-    dispersion: Dispersion
-    form_factor: TestFunction
-    lam: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("coupling lambda must be positive")
-
-    def at_lambda(self, lam: float) -> "ReservoirChannel":
-        return replace(self, lam=lam)
 
 
 def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
@@ -130,23 +115,6 @@ def wick_sum(signs: Sequence[int], pair) -> complex:
     return total
 
 
-def noise_pair(n: int, gamma: float, lam: float, f_minus: TestFunction,
-               f_plus: TestFunction) -> complex:
-    """Smeared contraction of one multipole channel with its lambda grading."""
-    if gamma == 0:
-        raise ZeroGamma("noise channel requires gamma != 0")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    return lam ** (2 * n) * indefinite_inner(n, gamma, f_minus, f_plus)
-
-
-@lru_cache(maxsize=256)
-def _spectrum(f: TestFunction):
-    """A smear's Fourier transform and the interval where it exceeds 1e-12."""
-    f_hat = f.fourier()
-    return f_hat, f_hat.envelope_interval(1e-12)
-
-
 def _k_window(disp: Dispersion, a: float, b: float, lam2: float,
               u_lo: float, u_hi: float) -> Optional[tuple[float, float]]:
     """Momenta of the branch [a, b] with omega(k)/lambda^2 inside [u_lo, u_hi].
@@ -167,10 +135,9 @@ def _k_window(disp: Dispersion, a: float, b: float, lam2: float,
     return end(a, ua), end(b, ub)
 
 
-def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
-                   f_plus: TestFunction, *, epsabs: float = 1e-12,
-                   epsrel: float = 1e-10) -> complex:
-    """Exact two-point function of the rescaled reservoir field.
+def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
+                   f_minus: TestFunction, f_plus: TestFunction) -> complex:
+    """Exact two-point function of the rescaled reservoir field at coupling lam.
 
     Computed per monotone dispersion branch as
 
@@ -178,23 +145,25 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
                             * conj(f_minus_F(u)) f_plus_F(u),   u = omega(k)/lambda^2,
 
     over the momenta whose u lies where both smears' Fourier transforms
-    exceed 1e-12 (outside that window one of the two factors is below it).
-    For small lambda that window is O(lambda^2) wide, so it resolves the
-    energy shell at every lambda, and the k integrand carries no 1/|omega'|
-    Jacobian, so a branch ending at a stationary point stays smooth.  Each
-    window is a Gauss-Legendre panel sum whose panel count doubles until two
-    successive sums agree to max(epsabs, epsrel |I|); QuadratureFailure if
-    they still differ at MAX_PANELS panels.  The oracles live in the test
-    suite: adaptive quadrature of the u-substituted integral (the
-    Jacobian form), a time-domain tensor rule, and a dense sum for a narrow
-    spectral overlap.
+    exceed SPECTRUM_TOL (outside that window one of the two factors is below
+    it).  For small lambda that window is O(lambda^2) wide, so it resolves
+    the energy shell at every lambda, and the k integrand carries no
+    1/|omega'| Jacobian, so a branch ending at a stationary point stays
+    smooth.  Each window is a Gauss-Legendre panel sum whose panel count
+    doubles until two successive sums agree to max(PAIR_ABS, PAIR_REL |I|);
+    QuadratureFailure if they still differ at MAX_PANELS panels.  The
+    oracles live in the test suite: adaptive quadrature of the u-substituted
+    integral (the Jacobian form), a time-domain tensor rule, and a dense sum
+    for a narrow spectral overlap.
     """
-    disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
-    lo, hi = clip_domain(disp, *envelope(g, RESERVOIR_SUPPORT_TOL))
+    if not lam > 0:
+        raise ValueError("coupling lambda must be positive")
+    lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:
         return 0j
-    fm_hat, (m_lo, m_hi) = _spectrum(f_minus)
-    fp_hat, (p_lo, p_hi) = _spectrum(f_plus)
+    fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
+    m_lo, m_hi = envelope(fm_hat, SPECTRUM_TOL)
+    p_lo, p_hi = envelope(fp_hat, SPECTRUM_TOL)
     u_lo, u_hi = max(m_lo, p_lo), min(m_hi, p_hi)
     lam2 = lam * lam
 
@@ -207,38 +176,25 @@ def reservoir_pair(channel: ReservoirChannel, f_minus: TestFunction,
     for a, b in monotone_branches(disp, lo, hi):
         window = _k_window(disp, a, b, lam2, u_lo, u_hi)
         if window is not None:
-            total += panel_sum(integrand, *window, epsabs=epsabs,
-                                epsrel=epsrel)
+            total += panel_sum(integrand, *window, epsabs=PAIR_ABS,
+                               epsrel=PAIR_REL)
     return 2.0 * math.pi * total
 
 
-def correlation(word: Sequence[Letter], *, gammas=None, lam: float = 1.0,
-                channel: Optional[ReservoirChannel] = None) -> complex:
-    """Vacuum expectation of a word over one channel family.
+def correlation(word: Sequence[Letter], gammas) -> complex:
+    """Vacuum expectation of a multipole-noise word.
 
-    Noise words need ``gammas`` (indexable by order) and the grading ``lam``;
-    reservoir words need ``channel``.  Mixed words are rejected.
+    ``gammas`` is indexable by order; the order-n pair value is
+    ``indefinite_inner(n, gammas[n], ...)``, and letters of unequal orders
+    contract to exactly zero.
     """
     word = list(word)
-    if not word:
-        return 1.0 + 0j
-    is_reservoir = [letter.order is None for letter in word]
-    reservoir = all(is_reservoir)
-    if any(is_reservoir) and not reservoir:
-        raise ValueError("mixed noise/reservoir words are not supported")
-    if reservoir:
-        if channel is None:
-            raise ValueError("reservoir words need a ReservoirChannel")
-    elif gammas is None:
-        raise ValueError("noise words need the gamma coefficients")
 
     def pair(j: int, k: int) -> complex:
         left, right = word[j], word[k]
-        if reservoir:
-            return reservoir_pair(channel, left.smear, right.smear)
         if left.order != right.order:
             return 0j  # cross-channel Kronecker delta
         n = left.order
-        return noise_pair(n, gammas[n], lam, left.smear, right.smear)
+        return indefinite_inner(n, gammas[n], left.smear, right.smear)
 
     return wick_sum([letter.sign for letter in word], pair)

@@ -15,8 +15,7 @@ from scipy.integrate import IntegrationWarning, quad
 from multinoise.dispersion import clip_domain, measure_weight
 from multinoise.errors import QuadratureFailure
 from multinoise.forms import QUAD_REL
-from multinoise.gamma import _INTEGRATION_TOL
-from multinoise.panels import envelope
+from multinoise.panels import MOMENTUM_TOL, envelope
 
 QUAD_ABS = 1e-14     # absolute quadrature floor
 
@@ -44,7 +43,7 @@ def complex_quad(fun, lo: float, hi: float, *, epsabs: float = QUAD_ABS,
 def i_sigma(disp, g, sigma: float, *, epsabs: float = 1e-13,
             epsrel: float = 1e-11) -> complex:
     """Characteristic-function integral I(sigma) by adaptive quadrature."""
-    lo, hi = clip_domain(disp, *envelope(g, _INTEGRATION_TOL))
+    lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
 
     def integrand(k):
         return (np.exp(1j * sigma * disp.omega(k)) * measure_weight(disp, k)

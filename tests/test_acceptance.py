@@ -53,10 +53,9 @@ def gamma_tables(catalogs):
 def kernel_reports(catalogs, gamma_tables):
     out = {}
     for name, (disp, g) in catalogs.items():
-        channel = mn.ReservoirChannel(disp, g, 1.0)
         gammas = gamma_tables[name].gammas()
         by_order = mn.correlation_error((-1, +1), DEFAULT_WORD_SMEARS[:2],
-                                        (0, 1), LAMBDA_GRID, channel, gammas)
+                                        (0, 1), LAMBDA_GRID, disp, g, gammas)
         for order, points in by_order.items():
             try:
                 out[(name, order)] = mn.fit_rate(points)
@@ -120,10 +119,9 @@ def test_criterion_5_kernel_rates(kernel_reports):
 
 def test_criterion_6_four_point_word(catalogs, gamma_tables, rep_report):
     disp, g = catalogs["quadratic"]
-    channel = mn.ReservoirChannel(disp, g, 1.0)
     gammas = gamma_tables["quadratic"].gammas()
     points = mn.correlation_error((-1, -1, +1, +1), DEFAULT_WORD_SMEARS, [0],
-                                  LAMBDA_GRID, channel, gammas)[0]
+                                  LAMBDA_GRID, disp, g, gammas)[0]
     report = mn.fit_rate(points)
     fock_wick = rep_report["residuals"]["fock_wick"]
     ok = report.fitted_slope >= 1.5 and fock_wick <= 1e-8

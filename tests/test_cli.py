@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import multinoise
-from multinoise import cli, expansion, wick
+from multinoise import cli, expansion
 from multinoise.atoms import gaussian
 from multinoise.config import load_config
 
@@ -290,14 +290,13 @@ def test_expansion_study_refuses_disagreeing_gamma_oracles(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def _counting(monkeypatch, module, name, keep=lambda *a, **k: True):
-    """Replace module.name by a wrapper that counts the calls ``keep`` accepts."""
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
     original = getattr(module, name)
     calls = []
 
     def wrapper(*args, **kwargs):
-        if keep(*args, **kwargs):
-            calls.append(args)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
@@ -306,21 +305,22 @@ def _counting(monkeypatch, module, name, keep=lambda *a, **k: True):
 
 def test_kernel_check_computes_the_exact_pair_once_per_lambda(tmp_path,
                                                              monkeypatch):
-    calls = _counting(monkeypatch, wick, "reservoir_pair")
+    calls = _counting(monkeypatch, expansion, "reservoir_pair")
     assert cli.main(["kernel-check", "--config",
                      str(CONFIG_DIR / "kernel_linear.json"),
                      "--out", str(tmp_path / "k")]) == 0
     # two orders, four lambdas: one exact pair per lambda
-    assert [c[0].lam for c in calls] == [0.5, 0.35, 0.25, 0.15]
+    assert [c[2] for c in calls] == [0.5, 0.35, 0.25, 0.15]
 
 
 def test_corr_check_computes_the_reservoir_word_once_per_lambda(tmp_path,
                                                                monkeypatch):
-    calls = _counting(monkeypatch, expansion, "correlation",
-                      keep=lambda *a, channel=None, **k: channel is not None)
+    calls = _counting(monkeypatch, expansion, "reservoir_pair")
     cfg = write_config(tmp_path)  # two orders, four lambdas
     assert cli.main(["corr-check", "--config", str(cfg)]) == 0
-    assert len(calls) == 4
+    # the word's four annihilator-creator pairs, once per lambda
+    assert [c[2] for c in calls] == [lam for lam in (0.5, 0.35, 0.25, 0.15)
+                                     for _ in range(4)]
     points = (tmp_path / "out" / "corr_points.csv").read_text().splitlines()
     assert [row.split(",")[1] for row in points[1:]] == ["0"] * 4 + ["1"] * 4
 

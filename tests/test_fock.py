@@ -1,4 +1,4 @@
-"""Sectors, creation/annihilation, the sector metric, and multi-sector states."""
+"""Sectors, creation/annihilation, the sector metric, and vacuum expectations."""
 
 import math
 
@@ -209,28 +209,22 @@ def test_sector_mismatch(small_sectors):
 
 
 def test_multi_inner_vacuum_and_factorization(small_sectors, rng):
-    vac = mn.vacuum_state()
-    assert mn.multi_inner(vac, vac) == 1.0
-
-    s2 = small_sectors[2]
-    phi2 = random_fock_vector(s2, rng, max_rank=2)
-    single = mn.MultiSectorState(((1.0 + 0j, {2: phi2}),))
-    assert_allclose(mn.multi_inner(single, single),
-                    mn.fock_inner(phi2, phi2), rtol=1e-12)
-
-    s0 = small_sectors[0]
-    phi0 = random_fock_vector(s0, rng, max_rank=1)
-    product = mn.MultiSectorState(((1.0 + 0j, {0: phi0, 2: phi2}),))
-    expected = mn.fock_inner(phi0, phi0) * mn.fock_inner(phi2, phi2)
-    assert_allclose(mn.multi_inner(product, product), expected, rtol=1e-12)
+    """No sector touched gives 1; a word over two sectors factorizes."""
+    assert mn.vacuum_expectation([], {}) == 1.0
+    c = [random_coefficients(rng, 4) for _ in range(4)]
+    in_0 = [(-1, 0, c[0]), (+1, 0, c[1])]
+    in_2 = [(-1, 2, c[2]), (-1, 2, c[3]), (+1, 2, c[0]), (+1, 2, c[1])]
+    expected = (mn.vacuum_expectation(in_0, small_sectors)
+                * mn.vacuum_expectation(in_2, small_sectors))
+    assert expected != 0
+    for word in (in_0 + in_2, in_2 + in_0, in_0[:1] + in_2 + in_0[1:]):
+        assert_allclose(mn.vacuum_expectation(word, small_sectors), expected,
+                        rtol=1e-12)
 
 
-def test_apply_word_empty_is_identity(small_sectors, rng):
-    state = mn.MultiSectorState(
-        ((0.3 + 0.1j, {0: random_fock_vector(small_sectors[0], rng, 1)}),))
-    out = mn.apply_word([], state, small_sectors)
-    assert mn.multi_inner(out, out) == pytest.approx(
-        mn.multi_inner(state, state), rel=1e-14)
+def test_apply_word_empty_is_identity(small_sectors):
+    val = mn.vacuum_expectation([], small_sectors)
+    assert type(val) is complex and val == 1.0
 
 
 def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
@@ -239,9 +233,7 @@ def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
     ch = random_coefficients(rng, sector.size)
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
-    out = mn.apply_word([(-1, 1, cf), (+1, 1, ch)], mn.vacuum_state(),
-                        small_sectors)
-    val = mn.multi_inner(mn.vacuum_state(), out)
+    val = mn.vacuum_expectation([(-1, 1, cf), (+1, 1, ch)], small_sectors)
     kernel = mn.indefinite_inner(1, sector.gamma, f, h)
     assert abs(val - kernel) <= 1e-10 * (1 + abs(kernel))
 
@@ -249,6 +241,5 @@ def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
 def test_apply_word_cross_sector_vanishes(small_sectors, rng):
     cf = random_coefficients(rng, 4)
     ch = random_coefficients(rng, 4)
-    out = mn.apply_word([(-1, 1, cf), (+1, 2, ch)], mn.vacuum_state(),
-                        small_sectors)
-    assert mn.multi_inner(mn.vacuum_state(), out) == 0
+    assert mn.vacuum_expectation([(-1, 1, cf), (+1, 2, ch)],
+                                 small_sectors) == 0

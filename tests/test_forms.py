@@ -283,7 +283,7 @@ def test_grid_inner_matches_weighted(rng):
         grid = mn.frequency_grid([f, h])
         val = mn.grid_weighted_inner(n, mn.to_grid(f, grid), mn.to_grid(h, grid))
         ref = mn.weighted_inner(n, f, h)
-        assert abs(val - ref) <= 1e-8 * (1 + abs(ref))
+        assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
 
 
 def test_metric_involution_is_exact(rng):
@@ -308,7 +308,7 @@ def test_metric_orientation(rng):
         flipped = mn.grid_weighted_inner(
             n, uf, mn.GridFunction(uh.nodes, uh.weights,
                                    uh.values * np.sign(uh.nodes)))
-        assert abs(calibrated - kernel) <= 1e-8 * (1 + abs(kernel))
+        assert abs(calibrated - kernel) <= 1e-12 * (1 + abs(kernel))
         assert abs(flipped - kernel) > 1e-3 * (1 + abs(kernel))
 
 
@@ -319,7 +319,7 @@ def test_metric_even_orders_reduce_to_weighted(rng):
     val = mn.grid_weighted_inner(2, mn.to_grid(f, grid),
                                  mn.metric_apply(2, mn.to_grid(h, grid)))
     kernel = mn.indefinite_inner(2, 1.0, f, h)
-    assert abs(val - kernel) <= 1e-8 * (1 + abs(kernel))
+    assert abs(val - kernel) <= 1e-12 * (1 + abs(kernel))
 
 
 def test_metric_projectors(rng):

@@ -207,11 +207,10 @@ def test_radial_reduction_runs(radial_catalog):
 def test_sigma_table_matches_direct_and_adaptive_routes(
         linear_catalog, quadratic_catalog, radial_catalog):
     """The factored panel table against I evaluated node by node."""
-    tol = gamma_mod.SIGMA_DECAY_TOL
     for disp, g in (linear_catalog, quadratic_catalog, radial_catalog):
-        nodes, _, values = gamma_mod._oscillation_table(disp, g, tol)
+        nodes, _, values = gamma_mod._oscillation_table(disp, g)
         blocks = gamma_mod._momentum_rule(
-            disp, g, gamma_mod._sigma_cutoff(disp, g, tol))
+            disp, g, gamma_mod._sigma_cutoff(disp, g))
         scale = max(1.0, abs(i_sigma_on_rule(blocks, [0.0])[0]))
         picks = np.linspace(0, nodes.size - 1, 40).round().astype(int)
         direct = i_sigma_on_rule(blocks, nodes[picks])
@@ -233,7 +232,7 @@ def test_sigma_table_never_builds_the_dense_sigma_momentum_matrix(
     gamma_mod._oscillation_table.cache_clear()
     tracemalloc.start()
     try:
-        gamma_mod._oscillation_table(disp, g, gamma_mod.SIGMA_DECAY_TOL)
+        gamma_mod._oscillation_table(disp, g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -70,43 +70,39 @@ def test_word_length_cap():
 
 
 def test_noise_pair_examples(rng):
+    """Two-letter noise correlations: one pair contraction each."""
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
+
+    def two_point(n, gamma, f_minus, f_plus):
+        word = [mn.Letter(-1, f_minus, n), mn.Letter(+1, f_plus, n)]
+        return mn.correlation(word, {n: gamma})
+
     gamma0 = 1.7
-    assert_allclose(mn.noise_pair(0, gamma0, 1.0, f, h),
-                    gamma0 * mn.l2_inner(f, h), rtol=1e-10)
+    assert_allclose(two_point(0, gamma0, f, h), gamma0 * mn.l2_inner(f, h),
+                    rtol=1e-10)
     phi = mn.gaussian()
-    assert abs(mn.noise_pair(1, 1.0, 1.0, phi, phi)) < 1e-12
+    assert abs(two_point(1, 1.0, phi, phi)) < 1e-12
     with pytest.raises(ZeroGamma):
-        mn.noise_pair(1, 0.0, 1.0, f, h)
-
-
-def test_noise_pair_lambda_grading_exact(rng):
-    f = random_test_function(rng, n_atoms=1)
-    h = random_test_function(rng, n_atoms=1)
-    for n in (0, 1, 2):
-        base = mn.noise_pair(n, 0.9, 1.0, f, h)
-        assert mn.noise_pair(n, 0.9, 0.3, f, h) == 0.3 ** (2 * n) * base
+        two_point(1, 0.0, f, h)
 
 
 def test_reservoir_pair_equal_smears_nonnegative(quadratic_catalog):
     disp, g = quadratic_catalog
-    channel = mn.ReservoirChannel(disp, g, 0.7)
     f = mn.gaussian(width=2.0, modulation=-0.3)
-    val = mn.reservoir_pair(channel, f, f)
+    val = mn.reservoir_pair(disp, g, 0.7, f, f)
     assert abs(val.imag) < 1e-10
     assert val.real >= 0
 
 
-def _time_domain_oracle(channel, f_minus, f_plus):
-    """Tensor-product quadrature of the two-time kernel at the channel's lambda.
+def _time_domain_oracle(disp, g, lam, f_minus, f_plus):
+    """Tensor-product quadrature of the two-time kernel at coupling lam.
 
     Entirely independent of the production route: integrates over (t, tau)
     with the momentum kernel spline-sampled on a dense uniform grid.
     """
     from scipy.interpolate import CubicSpline
 
-    disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
     k_lo, k_hi = g.envelope_interval(1e-9)
     kx, kw = leggauss(16)
     k_panels = np.linspace(k_lo, k_hi, 200 + 1)
@@ -139,23 +135,21 @@ def _time_domain_oracle(channel, f_minus, f_plus):
 
 def test_reservoir_pair_against_time_domain_oracle(quadratic_catalog):
     disp, g = quadratic_catalog
-    channel = mn.ReservoirChannel(disp, g, 1.0)
     f_minus = mn.gaussian(width=2.5)
     f_plus = mn.gaussian(width=2.5, modulation=-0.4)
-    fast = mn.reservoir_pair(channel, f_minus, f_plus)
-    slow = _time_domain_oracle(channel, f_minus, f_plus)
+    fast = mn.reservoir_pair(disp, g, 1.0, f_minus, f_plus)
+    slow = _time_domain_oracle(disp, g, 1.0, f_minus, f_plus)
     assert abs(fast - slow) <= 1e-6 * (1 + abs(fast))
 
 
-def _u_substituted_oracle(channel, f_minus, f_plus):
+def _u_substituted_oracle(disp, g, lam, f_minus, f_plus):
     """Adaptive quadrature of the kernel in u = omega(k)/lambda^2, per branch.
 
     Independent of the production panel rule: it integrates in u with the
     1/|omega'| Jacobian, over the union of the smears' spectral envelopes,
     with QUADPACK choosing the nodes.
     """
-    disp, g, lam = channel.dispersion, channel.form_factor, channel.lam
-    lo, hi = clip_domain(disp, *g.envelope_interval(wick.RESERVOIR_SUPPORT_TOL))
+    lo, hi = clip_domain(disp, *g.envelope_interval(panels.MOMENTUM_TOL))
     fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
     m_lo, m_hi = fm_hat.envelope_interval(1e-12)
     p_lo, p_hi = fp_hat.envelope_interval(1e-12)
@@ -184,10 +178,9 @@ def _u_substituted_oracle(channel, f_minus, f_plus):
                                      "radial_catalog"])
 def test_reservoir_pair_against_adaptive_oracle(request, catalog, lam):
     disp, g = request.getfixturevalue(catalog)
-    channel = mn.ReservoirChannel(disp, g, lam)
     for f_minus, f_plus in itertools.product(DEFAULT_WORD_SMEARS, repeat=2):
-        fast = mn.reservoir_pair(channel, f_minus, f_plus)
-        oracle = _u_substituted_oracle(channel, f_minus, f_plus)
+        fast = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
+        oracle = _u_substituted_oracle(disp, g, lam, f_minus, f_plus)
         assert abs(fast - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
@@ -210,8 +203,8 @@ def test_reservoir_pair_branch_ending_at_stationary_point(offset, center, lam,
     inverting omega at that end would cut about 4e-9 off the window.
     """
     disp = mn.QuadraticDispersion(offset=offset)
-    channel = mn.ReservoirChannel(disp, mn.gaussian(center, 0.35), lam)
-    val = mn.reservoir_pair(channel, *DEFAULT_WORD_SMEARS[:2])
+    val = mn.reservoir_pair(disp, mn.gaussian(center, 0.35), lam,
+                            *DEFAULT_WORD_SMEARS[:2])
     assert abs(val - expected) <= 1e-11 * abs(expected)
 
 
@@ -227,12 +220,11 @@ def test_reservoir_pair_finds_narrow_spectral_overlap():
     g = mn.gaussian(width=3.0)
     f_minus = mn.gaussian(width=0.05)
     f_plus = mn.gaussian(width=60.0, modulation=0.777)
-    channel = mn.ReservoirChannel(mn.LinearDispersion(), g, 1.0)
     k = np.linspace(-0.977, -0.577, 40001)
     integrand = (np.abs(g(k)) ** 2 * np.conj(f_minus.fourier()(k))
                  * f_plus.fourier()(k))
     dense = 2.0 * math.pi * np.trapezoid(integrand, k)
-    val = mn.reservoir_pair(channel, f_minus, f_plus)
+    val = mn.reservoir_pair(mn.LinearDispersion(), g, 1.0, f_minus, f_plus)
     assert abs(val - dense) <= 1e-9 * abs(dense)
 
 
@@ -244,14 +236,12 @@ def test_panel_sum_reports_nonconvergence():
 
 def test_reservoir_pair_repeats_bitwise(quadratic_catalog):
     disp, g = quadratic_catalog
-    channel = mn.ReservoirChannel(disp, g, 0.3)
-    f_minus, f_plus = DEFAULT_WORD_SMEARS[1], DEFAULT_WORD_SMEARS[2]
-    wick._spectrum.cache_clear()
+    smears = DEFAULT_WORD_SMEARS[1], DEFAULT_WORD_SMEARS[2]
     panels.envelope.cache_clear()
-    cold = mn.reservoir_pair(channel, f_minus, f_plus)
-    assert mn.reservoir_pair(channel, f_minus, f_plus) == cold
-    assert mn.correlation([mn.Letter(-1, f_minus), mn.Letter(+1, f_plus)],
-                          channel=channel) == cold
+    cold = mn.reservoir_pair(disp, g, 0.3, *smears)
+    assert mn.reservoir_pair(disp, g, 0.3, *smears) == cold
+    assert wick.wick_sum((-1, +1), lambda j, k: mn.reservoir_pair(
+        disp, g, 0.3, smears[j], smears[k])) == cold
 
 
 def test_reservoir_pair_small_lambda_approaches_white_noise(quadratic_catalog):
@@ -260,10 +250,10 @@ def test_reservoir_pair_small_lambda_approaches_white_noise(quadratic_catalog):
     f_minus = mn.gaussian(width=2.5)
     f_plus = mn.gaussian(width=2.5, modulation=-0.4)
     lam = 0.1
-    val = mn.reservoir_pair(mn.ReservoirChannel(disp, g, lam), f_minus, f_plus)
+    val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
     white = gammas[0] * mn.l2_inner(f_minus, f_plus)
-    budget = 1.5 * (lam ** 2 * abs(mn.noise_pair(1, gammas[1], 1.0, f_minus, f_plus))
-                    + lam ** 4 * abs(mn.noise_pair(2, gammas[2], 1.0, f_minus, f_plus)))
+    budget = 1.5 * sum(lam ** (2 * n) * abs(mn.indefinite_inner(
+        n, gammas[n], f_minus, f_plus)) for n in (1, 2))
     assert abs(val - white) <= budget
 
 
@@ -274,7 +264,7 @@ def test_reservoir_pair_radial_reduction_matches_its_gamma():
     gammas = mn.gamma_table(disp, g, range(2)).gammas()
     f = mn.gaussian(width=2.5)
     h = mn.gaussian(width=2.5, modulation=-0.4)
-    val = mn.reservoir_pair(mn.ReservoirChannel(disp, g, 0.1), f, h)
+    val = mn.reservoir_pair(disp, g, 0.1, f, h)
     white = gammas[0] * mn.l2_inner(f, h)
     assert abs(val - white) <= 0.05 * abs(white)
 
@@ -318,27 +308,17 @@ def test_wick_sum_stops_a_matching_at_a_zero_factor():
     assert (1, 3) not in calls  # only partner of (0, 2)
 
 
-def test_noise_word_ignores_a_reservoir_channel(rng, quadratic_catalog):
-    disp, g = quadratic_catalog
-    f = random_test_function(rng, n_atoms=1)
-    h = random_test_function(rng, n_atoms=1)
-    word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 1)]
-    channel = mn.ReservoirChannel(disp, g, 0.5)
-    assert mn.correlation(word, gammas={1: 0.8}, channel=channel) == \
-        mn.correlation(word, gammas={1: 0.8})
-
-
 def test_correlation_odd_word_vanishes(rng):
     f = random_test_function(rng, n_atoms=1)
     word = [mn.Letter(-1, f, 0), mn.Letter(+1, f, 0), mn.Letter(+1, f, 0)]
-    assert mn.correlation(word, gammas={0: 1.0}) == 0
+    assert mn.correlation(word, {0: 1.0}) == 0
 
 
 def test_correlation_two_point_word_is_kernel(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 1)]
-    val = mn.correlation(word, gammas={1: 0.8}, lam=1.0)
+    val = mn.correlation(word, {1: 0.8})
     assert_allclose(val, mn.indefinite_inner(1, 0.8, f, h), rtol=1e-12)
 
 
@@ -346,7 +326,7 @@ def test_correlation_cross_channel_is_exact_zero(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 2)]
-    assert mn.correlation(word, gammas={1: 1.0, 2: 1.0}) == 0
+    assert mn.correlation(word, {1: 1.0, 2: 1.0}) == 0
 
 
 def test_four_letter_word_against_fock_oracle(small_sectors, rng):
@@ -357,29 +337,20 @@ def test_four_letter_word_against_fock_oracle(small_sectors, rng):
     smears = [mn.linear_combination(c, small_sectors[n].basis)
               for c, n in zip(coeffs, orders)]
     word = [mn.Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
-    wick_val = mn.correlation(word, gammas=gammas, lam=1.0)
-
-    state = mn.apply_word(list(zip(signs, orders, coeffs)), mn.vacuum_state(),
-                          small_sectors)
-    fock_val = mn.multi_inner(mn.vacuum_state(), state)
+    wick_val = mn.correlation(word, gammas)
+    fock_val = mn.vacuum_expectation(list(zip(signs, orders, coeffs)),
+                                     small_sectors)
     assert abs(wick_val - fock_val) <= 1e-8 * (1 + abs(wick_val))
 
 
 def test_reservoir_word_positivity(quadratic_catalog):
+    """The squared norm of a two-particle reservoir state is nonnegative."""
     disp, g = quadratic_catalog
-    channel = mn.ReservoirChannel(disp, g, 0.8)
     f = mn.gaussian(width=1.8, modulation=0.2)
-    word = [mn.Letter(-1, f), mn.Letter(+1, f)]
-    val = mn.correlation(word, channel=channel)
+    val = wick.wick_sum((-1, -1, +1, +1),
+                        lambda j, k: mn.reservoir_pair(disp, g, 0.8, f, f))
     assert abs(val.imag) < 1e-10
     assert val.real >= 0
-
-
-def test_mixed_words_rejected(rng):
-    f = random_test_function(rng, n_atoms=1)
-    word = [mn.Letter(-1, f, 1), mn.Letter(+1, f)]
-    with pytest.raises(ValueError):
-        mn.correlation(word, gammas={1: 1.0})
 
 
 def test_letter_validation(rng):
@@ -388,8 +359,11 @@ def test_letter_validation(rng):
         mn.Letter(0, f, 1)
     with pytest.raises(ValueError):
         mn.Letter(-1, mn.zero(), 1)
-    with pytest.raises(ValueError):
-        mn.ReservoirChannel(mn.LinearDispersion(), f, 0.0)
-    with pytest.raises(ValueError):
-        mn.noise_pair(1, 1.0, -0.5, f, f)
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.5])
+def test_reservoir_pair_rejects_nonpositive_lambda(lam):
+    f = mn.gaussian()
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        mn.reservoir_pair(mn.LinearDispersion(), f, lam, f, f)
 
