@@ -189,9 +189,12 @@ class TestFunction:
         atoms = []
         for d in data:
             coeff = complex(d["coefficient_re"], d["coefficient_im"])
+            center, width, modulation = (
+                float(d[key]) for key in ("center", "width", "modulation"))
             poly = tuple(complex(re, im) for re, im in d["poly"])
-            atoms.append((coeff, Atom(float(d["center"]), float(d["width"]),
-                                      float(d["modulation"]), poly)))
+            if not np.all(np.isfinite([coeff, center, width, modulation, *poly])):
+                raise ValueError("atom fields must be finite numbers")
+            atoms.append((coeff, Atom(center, width, modulation, poly)))
         return cls(tuple(atoms))
 
 

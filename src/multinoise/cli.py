@@ -6,7 +6,8 @@
 kernel-check is corr-check's expansion study on the two-letter word.  Exit
 codes: 0 success, 2 bad or unreadable config or unwritable output, 3 support
 condition failed, 4 oracle or computation mismatch, 5 representation
-invariant violated, 6 rate criterion failed.  Artifacts are written to a
+invariant violated, 6 rate criterion failed; any other error ends with exit 4
+and one stderr line naming its type.  Artifacts are written to a
 temporary file and renamed into place, so a failing run never leaves partial
 files.
 """
@@ -22,8 +23,7 @@ from pathlib import Path
 
 from .checks import run_representation_checks
 from .config import StudyConfig, load_config
-from .errors import (BelowFloor, ConfigError, MultinoiseError,
-                     SupportConditionFailed)
+from .errors import BelowFloor, ConfigError, SupportConditionFailed
 from .expansion import correlation_error, fit_rate
 from .gamma import GammaTable, check_support, gamma_table
 
@@ -101,7 +101,7 @@ def _fit_reports(points_by_order) -> tuple[list[dict], bool]:
 def _oracle_agrees(table: GammaTable, assert_rel: float) -> bool:
     """False, after one stderr line, when the two gamma routes disagree."""
     worst = table.max_rel_diff()
-    if worst > assert_rel:
+    if not worst <= assert_rel:
         print(f"gamma oracle mismatch: max rel_diff {worst:.3g} exceeds "
               f"{assert_rel:g}", file=sys.stderr)
         return False
@@ -215,8 +215,9 @@ def main(argv=None) -> int:
     except SupportConditionFailed as exc:
         print(f"support condition failed: {exc}", file=sys.stderr)
         return EXIT_SUPPORT
-    except MultinoiseError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ORACLE
 
 

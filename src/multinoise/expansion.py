@@ -27,7 +27,7 @@ import numpy as np
 
 from .atoms import TestFunction
 from .dispersion import Dispersion
-from .errors import BelowFloor
+from .errors import BelowFloor, MultinoiseError
 from .forms import indefinite_inner
 from .wick import reservoir_pair, wick_sum
 
@@ -134,7 +134,8 @@ def fit_rate(points: Sequence[ExpansionPoint]) -> RateReport:
 
     Points at the quadrature floor are dropped; if fewer than three usable
     points remain the errors are indistinguishable from noise and BelowFloor
-    is raised (which callers treat as a pass of the remainder claim).
+    is raised (which callers treat as a pass of the remainder claim).  A
+    non-finite error raises MultinoiseError.
     """
     points = tuple(points)
     if len(points) < 3:
@@ -142,6 +143,8 @@ def fit_rate(points: Sequence[ExpansionPoint]) -> RateReport:
     lams = [p.lam for p in points]
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda grid must be strictly decreasing")
+    if not np.all(np.isfinite([p.abs_error for p in points])):
+        raise MultinoiseError("non-finite expansion error on the lambda grid")
     usable = tuple(p for p in points if p.abs_error > ERROR_FLOOR)
     if len(usable) < 3:
         raise BelowFloor("errors sit at the quadrature floor")

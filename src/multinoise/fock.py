@@ -4,17 +4,19 @@ A sector holds one multipole order n, its coupling gamma, a finite basis of
 test functions, the positive Gram matrix of the order-n weighted form and the
 indefinite pairing matrix of the commutator kernel.  Vectors are tuples of
 dense symmetric tensors over basis indices, one per particle number up to the
-cap.  Creation inserts a coefficient vector symmetrically with 1/sqrt(k+1);
-annihilation contracts the first slot against the pairing vector with sqrt(k).
+cap.  The operators act on the sector of the vector they are given.
+Creation appends the coefficient vector c as a new last slot and symmetrizes
+that slot in, with weight sqrt(k+1); annihilation contracts the first slot
+against the pairing vector conj(c) @ pairing, with weight sqrt(k).
 
 A word of operators from several orders acts sector by sector on the vacuum
 of the full theory, a tensor product over sectors; its vacuum expectation is
-the product of per-sector metric inner products with the sector vacua.
+the product of the sectors' rank-0 entries, each one the metric inner product
+of the sector vacuum with the sector's vector.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,7 +25,7 @@ import numpy as np
 
 from .atoms import TestFunction
 from .errors import (CapacityExceeded, IllConditionedBasis, NotInSpan,
-                     SectorMismatch, ZeroGamma)
+                     SectorMismatch)
 from .forms import indefinite_inner, weighted_inner
 
 __all__ = [
@@ -66,8 +68,6 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
 def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
                  particle_cap: int) -> Sector:
     """Assemble gram/pairing matrices and validate the basis."""
-    if gamma == 0:
-        raise ZeroGamma("sector coupling gamma must be nonzero")
     if particle_cap < 1:
         raise ValueError("particle_cap must be at least 1")
     basis = tuple(basis)
@@ -138,50 +138,28 @@ def _as_coefficients(sector: Sector, f) -> np.ndarray:
     return arr
 
 
-def create(sector: Sector, f, phi: FockVector) -> FockVector:
-    """Apply the creation operator for f (TestFunction or coefficient vector)."""
-    if phi.sector is not sector:
-        raise SectorMismatch("vector does not belong to this sector")
+def create(f, phi: FockVector) -> FockVector:
+    """Creation operator for f (TestFunction or coefficient vector) on phi."""
+    sector = phi.sector
     coeffs = _as_coefficients(sector, f)
     cap = sector.particle_cap
     if np.any(phi.components[cap] != 0):
         raise CapacityExceeded(
             f"top component at particle number {cap} is occupied")
-    m = sector.size
-    out = [np.zeros((m,) * k, dtype=complex) for k in range(cap + 1)]
-    for k in range(cap):
-        comp = phi.components[k]
-        if not np.any(comp):
-            continue
-        acc = np.zeros((m,) * (k + 1), dtype=complex)
-        for i in range(k + 1):
-            acc += np.moveaxis(np.multiply.outer(coeffs, comp), 0, i)
-        out[k + 1] = acc / math.sqrt(k + 1)
+    out = [np.zeros((), dtype=complex)]
+    for k, comp in enumerate(phi.components[:cap]):
+        out.append(math.sqrt(k + 1)
+                   * _symmetrize_slot(np.multiply.outer(comp, coeffs), k))
     return FockVector(sector, tuple(out))
 
 
-def _pairing_vector(sector: Sector, f) -> np.ndarray:
-    if isinstance(f, TestFunction):
-        project_coefficients(sector, f)  # span check
-        return indefinite_inner(sector.n, sector.gamma, f, sector.basis)[0]
-    coeffs = np.asarray(f, dtype=complex)
-    if coeffs.shape != (sector.size,):
-        raise ValueError(f"coefficient vector must have shape ({sector.size},)")
-    return np.conj(coeffs) @ sector.pairing
-
-
-def annihilate(sector: Sector, f, phi: FockVector) -> FockVector:
-    """Apply the annihilation operator for f; the vacuum maps to zero."""
-    if phi.sector is not sector:
-        raise SectorMismatch("vector does not belong to this sector")
-    v = _pairing_vector(sector, f)
-    m, cap = sector.size, sector.particle_cap
-    out = [np.zeros((m,) * k, dtype=complex) for k in range(cap + 1)]
-    for k in range(1, cap + 1):
-        comp = phi.components[k]
-        if not np.any(comp):
-            continue
-        out[k - 1] = math.sqrt(k) * np.tensordot(v, comp, axes=(0, 0))
+def annihilate(f, phi: FockVector) -> FockVector:
+    """Annihilation operator for f on phi; the vacuum maps to zero."""
+    sector = phi.sector
+    v = np.conj(_as_coefficients(sector, f)) @ sector.pairing
+    out = [math.sqrt(k) * np.tensordot(v, comp, axes=(0, 0))
+           for k, comp in enumerate(phi.components[1:], 1)]
+    out.append(np.zeros((sector.size,) * sector.particle_cap, dtype=complex))
     return FockVector(sector, tuple(out))
 
 
@@ -196,20 +174,13 @@ def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _kernel_contract(T: np.ndarray, S: np.ndarray, kernel: np.ndarray) -> complex:
-    return complex(np.vdot(T, _apply_slotwise(kernel, S)))
-
-
 def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> complex:
     """Sector inner product; the metric kernel is the pairing matrix."""
     if phi.sector is not psi.sector:
         raise SectorMismatch("fock_inner requires vectors of the same sector")
     kernel = phi.sector.pairing if use_metric else phi.sector.gram
-    total = 0j
-    for T, S in zip(phi.components, psi.components):
-        if np.any(T) and np.any(S):
-            total += _kernel_contract(T, S, kernel)
-    return total
+    return sum((complex(np.vdot(T, _apply_slotwise(kernel, S)))
+                for T, S in zip(phi.components, psi.components)), 0j)
 
 
 def sector_metric_matrix(sector: Sector) -> np.ndarray:
@@ -224,25 +195,29 @@ def apply_sector_metric(phi: FockVector) -> FockVector:
                                         for comp in phi.components))
 
 
+def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
+    """Mean over i <= j of the tensor with slots i and j swapped.
+
+    If slots 0..j-1 are symmetric, the result is symmetric in slots 0..j.
+    """
+    acc = tensor.copy()
+    for i in range(j):
+        acc += np.swapaxes(tensor, i, j)
+    return acc / (j + 1)
+
+
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Average over all slot permutations."""
-    k = tensor.ndim
-    if k <= 1:
-        return tensor.copy()
-    acc = np.zeros_like(tensor)
-    for perm in itertools.permutations(range(k)):
-        acc += np.transpose(tensor, perm)
-    return acc / math.factorial(k)
+    """Symmetric part of the tensor, built up one slot at a time."""
+    for j in range(1, tensor.ndim):
+        tensor = _symmetrize_slot(tensor, j)
+    return tensor
 
 
 def max_symmetry_defect(tensor: np.ndarray) -> float:
     """Largest deviation from permutation symmetry across adjacent swaps."""
-    defect = 0.0
-    for i in range(tensor.ndim - 1):
-        axes = list(range(tensor.ndim))
-        axes[i], axes[i + 1] = axes[i + 1], axes[i]
-        defect = max(defect, float(np.max(np.abs(tensor - np.transpose(tensor, axes)))))
-    return defect
+    return float(np.max(
+        [np.max(np.abs(tensor - np.swapaxes(tensor, i, i + 1)))
+         for i in range(tensor.ndim - 1)], initial=0.0))
 
 
 def vacuum_expectation(letters: Sequence[tuple[int, int, object]],
@@ -252,20 +227,17 @@ def vacuum_expectation(letters: Sequence[tuple[int, int, object]],
     Letters act rightmost first, each on its order's sector, which starts at
     the vacuum; sign is +1 for creation, -1 for annihilation, and the smear
     is a TestFunction or a coefficient vector in the sector basis.  The value
-    is the product, over the touched sectors in sorted order, of the metric
-    inner product of the sector vacuum with the sector's vector; untouched
-    sectors contribute a factor 1.
+    is the product, over the touched sectors in sorted order, of the rank-0
+    entry of the sector's vector, which is its metric inner product with the
+    sector vacuum; untouched sectors contribute a factor 1.
     """
     vectors: dict[int, FockVector] = {}
     for sign, order, smear in reversed(list(letters)):
-        sector = sectors[order]
-        vec = vectors[order] if order in vectors else FockVector.vacuum(sector)
+        if order not in vectors:
+            vectors[order] = FockVector.vacuum(sectors[order])
         op = create if sign > 0 else annihilate
-        vectors[order] = op(sector, smear, vec)
+        vectors[order] = op(smear, vectors[order])
     prod = 1.0 + 0j
     for order in sorted(vectors):
-        vec = vectors[order]
-        prod *= fock_inner(FockVector.vacuum(vec.sector), vec)
-        if prod == 0:
-            break
+        prod *= vectors[order].components[0]
     return complex(prod)

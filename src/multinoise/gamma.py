@@ -279,7 +279,8 @@ class GammaTable:
     rows: tuple[GammaRow, ...]
 
     def max_rel_diff(self) -> float:
-        return max((r.rel_diff for r in self.rows), default=0.0)
+        # np.max keeps a NaN that the builtin max would drop
+        return float(np.max([r.rel_diff for r in self.rows], initial=0.0))
 
     def gammas(self) -> dict[int, float]:
         return {r.n: r.gamma_osc for r in self.rows}

@@ -17,14 +17,15 @@ from numpy.polynomial.legendre import leggauss
 from .atoms import TestFunction
 from .errors import QuadratureFailure
 
-__all__ = ["GL_ORDER", "MAX_PANELS", "MOMENTUM_TOL", "envelope", "panel_rule",
-           "panel_sum"]
+__all__ = ["GL_ORDER", "MAX_PANELS", "MAX_RULE_PANELS", "MOMENTUM_TOL",
+           "envelope", "panel_rule", "panel_sum"]
 
 GL_ORDER = 16
 # leggauss refines its nodes by Newton steps, about half a millisecond a call,
 # and the reservoir kernel builds a panel rule per doubling step
 GL_NODES, GL_WEIGHTS = leggauss(GL_ORDER)
 MAX_PANELS = 1024  # doubling cap of panel_sum
+MAX_RULE_PANELS = 100_000  # largest single rule; the tests need about 11,000
 MOMENTUM_TOL = 1e-9  # |g| threshold bounding the momentum integrals over g
 
 
@@ -44,8 +45,12 @@ def panel_rule(lo: float, hi: float, width: float):
     Returns ``(nodes, weights, mids, offsets)``: node ``p * GL_ORDER + j`` is
     ``mids[p] + offsets[j]``.  Every panel shares one half-width, so the
     offsets are the same floats in every panel, which is what lets the sigma
-    table factor its phase per panel.
+    table factor its phase per panel.  More than MAX_RULE_PANELS panels (or
+    a non-finite interval) is QuadratureFailure, raised before allocating.
     """
+    if not hi - lo <= MAX_RULE_PANELS * width:
+        raise QuadratureFailure(f"panel rule on [{lo:g}, {hi:g}] needs more "
+                                f"than {MAX_RULE_PANELS} panels of width {width:g}")
     n_panels = int(math.ceil((hi - lo) / width))
     half = 0.5 * (hi - lo) / n_panels
     mids = lo + half * (2.0 * np.arange(n_panels) + 1.0)

@@ -4,9 +4,12 @@ The package computes every integral without QUADPACK; these routines redo
 them by scipy's adaptive Gauss-Kronrod quadrature, so a fault in the exact
 forms, the sigma table or the reservoir kernel shows up as a disagreement.
 ``i_sigma_on_rule`` sums the sigma table's own momentum rule node by node,
-without the per-panel phase factoring.
+without the per-panel phase factoring.  ``symmetrize_by_permutations`` is
+the k!-term average the slot-by-slot Fock symmetrizer must reproduce.
 """
 
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -64,3 +67,11 @@ def i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
         # lets conjugate pairs cancel exactly
         acc = acc + np.exp(1j * np.outer(sigmas, omega_nodes)) * density
     return acc.sum(axis=1)
+
+
+def symmetrize_by_permutations(tensor: np.ndarray) -> np.ndarray:
+    """Average of the tensor over all permutations of its slots."""
+    k = tensor.ndim
+    return (sum(np.transpose(tensor, perm)
+                for perm in itertools.permutations(range(k)))
+            / math.factorial(k))

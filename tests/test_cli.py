@@ -11,13 +11,19 @@ from pathlib import Path
 import pytest
 
 import multinoise
-from multinoise import cli, expansion
+from multinoise import checks, cli, expansion
 from multinoise.atoms import gaussian
+from multinoise.gamma import GammaRow, GammaTable
 from multinoise.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # a nonempty atom list whose every coefficient is zero
 ZERO_SMEAR = [dict(gaussian().to_json_dict()[0], coefficient_re=0.0)]
+
+
+def atom_with(**fields):
+    """One-atom test function: the unit Gaussian with some fields replaced."""
+    return [dict(gaussian().to_json_dict()[0], **fields)]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -128,6 +134,14 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("corr-check", {"form_factor": ZERO_SMEAR}),
     ("kernel-check", {"smears": [gaussian().to_json_dict()]}),
     ("corr-check", {"smears": [gaussian().to_json_dict()] * 3}),
+    ("gamma", {"form_factor": atom_with(center=math.nan)}),
+    ("kernel-check", {"form_factor": atom_with(center=math.nan)}),
+    ("gamma", {"form_factor": atom_with(width=math.inf)}),
+    ("gamma", {"form_factor": atom_with(modulation=math.nan)}),
+    ("kernel-check", {"smears": [atom_with(coefficient_re=math.nan)] * 2}),
+    ("gamma", {"form_factor": atom_with(coefficient_im=-math.inf)}),
+    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0], [math.nan, 0.0]])}),
+    ("corr-check", {"smears": [atom_with(center=math.inf)] * 4}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
@@ -137,7 +151,10 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "mass-string", "orders-repeat-kernel", "orders-repeat-corr",
         "zero-smears-kernel", "zero-smears-corr", "zero-form-factor-gamma",
         "zero-form-factor-kernel", "zero-form-factor-corr",
-        "short-smears-kernel", "short-smears-corr"])
+        "short-smears-kernel", "short-smears-corr", "center-nan-gamma",
+        "center-nan-kernel", "width-infinite", "modulation-nan",
+        "coefficient-nan-smear", "coefficient-im-infinite", "poly-nan",
+        "center-infinite-corr"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -354,3 +371,58 @@ def test_no_partial_files_on_support_failure(tmp_path):
         form_factor=gaussian(width=1.0).to_json_dict())
     assert cli.main(["gamma", "--config", str(cfg)]) == 3
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"form_factor": atom_with(width=1e300)},
+    {"dispersion": {"kind": "linear", "slope": 1e300, "offset": 0.0}},
+], ids=["width-1e300", "slope-1e300"])
+def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["gamma", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_exception_exits_4_in_one_line(tmp_path, capsys,
+                                                  monkeypatch):
+    def broken(cfg, force):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_gamma", broken)
+    assert cli.main(["gamma", "--config", str(write_config(tmp_path))]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["RuntimeError: first line second line"]
+
+
+def test_nan_gamma_row_fails_the_oracle_gate(capsys):
+    # NaN after a finite row: the builtin max would have kept the 0.0
+    table = GammaTable((GammaRow(0, 1.0, 1.0, 0.0),
+                        GammaRow(1, math.nan, 0.0, math.nan)))
+    assert not cli._oracle_agrees(table, 1e-6)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: ")
+
+
+def test_nan_suite_residual_fails_rep_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(checks, "adjoint_suite",
+                        lambda sectors, rng, pairs: {"adjoint": math.nan})
+    assert cli.main(["rep-check", "--config", str(write_config(tmp_path))]) == 5
+    report = json.loads((tmp_path / "out" / "rep_check.json").read_text())
+    assert report["failures"] == ["adjoint"] and not report["passes"]
+
+
+def test_nan_propagates_through_the_worst_residual(monkeypatch):
+    """One NaN commutator kernel among finite ones still fails ccr."""
+    calls = itertools.count()
+    original = checks.indefinite_inner_frequency
+
+    def nan_once(*args):
+        value = original(*args)
+        return math.nan if next(calls) == 3 else value
+
+    monkeypatch.setattr(checks, "indefinite_inner_frequency", nan_once)
+    report = checks.run_representation_checks(sector_max=0, basis_size=3,
+                                              particle_cap=3, pairs=6)
+    assert report["failures"] == ["ccr"]

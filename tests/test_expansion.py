@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import expansion
-from multinoise.errors import BelowFloor
+from multinoise.errors import BelowFloor, MultinoiseError
 from multinoise.wick import wick_sum
 from conftest import random_test_function
 
@@ -226,6 +226,16 @@ def test_fit_rate_constant_errors_flagged():
 def test_fit_rate_below_floor():
     with pytest.raises(BelowFloor):
         mn.fit_rate([_point(lam, 0, 1e-14) for lam in (0.5, 0.3, 0.2)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rate_refuses_non_finite_errors(bad):
+    """A NaN point is an error, not a point at the floor (a BelowFloor pass)."""
+    points = [_point(lam, 0, lam ** 3) for lam in (0.5, 0.3, 0.2, 0.1)]
+    points[2] = _point(0.2, 0, bad)
+    with pytest.raises(MultinoiseError) as info:
+        mn.fit_rate(points)
+    assert type(info.value) is MultinoiseError
 
 
 def test_fit_rate_validation():

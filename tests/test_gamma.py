@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import gamma as gamma_mod
-from multinoise.errors import DegenerateRoot, SlowDecay
+from multinoise.errors import DegenerateRoot, QuadratureFailure, SlowDecay
+from multinoise.panels import MAX_RULE_PANELS, panel_rule
 from oracles import i_sigma, i_sigma_on_rule
 
 TWO_SQRT_PI = 2 * math.sqrt(math.pi)
@@ -237,3 +238,21 @@ def test_sigma_table_never_builds_the_dense_sigma_momentum_matrix(
     finally:
         tracemalloc.stop()
     assert peak <= 100e6
+
+
+@pytest.mark.parametrize("lo, hi, width", [
+    (0.0, 1.0, 1.0 / (MAX_RULE_PANELS + 1)),
+    (0.0, 6.4e300, 1.8),
+    (0.0, 6.4, 1.8e-300),
+    (0.0, math.inf, 1.0),
+    (0.0, math.nan, 1.0),
+])
+def test_panel_rule_refuses_oversized_rules_before_allocating(lo, hi, width):
+    with pytest.raises(QuadratureFailure):
+        panel_rule(lo, hi, width)
+
+
+def test_panel_rule_at_the_cap():
+    nodes, weights, _, _ = panel_rule(0.0, 1.0, 1.0 / MAX_RULE_PANELS)
+    assert nodes.size == MAX_RULE_PANELS * 16
+    assert weights.sum() == pytest.approx(1.0, rel=1e-12)
