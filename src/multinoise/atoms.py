@@ -128,7 +128,8 @@ class TestFunction:
         return (-1.0) * self
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c, _ in self.atoms) or not self.atoms
+        """True when every atom has a zero coefficient or an all-zero poly."""
+        return all(c == 0 or not any(a.poly) for c, a in self.atoms)
 
     # -- envelope bookkeeping --------------------------------------------------
 
@@ -142,7 +143,7 @@ class TestFunction:
         """
         lo, hi = math.inf, -math.inf
         for coeff, a in self.atoms:
-            if coeff == 0:
+            if coeff == 0 or not any(a.poly):
                 continue
             mono = np.abs(_herm.herm2poly(np.asarray(a.poly, dtype=complex)))
             amp = abs(coeff)

@@ -34,8 +34,8 @@ from .fock import (FockVector, Sector, annihilate, apply_sector_metric,
                    build_sector, create, fock_inner, max_symmetry_defect,
                    symmetrize, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
-                    indefinite_inner_frequency, metric_apply, to_grid)
-from .wick import Letter, correlation
+                    indefinite_inner_frequency, metric_sign)
+from .wick import correlation
 
 __all__ = [
     "default_basis",
@@ -129,7 +129,7 @@ def _diff_norm(a: FockVector, b: FockVector) -> float:
 
 
 def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
-              pairs: int = 50) -> dict[str, float]:
+              pairs: int) -> dict[str, float]:
     worst = {"ccr": 0.0, "ccr_creators": 0.0, "ccr_annihilators": 0.0,
              "symmetry": 0.0}
     for sector in sectors.values():
@@ -166,7 +166,7 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
 
 
 def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
-                  pairs: int = 50) -> dict[str, float]:
+                  pairs: int) -> dict[str, float]:
     worst = 0.0
     for sector in sectors.values():
         for _ in range(pairs):
@@ -185,21 +185,21 @@ def metric_suite(sectors: Mapping[int, Sector],
     report = {"metric_involution": 0.0, "metric_two_route": 0.0,
               "metric_witness": 0.0, "metric_consistency": 0.0}
     for sector in sectors.values():
-        grid = frequency_grid(sector.basis)
+        nodes, weights = frequency_grid(sector.basis)
+        eta = metric_sign(sector.n, nodes)
         for _ in range(METRIC_PAIRS):
             cf = random_coefficients(rng, sector.size)
             ch = random_coefficients(rng, sector.size)
             f = linear_combination(cf, sector.basis)
             h = linear_combination(ch, sector.basis)
 
-            uh = to_grid(h, grid)
-            twice = metric_apply(sector.n, metric_apply(sector.n, uh))
+            uh = h.fourier()(nodes)
             report["metric_involution"] = _worst(
                 report["metric_involution"],
-                float(np.max(np.abs(twice.values - uh.values), initial=0.0)))
+                float(np.max(np.abs(uh * eta * eta - uh), initial=0.0)))
 
-            grid_val = grid_weighted_inner(sector.n, to_grid(f, grid),
-                                           metric_apply(sector.n, uh))
+            grid_val = grid_weighted_inner(sector.n, nodes, weights,
+                                           f.fourier()(nodes), uh * eta)
             kernel = indefinite_inner(sector.n, 1.0, f, h)
             report["metric_two_route"] = _worst(
                 report["metric_two_route"],
@@ -250,17 +250,14 @@ def fock_wick_suite(sectors: Mapping[int, Sector],
                              for n in orders]
             smears = [linear_combination(c, sectors[n].basis)
                       for c, n in zip(coeff_vectors, orders)]
-            word = [Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
-            wick_val = correlation(word, gammas)
-            fock_val = vacuum_expectation(
-                list(zip(signs, orders, coeff_vectors)), sectors)
+            wick_val = correlation(signs, orders, smears, gammas)
+            fock_val = vacuum_expectation(signs, orders, coeff_vectors, sectors)
             worst = _worst(worst, abs(wick_val - fock_val) / (1.0 + abs(wick_val)))
     return {"fock_wick": worst}
 
 
-def run_representation_checks(*, sector_max: int = 3, basis_size: int = 6,
-                              particle_cap: int = 4, seed: int = 0,
-                              pairs: int = 50,
+def run_representation_checks(*, sector_max: int, basis_size: int,
+                              particle_cap: int, seed: int, pairs: int,
                               fault_injection: str | None = None) -> dict:
     """Run all suites and report residuals against the fixed thresholds."""
     rng = np.random.default_rng(seed)

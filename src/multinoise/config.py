@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .atoms import TestFunction, gaussian
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
-from .gamma import MAX_ORDER
+from .gamma import EPS_SUPP_DEFAULT, MAX_ORDER
 
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
+
+# largest top Fock component, basis_size ** particle_cap entries (64 MiB)
+MAX_FOCK_ENTRIES = 2 ** 22
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -32,17 +35,17 @@ class StudyConfig:
     form_factor: TestFunction
     orders: tuple[int, ...]
     lambda_grid: tuple[float, ...]
-    basis_size: int = 6
-    particle_cap: int = 4
-    sector_max: int = 3
-    assert_rel: float = 1e-6
-    seed: int = 0
-    out_dir: str = "out"
-    out_format: str = "csv"
-    eps_supp: float = 1e-10
-    smears: tuple[TestFunction, ...] = field(default=DEFAULT_WORD_SMEARS)
-    rep_pairs: int = 50
-    fault_injection: str | None = None
+    basis_size: int
+    particle_cap: int
+    sector_max: int
+    assert_rel: float
+    seed: int
+    out_dir: str
+    out_format: str
+    eps_supp: float
+    smears: tuple[TestFunction, ...]
+    rep_pairs: int
+    fault_injection: str | None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -137,6 +140,10 @@ def parse_config(raw: dict) -> StudyConfig:
     sector_max = _integer(trunc.get("sector_max", 3), "sector_max")
     _require(basis_size >= 2, "basis_size must be at least 2")
     _require(particle_cap >= 2, "particle_cap must be at least 2")
+    # min() keeps the power cheap; basis_size >= 2 already fails at cap 64
+    _require(basis_size ** min(particle_cap, 64) <= MAX_FOCK_ENTRIES,
+             f"basis_size ** particle_cap = {basis_size} ** {particle_cap} "
+             f"exceeds {MAX_FOCK_ENTRIES} Fock tensor entries")
     _require(sector_max >= 0, "sector_max must be nonnegative")
 
     # tolerances.quad_abs and quad_rel are accepted for old configs but have
@@ -162,7 +169,7 @@ def parse_config(raw: dict) -> StudyConfig:
         _require(not any(s.is_zero() for s in smears),
                  "smears entries must be nonzero")
 
-    eps_supp = _finite(raw.get("eps_supp", 1e-10), "eps_supp")
+    eps_supp = _finite(raw.get("eps_supp", EPS_SUPP_DEFAULT), "eps_supp")
     _require(0 < eps_supp < 1, "eps_supp must lie strictly between 0 and 1")
 
     fault = raw.get("fault_injection")

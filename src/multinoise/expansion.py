@@ -55,8 +55,6 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
     uses it; orders with a vanishing coefficient contribute exactly zero.
     """
     signs = list(signs)
-    if any(s not in (+1, -1) for s in signs):
-        raise ValueError("letter sign must be +1 or -1")
     if len(signs) > 8 or len(signs) % 2 or signs.count(+1) != signs.count(-1):
         raise ValueError("word must be balanced with even length at most 8")
     if len(smears) != len(signs) or any(f.is_zero() for f in smears):

@@ -36,7 +36,7 @@ __all__ = [
     "create",
     "annihilate",
     "fock_inner",
-    "sector_metric_matrix",
+    "apply_sector_metric",
     "vacuum_expectation",
 ]
 
@@ -183,14 +183,9 @@ def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> com
                 for T, S in zip(phi.components, psi.components)), 0j)
 
 
-def sector_metric_matrix(sector: Sector) -> np.ndarray:
-    """Matrix of the sector metric operator in the basis: gram^(-1) pairing."""
-    return np.linalg.solve(sector.gram, sector.pairing)
-
-
 def apply_sector_metric(phi: FockVector) -> FockVector:
-    """Second-quantized metric: the sector metric matrix on every slot."""
-    eta = sector_metric_matrix(phi.sector)
+    """Second-quantized metric: the matrix gram^(-1) pairing on every slot."""
+    eta = np.linalg.solve(phi.sector.gram, phi.sector.pairing)
     return FockVector(phi.sector, tuple(_apply_slotwise(eta, comp)
                                         for comp in phi.components))
 
@@ -220,9 +215,9 @@ def max_symmetry_defect(tensor: np.ndarray) -> float:
          for i in range(tensor.ndim - 1)], initial=0.0))
 
 
-def vacuum_expectation(letters: Sequence[tuple[int, int, object]],
+def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
                        sectors: Mapping[int, Sector]) -> complex:
-    """Vacuum expectation of a word of (sign, order, smear) letters.
+    """Vacuum expectation of a word given as parallel signs, orders, smears.
 
     Letters act rightmost first, each on its order's sector, which starts at
     the vacuum; sign is +1 for creation, -1 for annihilation, and the smear
@@ -232,7 +227,8 @@ def vacuum_expectation(letters: Sequence[tuple[int, int, object]],
     sector vacuum; untouched sectors contribute a factor 1.
     """
     vectors: dict[int, FockVector] = {}
-    for sign, order, smear in reversed(list(letters)):
+    for sign, order, smear in reversed(list(zip(signs, orders, smears,
+                                                strict=True))):
         if order not in vectors:
             vectors[order] = FockVector.vacuum(sectors[order])
         op = create if sign > 0 else annihilate

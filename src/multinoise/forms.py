@@ -51,10 +51,8 @@ __all__ = [
     "weighted_inner",
     "indefinite_inner",
     "indefinite_inner_frequency",
-    "GridFunction",
     "frequency_grid",
-    "to_grid",
-    "metric_apply",
+    "metric_sign",
     "grid_weighted_inner",
 ]
 
@@ -299,43 +297,14 @@ def indefinite_inner_frequency(n: int, gamma: float, f: Functions,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Frequency-domain samples on a sign-symmetric quadrature grid.
-
-    Nodes are strictly increasing, symmetric about 0 and exclude 0 itself,
-    so multiplication by sign(x) is well defined on every node.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        if not (len(nodes) == len(weights) == len(values)):
-            raise ValueError("nodes, weights and values must have equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(nodes == 0.0):
-            raise ValueError("nodes must exclude 0")
-        if np.any(np.abs(nodes + nodes[::-1]) > 1e-12 * np.max(np.abs(nodes))):
-            raise ValueError("nodes must be symmetric about 0")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        for name, arr in (("nodes", nodes), ("weights", weights), ("values", values)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def frequency_grid(fns) -> GridFunction:
-    """Template grid of Gauss-Legendre panels on [-X, 0] u [0, X].
+def frequency_grid(fns) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of Gauss-Legendre panels on [-X, 0] u [0, X].
 
     X is taken from the Fourier-domain envelopes of ``fns`` so the excluded
-    tails are below the envelope threshold.  Legendre nodes are interior, so
-    no node is 0 and the |x|^n kinks sit at a panel edge.
+    tails are below the envelope threshold.  The nodes are symmetric about 0
+    and increasing; Legendre nodes are interior, so no node is 0 and the
+    |x|^n kinks sit at a panel edge.  A function is sampled on the grid as
+    ``f.fourier()(nodes)``.
     """
     radius = 1.0
     for f in fns:
@@ -344,29 +313,21 @@ def frequency_grid(fns) -> GridFunction:
     pos_nodes, pos_weights, _, _ = panel_rule(0.0, radius, radius / GRID_PANELS)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
     weights = np.concatenate([pos_weights[::-1], pos_weights])
-    return GridFunction(nodes, weights, np.zeros(nodes.shape, dtype=complex))
+    return nodes, weights
 
 
-def to_grid(f: TestFunction, grid: GridFunction) -> GridFunction:
-    """Sample the Fourier transform of f on the grid template."""
-    return GridFunction(grid.nodes, grid.weights, f.fourier()(grid.nodes))
-
-
-def metric_apply(n: int, u: GridFunction) -> GridFunction:
-    """Apply the order-n metric operator pointwise on the grid.
+def metric_sign(n: int, nodes: np.ndarray) -> np.ndarray:
+    """Pointwise factor of the order-n metric operator on grid nodes.
 
     Odd n multiplies by METRIC_ORIENTATION * sign(x); even sectors carry the
-    identity metric.  Involutive in both cases.
+    identity metric.  Involutive wherever no node is 0.
     """
     if n % 2 == 0:
-        return u
-    return GridFunction(u.nodes, u.weights,
-                        u.values * (METRIC_ORIENTATION * np.sign(u.nodes)))
+        return np.ones(nodes.shape)
+    return METRIC_ORIENTATION * np.sign(nodes)
 
 
-def grid_weighted_inner(n: int, u: GridFunction, v: GridFunction) -> complex:
-    """Order-n positive form evaluated on matching grids."""
-    if u.nodes.shape != v.nodes.shape or np.any(u.nodes != v.nodes):
-        raise ValueError("grid functions must share nodes")
-    return complex(np.sum(u.weights * np.abs(u.nodes) ** n
-                          * np.conj(u.values) * v.values))
+def grid_weighted_inner(n: int, nodes: np.ndarray, weights: np.ndarray,
+                        u: np.ndarray, v: np.ndarray) -> complex:
+    """Order-n positive form of two sample arrays on one grid."""
+    return complex(np.sum(weights * np.abs(nodes) ** n * np.conj(u) * v))

@@ -43,7 +43,8 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, LinearDispersion, clip_domain,
                          measure_weight)
-from .errors import DegenerateRoot, ImaginaryResidue, OracleMismatch, SlowDecay
+from .errors import (DegenerateRoot, ImaginaryResidue, OracleMismatch,
+                     QuadratureFailure, SlowDecay)
 from .panels import MOMENTUM_TOL, envelope, panel_rule
 
 __all__ = [
@@ -63,6 +64,7 @@ SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
 MAX_ORDER = 6
+MAX_SIGMA_TABLE = 2 ** 24  # (sigma panels) x (momentum nodes); shipped: 1.7e6
 
 
 def effective_support(g: TestFunction, eps_supp: float = EPS_SUPP_DEFAULT) -> tuple[float, float]:
@@ -129,8 +131,13 @@ def _i_sigma_on_panels(blocks, mids, offsets) -> np.ndarray:
 
     exp(i sigma omega) splits exactly into exp(i mid omega) exp(i offset
     omega), so each momentum block costs (P + J) K exponentials and one
-    P x K by K x J matrix product instead of P J K exponentials.
+    P x K by K x J matrix product instead of P J K exponentials.  More than
+    MAX_SIGMA_TABLE entries P K is QuadratureFailure, raised before allocating.
     """
+    entries = mids.size * sum(omega_nodes.size for omega_nodes, _ in blocks)
+    if entries > MAX_SIGMA_TABLE:
+        raise QuadratureFailure(f"sigma table needs {entries:.3g} phase "
+                                f"entries, more than {MAX_SIGMA_TABLE}")
     acc = np.zeros((mids.size, offsets.size), dtype=complex)
     for omega_nodes, density in blocks:
         # a mirror block's product is the bitwise conjugate of its partner's,

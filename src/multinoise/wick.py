@@ -1,6 +1,7 @@
 """Vacuum correlation functions as sums over admissible pair partitions.
 
-A word is a list of letters (sign, smearing function, noise order).  Its
+A word is given as parallel sequences: letter signs (+1 creates, -1
+annihilates), smearing functions and, for noise words, noise orders.  Its
 vacuum expectation is the sum over perfect matchings in which every pair has
 the annihilator strictly left of the creator, of the product of two-point
 contractions; ``wick_sum`` is the package's one loop over those matchings,
@@ -28,7 +29,6 @@ provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .forms import indefinite_inner
 from .panels import MOMENTUM_TOL, envelope, panel_sum
 
 __all__ = [
-    "Letter",
     "enumerate_matchings",
     "wick_sum",
     "reservoir_pair",
@@ -53,21 +52,6 @@ PAIR_ABS, PAIR_REL = 1e-12, 1e-10  # panel-doubling agreement of reservoir_pair
 SPECTRUM_TOL = 1e-12  # |f_F| threshold bounding a smear's spectrum
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One multipole-noise factor: sign +1/-1, smear, and noise order."""
-
-    sign: int
-    smear: TestFunction
-    order: int
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError("letter sign must be +1 or -1")
-        if self.smear.is_zero():
-            raise ValueError("letter smear must be nonzero")
-
-
 def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings with each annihilator paired to a later creator.
 
@@ -76,6 +60,8 @@ def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...
     """
     if len(signs) > MAX_WORD_LENGTH:
         raise ValueError(f"word length limited to {MAX_WORD_LENGTH}")
+    if any(s not in (+1, -1) for s in signs):
+        raise ValueError("letter sign must be +1 or -1")
     out: list[tuple[tuple[int, int], ...]] = []
 
     def recurse(remaining: tuple[int, ...], acc: tuple[tuple[int, int], ...]):
@@ -181,20 +167,24 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     return 2.0 * math.pi * total
 
 
-def correlation(word: Sequence[Letter], gammas) -> complex:
+def correlation(signs: Sequence[int], orders: Sequence[int],
+                smears: Sequence[TestFunction], gammas) -> complex:
     """Vacuum expectation of a multipole-noise word.
 
-    ``gammas`` is indexable by order; the order-n pair value is
-    ``indefinite_inner(n, gammas[n], ...)``, and letters of unequal orders
-    contract to exactly zero.
+    Letter j has sign ``signs[j]``, order ``orders[j]`` and nonzero smear
+    ``smears[j]``.  ``gammas`` is indexable by order; the order-n pair value
+    is ``indefinite_inner(n, gammas[n], ...)``, and letters of unequal
+    orders contract to exactly zero.
     """
-    word = list(word)
+    if not len(signs) == len(orders) == len(smears):
+        raise ValueError("signs, orders and smears must have equal length")
+    if any(f.is_zero() for f in smears):
+        raise ValueError("letter smear must be nonzero")
 
     def pair(j: int, k: int) -> complex:
-        left, right = word[j], word[k]
-        if left.order != right.order:
+        n = orders[j]
+        if n != orders[k]:
             return 0j  # cross-channel Kronecker delta
-        n = left.order
-        return indefinite_inner(n, gammas[n], left.smear, right.smear)
+        return indefinite_inner(n, gammas[n], smears[j], smears[k])
 
-    return wick_sum([letter.sign for letter in word], pair)
+    return wick_sum(signs, pair)

@@ -142,6 +142,10 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"form_factor": atom_with(coefficient_im=-math.inf)}),
     ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0], [math.nan, 0.0]])}),
     ("corr-check", {"smears": [atom_with(center=math.inf)] * 4}),
+    ("gamma", {"form_factor": atom_with(poly=[[0.0, 0.0]])}),
+    ("kernel-check", {"smears": [atom_with(poly=[[0.0, 0.0]]),
+                                 gaussian().to_json_dict()]}),
+    ("rep-check", {"truncation": {"basis_size": 40, "particle_cap": 8}}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
@@ -154,7 +158,8 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "short-smears-kernel", "short-smears-corr", "center-nan-gamma",
         "center-nan-kernel", "width-infinite", "modulation-nan",
         "coefficient-nan-smear", "coefficient-im-infinite", "poly-nan",
-        "center-infinite-corr"])
+        "center-infinite-corr", "zero-poly-form-factor", "zero-poly-smear",
+        "fock-component-too-large"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -373,15 +378,20 @@ def test_no_partial_files_on_support_failure(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("overrides", [
-    {"form_factor": atom_with(width=1e300)},
-    {"dispersion": {"kind": "linear", "slope": 1e300, "offset": 0.0}},
-], ids=["width-1e300", "slope-1e300"])
-def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides):
+@pytest.mark.parametrize("overrides, message", [
+    ({"form_factor": atom_with(width=1e300)}, "panel rule"),
+    ({"dispersion": {"kind": "linear", "slope": 1e300, "offset": 0.0}},
+     "panel rule"),
+    # each panel rule fits, but their sigma table would hold 5e8 entries
+    ({"form_factor": atom_with(width=1e3)}, "sigma table"),
+], ids=["width-1e300", "slope-1e300", "width-1e3"])
+def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides,
+                                                message):
     cfg = write_config(tmp_path, **overrides)
     assert cli.main(["gamma", "--config", str(cfg)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
+    assert message in err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -424,5 +434,5 @@ def test_nan_propagates_through_the_worst_residual(monkeypatch):
 
     monkeypatch.setattr(checks, "indefinite_inner_frequency", nan_once)
     report = checks.run_representation_checks(sector_max=0, basis_size=3,
-                                              particle_cap=3, pairs=6)
+                                              particle_cap=3, seed=0, pairs=6)
     assert report["failures"] == ["ccr"]

@@ -176,8 +176,8 @@ def test_noise_side_equals_brute_force_order_sum(rng, linear_catalog):
     fast = _noise_side(signs, smears, N, lam, linear_catalog, gammas)
     brute = 0j
     for orders in itertools.product(range(N + 1), repeat=4):
-        word = [mn.Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
-        brute += lam ** sum(orders) * mn.correlation(word, gammas)
+        brute += lam ** sum(orders) * mn.correlation(signs, orders, smears,
+                                                     gammas)
     assert abs(fast - brute) <= 1e-10 * (1 + abs(fast))
 
 

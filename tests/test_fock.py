@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import multinoise as mn
+from multinoise import checks
 from multinoise.checks import (default_basis, random_coefficients,
                                random_fock_vector, run_representation_checks)
 from multinoise.errors import (CapacityExceeded, IllConditionedBasis,
@@ -84,6 +85,22 @@ def test_representation_checks_pass_at_particle_cap_6():
     report = run_representation_checks(sector_max=1, basis_size=6,
                                        particle_cap=6, seed=1, pairs=2)
     assert report["failures"] == [] and report["passes"]
+
+
+def test_zero_grid_node_fails_metric_involution(monkeypatch):
+    """sign(0) * sign(0) = 0, so a node at 0 breaks the odd-order involution."""
+    original = checks.frequency_grid
+
+    def with_zero_node(fns):
+        nodes, weights = original(fns)
+        nodes = nodes.copy()
+        nodes[len(nodes) // 2] = 0.0
+        return nodes, weights
+
+    monkeypatch.setattr(checks, "frequency_grid", with_zero_node)
+    report = run_representation_checks(sector_max=1, basis_size=3,
+                                       particle_cap=3, seed=0, pairs=1)
+    assert "metric_involution" in report["failures"]
 
 
 def test_creators_commute(small_sectors, rng):
@@ -237,20 +254,22 @@ def test_sector_mismatch(small_sectors):
 
 def test_multi_inner_vacuum_and_factorization(small_sectors, rng):
     """No sector touched gives 1; a word over two sectors factorizes."""
-    assert mn.vacuum_expectation([], {}) == 1.0
+    assert mn.vacuum_expectation([], [], [], {}) == 1.0
     c = [random_coefficients(rng, 4) for _ in range(4)]
     in_0 = [(-1, 0, c[0]), (+1, 0, c[1])]
     in_2 = [(-1, 2, c[2]), (-1, 2, c[3]), (+1, 2, c[0]), (+1, 2, c[1])]
-    expected = (mn.vacuum_expectation(in_0, small_sectors)
-                * mn.vacuum_expectation(in_2, small_sectors))
+
+    def expectation(letters):
+        return mn.vacuum_expectation(*zip(*letters), small_sectors)
+
+    expected = expectation(in_0) * expectation(in_2)
     assert expected != 0
     for word in (in_0 + in_2, in_2 + in_0, in_0[:1] + in_2 + in_0[1:]):
-        assert_allclose(mn.vacuum_expectation(word, small_sectors), expected,
-                        rtol=1e-12)
+        assert_allclose(expectation(word), expected, rtol=1e-12)
 
 
 def test_apply_word_empty_is_identity(small_sectors):
-    val = mn.vacuum_expectation([], small_sectors)
+    val = mn.vacuum_expectation([], [], [], small_sectors)
     assert type(val) is complex and val == 1.0
 
 
@@ -260,7 +279,7 @@ def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
     ch = random_coefficients(rng, sector.size)
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
-    val = mn.vacuum_expectation([(-1, 1, cf), (+1, 1, ch)], small_sectors)
+    val = mn.vacuum_expectation((-1, +1), (1, 1), (cf, ch), small_sectors)
     kernel = mn.indefinite_inner(1, sector.gamma, f, h)
     assert abs(val - kernel) <= 1e-10 * (1 + abs(kernel))
 
@@ -268,5 +287,5 @@ def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
 def test_apply_word_cross_sector_vanishes(small_sectors, rng):
     cf = random_coefficients(rng, 4)
     ch = random_coefficients(rng, 4)
-    assert mn.vacuum_expectation([(-1, 1, cf), (+1, 2, ch)],
+    assert mn.vacuum_expectation((-1, +1), (1, 2), (cf, ch),
                                  small_sectors) == 0

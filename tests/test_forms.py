@@ -254,25 +254,25 @@ def test_separated_atoms_odd_weighted_form_raises():
 
 
 def test_grid_of_zero_function():
-    grid = mn.frequency_grid([mn.gaussian()])
-    sampled = mn.to_grid(mn.zero(), grid)
-    assert np.all(sampled.values == 0)
+    nodes, _ = mn.frequency_grid([mn.gaussian()])
+    assert np.all(mn.zero().fourier()(nodes) == 0)
 
 
 def test_grid_nodes_exclude_zero_and_are_symmetric():
-    grid = mn.frequency_grid([mn.gaussian()])
-    assert np.all(grid.nodes != 0)
-    assert np.all(np.diff(grid.nodes) > 0)
-    assert_allclose(grid.nodes, -grid.nodes[::-1], rtol=0, atol=0)
+    nodes, weights = mn.frequency_grid([mn.gaussian()])
+    assert np.all(nodes != 0)
+    assert np.all(np.diff(nodes) > 0)
+    assert np.all(weights > 0)
+    assert_allclose(nodes, -nodes[::-1], rtol=0, atol=0)
 
 
 def test_grid_pointwise_matches_closed_form():
     phi = mn.gaussian()
-    grid = mn.frequency_grid([phi])
-    sampled = mn.to_grid(phi, grid)
-    x = grid.nodes[len(grid.nodes) // 2]  # smallest positive node
+    nodes, _ = mn.frequency_grid([phi])
+    sampled = phi.fourier()(nodes)
+    x = nodes[len(nodes) // 2]  # smallest positive node
     assert x > 0
-    assert_allclose(sampled.values[len(grid.nodes) // 2],
+    assert_allclose(sampled[len(nodes) // 2],
                     math.pi ** -0.25 * math.exp(-0.5 * x * x), rtol=1e-13)
 
 
@@ -280,19 +280,20 @@ def test_grid_inner_matches_weighted(rng):
     for n in range(4):
         f = random_test_function(rng, n_atoms=1)
         h = random_test_function(rng, n_atoms=1)
-        grid = mn.frequency_grid([f, h])
-        val = mn.grid_weighted_inner(n, mn.to_grid(f, grid), mn.to_grid(h, grid))
+        nodes, weights = mn.frequency_grid([f, h])
+        val = mn.grid_weighted_inner(n, nodes, weights, f.fourier()(nodes),
+                                     h.fourier()(nodes))
         ref = mn.weighted_inner(n, f, h)
         assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
 
 
 def test_metric_involution_is_exact(rng):
     f = random_test_function(rng)
-    grid = mn.frequency_grid([f])
-    u = mn.to_grid(f, grid)
+    nodes, _ = mn.frequency_grid([f])
+    u = f.fourier()(nodes)
     for n in (0, 1, 2, 3):
-        twice = mn.metric_apply(n, mn.metric_apply(n, u))
-        assert np.array_equal(twice.values, u.values)
+        eta = mn.metric_sign(n, nodes)
+        assert np.array_equal(u * eta * eta, u)
 
 
 def test_metric_orientation(rng):
@@ -301,13 +302,13 @@ def test_metric_orientation(rng):
     for n in (1, 3):
         f = random_test_function(rng, n_atoms=1)
         h = random_test_function(rng, n_atoms=1)
-        grid = mn.frequency_grid([f, h])
-        uf, uh = mn.to_grid(f, grid), mn.to_grid(h, grid)
+        nodes, weights = mn.frequency_grid([f, h])
+        uf, uh = f.fourier()(nodes), h.fourier()(nodes)
         kernel = mn.indefinite_inner(n, 1.0, f, h)
-        calibrated = mn.grid_weighted_inner(n, uf, mn.metric_apply(n, uh))
-        flipped = mn.grid_weighted_inner(
-            n, uf, mn.GridFunction(uh.nodes, uh.weights,
-                                   uh.values * np.sign(uh.nodes)))
+        calibrated = mn.grid_weighted_inner(n, nodes, weights, uf,
+                                            mn.metric_sign(n, nodes) * uh)
+        flipped = mn.grid_weighted_inner(n, nodes, weights, uf,
+                                         np.sign(nodes) * uh)
         assert abs(calibrated - kernel) <= 1e-12 * (1 + abs(kernel))
         assert abs(flipped - kernel) > 1e-3 * (1 + abs(kernel))
 
@@ -315,42 +316,24 @@ def test_metric_orientation(rng):
 def test_metric_even_orders_reduce_to_weighted(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
-    grid = mn.frequency_grid([f, h])
-    val = mn.grid_weighted_inner(2, mn.to_grid(f, grid),
-                                 mn.metric_apply(2, mn.to_grid(h, grid)))
+    nodes, weights = mn.frequency_grid([f, h])
+    val = mn.grid_weighted_inner(2, nodes, weights, f.fourier()(nodes),
+                                 mn.metric_sign(2, nodes) * h.fourier()(nodes))
     kernel = mn.indefinite_inner(2, 1.0, f, h)
     assert abs(val - kernel) <= 1e-12 * (1 + abs(kernel))
 
 
 def test_metric_projectors(rng):
     f = random_test_function(rng)
-    grid = mn.frequency_grid([f])
-    u = mn.to_grid(f, grid)
+    nodes, _ = mn.frequency_grid([f])
+    u = f.fourier()(nodes)
     for n in (1, 2):
-        eta_u = mn.metric_apply(n, u)
-        plus = mn.GridFunction(u.nodes, u.weights, 0.5 * (u.values + eta_u.values))
-        minus = mn.GridFunction(u.nodes, u.weights, 0.5 * (u.values - eta_u.values))
+        eta = mn.metric_sign(n, nodes)
+        plus = 0.5 * (u + eta * u)
+        minus = 0.5 * (u - eta * u)
         # idempotent and complementary, pointwise exactly
-        again = mn.GridFunction(u.nodes, u.weights,
-                                0.5 * (plus.values + mn.metric_apply(n, plus).values))
-        assert np.array_equal(again.values, plus.values)
-        assert np.array_equal(plus.values + minus.values, u.values)
-
-
-def test_grid_validation():
-    nodes = np.array([-2.0, -1.0, 1.0, 2.0])
-    w = np.ones(4)
-    v = np.zeros(4, dtype=complex)
-    mn.GridFunction(nodes, w, v)
-    with pytest.raises(ValueError):
-        mn.GridFunction(np.array([-2.0, 0.0, 2.0]), np.ones(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        mn.GridFunction(np.array([-2.0, -1.0, 1.0, 3.0]), w, v)
-    with pytest.raises(ValueError):
-        mn.GridFunction(nodes, np.array([1.0, -1.0, 1.0, 1.0]), v)
-    with pytest.raises(ValueError):
-        mn.grid_weighted_inner(0, mn.GridFunction(nodes, w, v),
-                               mn.GridFunction(nodes * 2, w, v))
+        assert np.array_equal(0.5 * (plus + eta * plus), plus)
+        assert np.array_equal(plus + minus, u)
 
 
 def test_quadrature_failure_is_reported():

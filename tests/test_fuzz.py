@@ -1,0 +1,83 @@
+"""Seeded config fuzzing: every one-leaf mutant of a shipped config ends cleanly.
+
+Each mutant replaces or deletes one leaf of the JSON tree, never scaling a
+magnitude, and runs in-process through ``cli.main``.  It must end with a
+documented exit code, at most one stderr line, and, when it exits 4, a line
+naming a package error rather than a builtin exception.
+"""
+
+import builtins
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from multinoise import cli
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+MUTANTS = 40  # per config
+BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)}
+DELETE = object()
+
+MUTATIONS = (
+    lambda v: DELETE,
+    lambda v: "x",
+    lambda v: True,
+    lambda v: None,
+    lambda v: [v],
+    lambda v: {"value": v},
+    lambda v: math.nan,
+    lambda v: math.inf,
+    lambda v: -v if isinstance(v, (int, float)) else v,
+    lambda v: 0,
+)
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar or empty container of a JSON tree."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for index, value in enumerate(node):
+            yield from _leaves(value, path + (index,))
+    else:
+        yield path
+
+
+def _mutant(base: dict, rng: random.Random) -> dict:
+    raw = json.loads(json.dumps(base))
+    path = rng.choice(list(_leaves(raw)))
+    parent = raw
+    for step in path[:-1]:
+        parent = parent[step]
+    value = rng.choice(MUTATIONS)(parent[path[-1]])
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("command, name, seed", [
+    ("gamma", "catalog_linear", 11),
+    ("kernel-check", "kernel_linear", 12),
+])
+def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
+    base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    rng = random.Random(seed)
+    for i in range(MUTANTS):
+        raw = _mutant(base, rng)
+        path = tmp_path / f"mutant{i}.json"
+        path.write_text(json.dumps(raw))
+        code = cli.main([command, "--config", str(path),
+                         "--out", str(tmp_path / f"out{i}")])
+        err = capsys.readouterr().err.strip().splitlines()
+        context = (i, json.dumps(raw), err)
+        assert code in (0, 2, 3, 4, 6), context
+        assert len(err) <= 1, context
+        if code == 4:
+            assert err[0].split(":")[0] not in BUILTIN_ERRORS, context

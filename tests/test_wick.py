@@ -75,8 +75,7 @@ def test_noise_pair_examples(rng):
     h = random_test_function(rng, n_atoms=1)
 
     def two_point(n, gamma, f_minus, f_plus):
-        word = [mn.Letter(-1, f_minus, n), mn.Letter(+1, f_plus, n)]
-        return mn.correlation(word, {n: gamma})
+        return mn.correlation((-1, +1), (n, n), (f_minus, f_plus), {n: gamma})
 
     gamma0 = 1.7
     assert_allclose(two_point(0, gamma0, f, h), gamma0 * mn.l2_inner(f, h),
@@ -310,23 +309,20 @@ def test_wick_sum_stops_a_matching_at_a_zero_factor():
 
 def test_correlation_odd_word_vanishes(rng):
     f = random_test_function(rng, n_atoms=1)
-    word = [mn.Letter(-1, f, 0), mn.Letter(+1, f, 0), mn.Letter(+1, f, 0)]
-    assert mn.correlation(word, {0: 1.0}) == 0
+    assert mn.correlation((-1, +1, +1), (0, 0, 0), (f, f, f), {0: 1.0}) == 0
 
 
 def test_correlation_two_point_word_is_kernel(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
-    word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 1)]
-    val = mn.correlation(word, {1: 0.8})
+    val = mn.correlation((-1, +1), (1, 1), (f, h), {1: 0.8})
     assert_allclose(val, mn.indefinite_inner(1, 0.8, f, h), rtol=1e-12)
 
 
 def test_correlation_cross_channel_is_exact_zero(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
-    word = [mn.Letter(-1, f, 1), mn.Letter(+1, h, 2)]
-    assert mn.correlation(word, {1: 1.0, 2: 1.0}) == 0
+    assert mn.correlation((-1, +1), (1, 2), (f, h), {1: 1.0, 2: 1.0}) == 0
 
 
 def test_four_letter_word_against_fock_oracle(small_sectors, rng):
@@ -336,10 +332,8 @@ def test_four_letter_word_against_fock_oracle(small_sectors, rng):
     coeffs = [random_coefficients(rng, 4) for _ in orders]
     smears = [mn.linear_combination(c, small_sectors[n].basis)
               for c, n in zip(coeffs, orders)]
-    word = [mn.Letter(s, f, n) for s, f, n in zip(signs, smears, orders)]
-    wick_val = mn.correlation(word, gammas)
-    fock_val = mn.vacuum_expectation(list(zip(signs, orders, coeffs)),
-                                     small_sectors)
+    wick_val = mn.correlation(signs, orders, smears, gammas)
+    fock_val = mn.vacuum_expectation(signs, orders, coeffs, small_sectors)
     assert abs(wick_val - fock_val) <= 1e-8 * (1 + abs(wick_val))
 
 
@@ -354,11 +348,16 @@ def test_reservoir_word_positivity(quadratic_catalog):
 
 
 def test_letter_validation(rng):
+    """A sign other than +-1, a zero smear or ragged sequences are refused."""
     f = random_test_function(rng, n_atoms=1)
-    with pytest.raises(ValueError):
-        mn.Letter(0, f, 1)
-    with pytest.raises(ValueError):
-        mn.Letter(-1, mn.zero(), 1)
+    with pytest.raises(ValueError, match="sign"):
+        mn.correlation((0, +1), (1, 1), (f, f), {1: 1.0})
+    with pytest.raises(ValueError, match="sign"):
+        mn.enumerate_matchings((-1, 2))
+    with pytest.raises(ValueError, match="nonzero"):
+        mn.correlation((-1, +1), (1, 1), (mn.zero(), f), {1: 1.0})
+    with pytest.raises(ValueError, match="equal length"):
+        mn.correlation((-1, +1), (1,), (f, f), {1: 1.0})
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.5])
