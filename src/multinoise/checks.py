@@ -10,8 +10,10 @@ Four suites, each reporting the worst residual it saw:
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
-                  agrees with the commutator kernel, the slotwise sector
-                  metric reconciles the two Fock inner products, and the
+                  agrees with the commutator kernel, both Fock inner
+                  products and the sector metric, computed in Krein
+                  coordinates, agree with the gram and pairing matrices
+                  applied slot by slot in basis coordinates, and the
                   modulated Gaussian witness has squared norm -5.
 * fock_wick    -- vacuum correlations of noise words agree between the pair
                   partition sum (exact kernels on the smears) and the
@@ -24,7 +26,6 @@ reproducible bit for bit.  Commutator residuals are norms relative to
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -39,6 +40,7 @@ from .wick import correlation
 
 __all__ = [
     "default_basis",
+    "basis_components",
     "build_check_sectors",
     "random_fock_vector",
     "run_representation_checks",
@@ -120,6 +122,29 @@ def random_fock_vector(sector: Sector, rng: np.random.Generator,
 def _worst(*values: float) -> float:
     """Largest residual; NaN if any is NaN, which the builtin max can drop."""
     return float(np.max(values))
+
+
+def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Apply the matrix kernel to every slot of the tensor S.
+
+    Each pass contracts the leading slot and appends the result as the last
+    axis, so after S.ndim passes the slots are back in their original order.
+    """
+    for _ in range(S.ndim):
+        S = np.tensordot(S, kernel, axes=([0], [1]))
+    return S
+
+
+def basis_components(phi: FockVector) -> tuple[np.ndarray, ...]:
+    """phi's components mapped from Krein back to basis coordinates."""
+    from_krein = np.linalg.inv(phi.sector.to_krein)
+    return tuple(_apply_slotwise(from_krein, comp) for comp in phi.components)
+
+
+def _basis_inner(kernel: np.ndarray, phi_b, psi_b) -> complex:
+    """Fock inner product of basis-coordinate components under a slot kernel."""
+    return sum((complex(np.vdot(T, _apply_slotwise(kernel, S)))
+                for T, S in zip(phi_b, psi_b)), 0j)
 
 
 def _diff_norm(a: FockVector, b: FockVector) -> float:
@@ -207,11 +232,17 @@ def metric_suite(sectors: Mapping[int, Sector],
 
             phi = random_fock_vector(sector, rng, sector.particle_cap)
             psi = random_fock_vector(sector, rng, sector.particle_cap)
+            phi_b, psi_b = basis_components(phi), basis_components(psi)
+            metric = _basis_inner(sector.pairing, phi_b, psi_b)
+            positive = _basis_inner(sector.gram, phi_b, psi_b)
             direct = fock_inner(phi, psi, use_metric=True)
             lifted = fock_inner(phi, apply_sector_metric(psi), use_metric=False)
+            plain = fock_inner(phi, psi, use_metric=False)
             report["metric_consistency"] = _worst(
                 report["metric_consistency"],
-                abs(direct - lifted) / (1.0 + abs(direct)))
+                abs(direct - metric) / (1.0 + abs(metric)),
+                abs(lifted - metric) / (1.0 + abs(metric)),
+                abs(plain - positive) / (1.0 + abs(positive)))
 
     witness = gaussian(modulation=WITNESS_MODULATION)
     partner = gaussian(modulation=-WITNESS_MODULATION)
@@ -263,7 +294,8 @@ def run_representation_checks(*, sector_max: int, basis_size: int,
     rng = np.random.default_rng(seed)
     sectors = build_check_sectors(sector_max, basis_size, particle_cap)
     if fault_injection == "transpose_pairing":
-        sectors = {n: replace(s, pairing=s.pairing.T.copy())
+        sectors = {n: Sector.from_matrices(s.n, s.gamma, s.basis, s.gram,
+                                           s.pairing.T.copy(), s.particle_cap)
                    for n, s in sectors.items()}
     elif fault_injection is not None:
         raise ValueError(f"unknown fault injection mode {fault_injection!r}")

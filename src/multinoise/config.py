@@ -16,6 +16,8 @@ __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # largest top Fock component, basis_size ** particle_cap entries (64 MiB)
 MAX_FOCK_ENTRIES = 2 ** 22
+# rep-check's six-letter Fock-Wick words put three particles in one sector
+MIN_PARTICLE_CAP = 3
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -139,12 +141,14 @@ def parse_config(raw: dict) -> StudyConfig:
     particle_cap = _integer(trunc.get("particle_cap", 4), "particle_cap")
     sector_max = _integer(trunc.get("sector_max", 3), "sector_max")
     _require(basis_size >= 2, "basis_size must be at least 2")
-    _require(particle_cap >= 2, "particle_cap must be at least 2")
+    _require(particle_cap >= MIN_PARTICLE_CAP,
+             f"particle_cap must be at least {MIN_PARTICLE_CAP}")
     # min() keeps the power cheap; basis_size >= 2 already fails at cap 64
     _require(basis_size ** min(particle_cap, 64) <= MAX_FOCK_ENTRIES,
              f"basis_size ** particle_cap = {basis_size} ** {particle_cap} "
              f"exceeds {MAX_FOCK_ENTRIES} Fock tensor entries")
-    _require(sector_max >= 0, "sector_max must be nonnegative")
+    _require(0 <= sector_max <= MAX_ORDER,
+             f"sector_max must lie in 0..{MAX_ORDER}, got {sector_max}")
 
     # tolerances.quad_abs and quad_rel are accepted for old configs but have
     # no effect: the forms are exact and the remaining quadratures fix their own

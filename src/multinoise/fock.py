@@ -2,12 +2,22 @@
 
 A sector holds one multipole order n, its coupling gamma, a finite basis of
 test functions, the positive Gram matrix of the order-n weighted form and the
-indefinite pairing matrix of the commutator kernel.  Vectors are tuples of
-dense symmetric tensors over basis indices, one per particle number up to the
-cap.  The operators act on the sector of the vector they are given.
-Creation appends the coefficient vector c as a new last slot and symmetrizes
-that slot in, with weight sqrt(k+1); annihilation contracts the first slot
-against the pairing vector conj(c) @ pairing, with weight sqrt(k).
+indefinite pairing matrix of the commutator kernel.  On this basis the
+pseudo-Hilbert space splits as H+ (+) H- (its fundamental decomposition):
+with gram = L L^H and L^-1 pairing L^-H = V diag(lam) V^H, the coordinates
+c' = to_krein c, to_krein = V^H L^H, turn the gram matrix into the identity
+and the pairing matrix into diag(lam), with lam real and of both signs for
+odd n.  Vectors are tuples of dense symmetric tensors in these Krein
+coordinates, one per particle number up to the cap, and each operator acts
+on the sector of the vector it is given:
+
+* create maps its coefficient vector once, c' = to_krein c, appends c' as a
+  new last slot and symmetrizes that slot in, with weight sqrt(k+1);
+* annihilate contracts the first slot against conj(c') lam, with weight
+  sqrt(k);
+* the positive inner product is a plain vdot per rank, and the metric one
+  weights rank k elementwise by lam (x) ... (x) lam, which is also what
+  apply_sector_metric multiplies by.
 
 A word of operators from several orders acts sector by sector on the vacuum
 of the full theory, a tensor product over sectors; its vacuum expectation is
@@ -18,12 +28,12 @@ of the sector vacuum with the sector's vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .atoms import TestFunction
+from .atoms import Atom, TestFunction, linear_combination
 from .errors import (CapacityExceeded, IllConditionedBasis, NotInSpan,
                      SectorMismatch)
 from .forms import indefinite_inner, weighted_inner
@@ -46,7 +56,8 @@ COND_LIMIT = 1e10
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """One multipole order with its truncated one-particle data."""
+    """One multipole order with its truncated one-particle data and Krein
+    coordinates; ``from_matrices`` builds the two consistently."""
 
     n: int
     gamma: float
@@ -54,6 +65,30 @@ class Sector:
     gram: np.ndarray      # (b_a, b_b) under the positive order-n form
     pairing: np.ndarray   # indefinite_inner(n, gamma, b_a, b_b)
     particle_cap: int
+    to_krein: np.ndarray      # basis coefficients -> Krein coordinates
+    krein_metric: np.ndarray  # lam: the pairing is diag(lam) in Krein coordinates
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # lam^(x k)
+
+    def __post_init__(self):
+        weights = [np.ones(())]
+        for _ in range(self.particle_cap):
+            weights.append(np.multiply.outer(weights[-1], self.krein_metric))
+        for array in (self.gram, self.pairing, self.to_krein,
+                      self.krein_metric, *weights):
+            array.setflags(write=False)
+        object.__setattr__(self, "weights", tuple(weights))
+
+    @classmethod
+    def from_matrices(cls, n: int, gamma: float,
+                      basis: Sequence[TestFunction], gram: np.ndarray,
+                      pairing: np.ndarray, particle_cap: int) -> "Sector":
+        """Sector with the Krein coordinates of a positive definite gram and
+        a hermitian pairing, as in the module docstring."""
+        chol = np.linalg.cholesky(gram)
+        inv = np.linalg.inv(chol)
+        lam, vecs = np.linalg.eigh(_hermitian(inv @ pairing @ inv.conj().T))
+        return cls(n, float(gamma), tuple(basis), gram, pairing,
+                   int(particle_cap), vecs.conj().T @ chol.conj().T, lam)
 
     @property
     def size(self) -> int:
@@ -78,14 +113,13 @@ def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
             f"gram condition number {eigs[-1] / max(eigs[0], 1e-300):.3g} "
             f"exceeds {COND_LIMIT:g}")
     pairing = _hermitian(indefinite_inner(n, gamma, basis, basis))
-    gram.setflags(write=False)
-    pairing.setflags(write=False)
-    return Sector(n, float(gamma), basis, gram, pairing, int(particle_cap))
+    return Sector.from_matrices(n, gamma, basis, gram, pairing, particle_cap)
 
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Finite vector of one sector: components[k] is a rank-k symmetric tensor."""
+    """Finite vector of one sector: components[k] is a rank-k symmetric tensor
+    in the sector's Krein coordinates."""
 
     sector: Sector
     components: tuple[np.ndarray, ...]
@@ -112,36 +146,50 @@ class FockVector:
         return math.sqrt(max(fock_inner(self, self, use_metric=False).real, 0.0))
 
 
+def _merged(f: TestFunction) -> TestFunction:
+    """f with the coefficients of equal atoms summed and zero terms dropped."""
+    coeffs: dict[Atom, complex] = {}
+    for c, a in f.atoms:
+        coeffs[a] = coeffs.get(a, 0j) + c
+    return TestFunction(tuple((c, a) for a, c in coeffs.items() if c != 0))
+
+
 def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
     """Least-squares coefficients of f in the sector basis (positive form).
 
     Raises NotInSpan when the projection residual exceeds the tolerance
-    relative to max(1, |f|).
+    relative to max(1, |f|).  The residual is the norm of the function
+    f - sum_j c_j b_j with equal atoms merged, so an f built from the basis
+    atoms leaves a residual at rounding level instead of the sqrt(eps) floor
+    of |f|^2 - v^H gram^-1 v.
     """
     column = weighted_inner(sector.n, sector.basis + (f,), f)[:, 0]
     v, norm_sq = column[:-1], column[-1].real
     coeffs = np.linalg.solve(sector.gram, v)
-    residual_sq = norm_sq - float(np.real(np.vdot(v, coeffs)))
-    residual = math.sqrt(max(residual_sq, 0.0))
+    rest = _merged(f - linear_combination(coeffs, sector.basis))
+    residual = math.sqrt(max(weighted_inner(sector.n, rest, rest).real, 0.0))
     if residual > SPAN_RESIDUAL_TOL * max(1.0, math.sqrt(max(norm_sq, 0.0))):
         raise NotInSpan(
             f"projection residual {residual:.3g} exceeds {SPAN_RESIDUAL_TOL:g}")
     return coeffs
 
 
-def _as_coefficients(sector: Sector, f) -> np.ndarray:
+def _krein_coefficients(sector: Sector, f) -> np.ndarray:
+    """Krein coordinates of f, given as a TestFunction or basis coefficients."""
     if isinstance(f, TestFunction):
-        return project_coefficients(sector, f)
-    arr = np.asarray(f, dtype=complex)
-    if arr.shape != (sector.size,):
-        raise ValueError(f"coefficient vector must have shape ({sector.size},)")
-    return arr
+        coeffs = project_coefficients(sector, f)
+    else:
+        coeffs = np.asarray(f, dtype=complex)
+        if coeffs.shape != (sector.size,):
+            raise ValueError(
+                f"coefficient vector must have shape ({sector.size},)")
+    return sector.to_krein @ coeffs
 
 
 def create(f, phi: FockVector) -> FockVector:
     """Creation operator for f (TestFunction or coefficient vector) on phi."""
     sector = phi.sector
-    coeffs = _as_coefficients(sector, f)
+    coeffs = _krein_coefficients(sector, f)
     cap = sector.particle_cap
     if np.any(phi.components[cap] != 0):
         raise CapacityExceeded(
@@ -156,38 +204,33 @@ def create(f, phi: FockVector) -> FockVector:
 def annihilate(f, phi: FockVector) -> FockVector:
     """Annihilation operator for f on phi; the vacuum maps to zero."""
     sector = phi.sector
-    v = np.conj(_as_coefficients(sector, f)) @ sector.pairing
-    out = [math.sqrt(k) * np.tensordot(v, comp, axes=(0, 0))
+    v = np.conj(_krein_coefficients(sector, f)) * sector.krein_metric
+    m = sector.size
+    out = [math.sqrt(k) * (v @ comp.reshape(m, -1)).reshape(comp.shape[1:])
            for k, comp in enumerate(phi.components[1:], 1)]
-    out.append(np.zeros((sector.size,) * sector.particle_cap, dtype=complex))
+    out.append(np.zeros((m,) * sector.particle_cap, dtype=complex))
     return FockVector(sector, tuple(out))
 
 
-def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Apply the matrix kernel to every slot of the tensor S.
-
-    Each pass contracts the leading slot and appends the result as the last
-    axis, so after S.ndim passes the slots are back in their original order.
-    """
-    for _ in range(S.ndim):
-        S = np.tensordot(S, kernel, axes=([0], [1]))
-    return S
-
-
 def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> complex:
-    """Sector inner product; the metric kernel is the pairing matrix."""
+    """Sector inner product: the metric one, or the positive one without it."""
     if phi.sector is not psi.sector:
         raise SectorMismatch("fock_inner requires vectors of the same sector")
-    kernel = phi.sector.pairing if use_metric else phi.sector.gram
-    return sum((complex(np.vdot(T, _apply_slotwise(kernel, S)))
-                for T, S in zip(phi.components, psi.components)), 0j)
+    if not use_metric:
+        return sum((complex(np.vdot(T, S))
+                    for T, S in zip(phi.components, psi.components)), 0j)
+    return sum((complex(np.vdot(T, W * S)) for T, S, W in
+                zip(phi.components, psi.components, phi.sector.weights)), 0j)
 
 
 def apply_sector_metric(phi: FockVector) -> FockVector:
-    """Second-quantized metric: the matrix gram^(-1) pairing on every slot."""
-    eta = np.linalg.solve(phi.sector.gram, phi.sector.pairing)
-    return FockVector(phi.sector, tuple(_apply_slotwise(eta, comp)
-                                        for comp in phi.components))
+    """Second-quantized metric gram^-1 pairing on every slot.
+
+    In Krein coordinates it is diag(krein_metric), so rank k is multiplied
+    elementwise by weights[k].
+    """
+    return FockVector(phi.sector, tuple(
+        W * S for W, S in zip(phi.sector.weights, phi.components)))
 
 
 def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:

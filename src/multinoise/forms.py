@@ -24,9 +24,9 @@ moments in closed form (``_odd_weighted_pairs``).  Where the half-line
 recurrence would lose more accuracy than QUAD_REL of the terms it combines,
 the form raises QuadratureFailure instead of returning a degraded value.
 
-The test suite checks the forms against adaptive quadrature.  scipy is
-imported only inside ``_odd_weighted_pairs``, for ``erfcx``, so importing the
-package loads no scipy.
+The half-line moments need erfcx, which ``_erfcx`` evaluates by Weideman's
+rational expansion, so the package uses numpy alone.  The test suite checks
+the forms against adaptive quadrature and ``_erfcx`` against scipy.
 """
 
 from __future__ import annotations
@@ -159,6 +159,32 @@ def _line_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     return np.exp(B * B / (4.0 * A) + C) / root * ((left * right * t ** k) @ w)
 
 
+@functools.lru_cache(maxsize=None)
+def _weideman_coefficients() -> tuple[float, np.ndarray]:
+    """Scale L and polynomial coefficients (highest power first) of _erfcx."""
+    N = 40  # terms; relative error about 3e-14 for Re z >= 0
+    M = 2 * N
+    L = math.sqrt(N / math.sqrt(2.0))
+    t = L * np.tan(np.arange(-M + 1, M) * np.pi / (2 * M))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
+    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * M)
+    return L, a[N:0:-1]
+
+
+def _erfcx(z: np.ndarray) -> np.ndarray:
+    """Scaled complementary error function exp(z^2) erfc(z) for Re z >= 0.
+
+    Weideman's rational expansion (SIAM J. Numer. Anal. 31, 1497 (1994)) of
+    the Faddeeva function w, with erfcx(z) = w(iz): in the variable
+    Z = (L - z) / (L + z), erfcx is a polynomial p of degree N - 1 through
+    2 p(Z) / (L + z)^2 + 1 / (sqrt(pi) (L + z)).
+    """
+    L, a = _weideman_coefficients()
+    d = L + np.asarray(z, dtype=complex)
+    return (2.0 * np.polyval(a, (2.0 * L - d) / d) / d ** 2
+            + 1.0 / (math.sqrt(math.pi) * d))
+
+
 def _odd_weighted_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     """integral |t|^k conj(a) b dt for odd k, for every atom pair.
 
@@ -177,9 +203,6 @@ def _odd_weighted_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     its rounding error is kept beside it; a pair whose bound exceeds QUAD_REL
     of the terms it combines raises QuadratureFailure.
     """
-    # imported here: of the CLI commands only rep-check builds the odd-order sector Gram matrices that need it
-    from scipy.special import erfcx
-
     A, B, C = _gaussian_parameters(fa, fb)
     line = _line_pairs(fa, fb, k)
     sign = np.where(B.real <= 0.0, 1.0, -1.0)
@@ -189,7 +212,7 @@ def _odd_weighted_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     count = fa.poly.shape[1] + fb.poly.shape[1] - 1 + k
     J = np.empty(B.shape + (count,), dtype=complex)
     bound = np.empty(J.shape)
-    J[..., 0] = ec * np.sqrt(np.pi / A) / 2.0 * erfcx(-beta / np.sqrt(2.0 * two_a))
+    J[..., 0] = ec * np.sqrt(np.pi / A) / 2.0 * _erfcx(-beta / np.sqrt(2.0 * two_a))
     bound[..., 0] = np.abs(J[..., 0])
     J[..., 1] = (beta * J[..., 0] + ec) / two_a
     bound[..., 1] = (np.abs(beta) * bound[..., 0] + ec) / two_a

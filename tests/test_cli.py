@@ -146,6 +146,10 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("kernel-check", {"smears": [atom_with(poly=[[0.0, 0.0]]),
                                  gaussian().to_json_dict()]}),
     ("rep-check", {"truncation": {"basis_size": 40, "particle_cap": 8}}),
+    ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 2,
+                                  "sector_max": 1}}),
+    ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 3,
+                                  "sector_max": 7}}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
@@ -159,7 +163,7 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "center-nan-kernel", "width-infinite", "modulation-nan",
         "coefficient-nan-smear", "coefficient-im-infinite", "poly-nan",
         "center-infinite-corr", "zero-poly-form-factor", "zero-poly-smear",
-        "fock-component-too-large"])
+        "fock-component-too-large", "particle-cap-2", "sector-max-7"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -181,17 +185,18 @@ IMPORT_GUARD = """
 import sys
 from multinoise import cli
 for command, name in (("gamma", "catalog_linear"),
+                      ("rep-check", "catalog_linear"),
                       ("kernel-check", "kernel_linear"),
                       ("corr-check", "corr_quadratic")):
     code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
-                     "--out", f"{sys.argv[2]}/{name}"])
+                     "--out", f"{sys.argv[2]}/{command}-{name}"])
     assert code == 0, (command, code)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def test_gamma_and_kernel_check_run_without_scipy(tmp_path):
-    """scipy is imported only where adaptive quadrature or erfcx is needed.
+def test_cli_commands_run_without_scipy(tmp_path):
+    """No command imports scipy; only the tests' oracles use it.
 
     Runs in a fresh interpreter, since this one has scipy loaded already.
     """
@@ -250,7 +255,8 @@ def test_rep_check_fault_injection_caught(tmp_path):
     cfg = write_config(tmp_path, fault_injection="transpose_pairing")
     assert cli.main(["rep-check", "--config", str(cfg)]) == 5
     report = json.loads((tmp_path / "out" / "rep_check.json").read_text())
-    assert not report["passes"] and report["failures"]
+    assert not report["passes"]
+    assert {"ccr", "fock_wick"} <= set(report["failures"])
 
 
 def test_seed_override_lands_in_report(tmp_path):

@@ -1,5 +1,6 @@
 """Sectors, creation/annihilation, the sector metric, and vacuum expectations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import checks
-from multinoise.checks import (default_basis, random_coefficients,
-                               random_fock_vector, run_representation_checks)
+from multinoise.checks import (basis_components, default_basis,
+                               random_coefficients, random_fock_vector,
+                               run_representation_checks)
 from multinoise.errors import (CapacityExceeded, IllConditionedBasis,
                                NotInSpan, SectorMismatch, ZeroGamma)
 from multinoise.fock import FockVector, max_symmetry_defect, symmetrize
@@ -52,12 +54,13 @@ def test_create_on_vacuum_is_coefficient_vector(small_sectors):
     sector = small_sectors[1]
     coeffs = np.array([0.5, -1.0j, 0.25, 0.0])
     one = mn.create(coeffs, FockVector.vacuum(sector))
-    assert_allclose(one.components[1], coeffs, rtol=0, atol=0)
+    assert_allclose(one.components[1], sector.to_krein @ coeffs, rtol=0, atol=0)
+    assert_allclose(basis_components(one)[1], coeffs, rtol=0, atol=1e-14)
     assert np.all(one.components[0] == 0)
     # a TestFunction in the span projects onto the same coefficients
     f = mn.linear_combination(coeffs, sector.basis)
     one_tf = mn.create(f, FockVector.vacuum(sector))
-    assert_allclose(one_tf.components[1], coeffs, atol=1e-10)
+    assert_allclose(basis_components(one_tf)[1], coeffs, atol=1e-10)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -75,10 +78,11 @@ def test_create_is_weighted_symmetric_product(rng):
     c = random_coefficients(rng, sector.size)
     out = mn.create(c, phi)
     assert out.components[0] == 0
-    for k, comp in enumerate(phi.components[:-1]):
+    out_b = basis_components(out)
+    for k, comp in enumerate(basis_components(phi)[:-1]):
         expected = math.sqrt(k + 1) * symmetrize_by_permutations(
             np.multiply.outer(comp, c))
-        assert_allclose(out.components[k + 1], expected, rtol=0, atol=1e-13)
+        assert_allclose(out_b[k + 1], expected, rtol=0, atol=1e-13)
 
 
 def test_representation_checks_pass_at_particle_cap_6():
@@ -122,7 +126,7 @@ def test_two_particle_symmetrized_product(small_sectors, rng):
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     two = mn.create(cf, mn.create(ch, FockVector.vacuum(sector)))
-    T = two.components[2]
+    T = basis_components(two)[2]
     for t1, t2 in rng.uniform(-1.5, 1.5, size=(5, 2)):
         recon = sum(T[a, b] * sector.basis[a](t1) * sector.basis[b](t2)
                     for a in range(sector.size) for b in range(sector.size))
@@ -211,12 +215,19 @@ def test_outputs_stay_symmetric(small_sectors, rng):
 
 
 def test_metric_consistency_through_sector_matrix(small_sectors, rng):
+    """The Krein-side metric products equal the pairing matrix applied to
+    each slot in basis coordinates, written out up to rank 2."""
     for sector in small_sectors.values():
         phi = random_fock_vector(sector, rng, max_rank=2)
         psi = random_fock_vector(sector, rng, max_rank=2)
+        T, S = basis_components(phi), basis_components(psi)
+        P = sector.pairing
+        expected = (np.conj(T[0]) * S[0] + np.vdot(T[1], P @ S[1])
+                    + np.vdot(T[2], P @ S[2] @ P.T))
         direct = mn.fock_inner(phi, psi, use_metric=True)
         lifted = mn.fock_inner(phi, mn.apply_sector_metric(psi), use_metric=False)
-        assert abs(direct - lifted) <= 1e-8 * (1 + abs(direct))
+        for value in (direct, lifted):
+            assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_capacity_is_enforced(small_sectors, rng):
@@ -289,3 +300,55 @@ def test_apply_word_cross_sector_vanishes(small_sectors, rng):
     ch = random_coefficients(rng, 4)
     assert mn.vacuum_expectation((-1, +1), (1, 2), (cf, ch),
                                  small_sectors) == 0
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_span_check_accepts_every_in_span_combination(n):
+    """The residual is formed as a function, so in-span draws leave ~eps of it."""
+    sector = mn.build_sector(n, 1.0, default_basis(4), particle_cap=3)
+    vac = FockVector.vacuum(sector)
+    draws = np.random.default_rng(20240711 + n)
+    for _ in range(200):
+        c = draws.standard_normal(4) + 1j * draws.standard_normal(4)
+        mn.create(mn.linear_combination(c, sector.basis), vac)
+    with pytest.raises(NotInSpan):
+        mn.create(mn.gaussian(center=0.7, width=0.5), vac)
+
+
+@pytest.fixture(scope="module")
+def acceptance_sectors():
+    """Sectors of the acceptance-size rep-check: basis 6, cap 4, orders 0..3."""
+    return checks.build_check_sectors(sector_max=3, basis_size=6, particle_cap=4)
+
+
+def test_krein_coordinates_reproduce_gram_and_pairing(acceptance_sectors):
+    for sector in acceptance_sectors.values():
+        K = sector.to_krein
+        for target, rebuilt in (
+                (sector.gram, K.conj().T @ K),
+                (sector.pairing, K.conj().T @ (sector.krein_metric[:, None] * K))):
+            err = np.linalg.norm(rebuilt - target) / np.linalg.norm(target)
+            assert err <= 1e-12, (sector.n, err)
+
+
+def test_krein_metric_signs(acceptance_sectors):
+    """Even orders carry gamma times the positive form; order 1 is indefinite."""
+    for n, sector in acceptance_sectors.items():
+        lam = sector.krein_metric
+        if n % 2 == 0:
+            assert_allclose(lam, sector.gamma, rtol=1e-12)
+    lam = acceptance_sectors[1].krein_metric
+    assert lam.min() < 0 < lam.max()
+
+
+def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
+    """metric_consistency recomputes in basis coordinates, so it sees a sign
+    error in the Krein weights that the Krein-side products share."""
+    sector = acceptance_sectors[1]
+    lam = sector.krein_metric.copy()
+    lam[0] = -lam[0]
+    flipped = dataclasses.replace(sector, krein_metric=lam)
+    assert checks.metric_suite({1: sector}, rng)["metric_consistency"] \
+        <= checks.THRESHOLDS["metric_consistency"]
+    assert checks.metric_suite({1: flipped}, rng)["metric_consistency"] \
+        > checks.THRESHOLDS["metric_consistency"]

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import erfcx
 
 import multinoise as mn
 from multinoise.errors import QuadratureFailure, ZeroGamma
-from multinoise.forms import ENVELOPE_TOL, QUAD_REL
+from multinoise.forms import ENVELOPE_TOL, QUAD_REL, _erfcx
 from conftest import random_test_function
 from oracles import complex_quad
 
@@ -340,3 +341,14 @@ def test_quadrature_failure_is_reported():
     with pytest.raises(QuadratureFailure):
         complex_quad(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
                      epsabs=1e-16, epsrel=1e-15, limit=3)
+
+
+@pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0, 1000.0])
+def test_erfcx_matches_scipy_on_right_half_plane(scale):
+    """The rational erfcx agrees with scipy's where the half-line moments use it."""
+    draws = np.random.default_rng(int(scale * 10))
+    z = (draws.uniform(0.0, scale, 20000)
+         + 1j * draws.uniform(-scale, scale, 20000))
+    z = np.concatenate([z, [0.0, 1j * scale, -1j * scale, scale]])
+    want = erfcx(z)
+    assert np.max(np.abs(_erfcx(z) - want) / np.abs(want)) <= 1e-13
