@@ -16,9 +16,8 @@ from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
                      SectorMismatch, SlowDecay, SupportConditionFailed,
                      ZeroGamma)
 from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
-from .fock import (FockVector, Sector, annihilate, apply_sector_metric,
-                   build_sector, create, fock_inner, project_coefficients,
-                   vacuum_expectation)
+from .fock import (FockVector, Sector, annihilate, build_sector, create,
+                   fock_inner, project_coefficients, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, l2_inner, metric_sign,
                     weighted_inner)

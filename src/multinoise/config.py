@@ -18,6 +18,10 @@ __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 MAX_FOCK_ENTRIES = 2 ** 22
 # rep-check's six-letter Fock-Wick words put three particles in one sector
 MIN_PARTICLE_CAP = 3
+# One form_factor or smears entry: a form's memory grows with the square of
+# its atom count (160 MB at 1,000), 160-term polys overflow the envelope bound
+MAX_ATOMS = 256
+MAX_POLY_TERMS = 64
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -110,9 +114,14 @@ def _parse_dispersion(d: dict) -> Dispersion:
 
 def _parse_test_function(data, what: str) -> TestFunction:
     try:
-        return TestFunction.from_json_dict(data)
+        f = TestFunction.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
+    _require(len(f.atoms) <= MAX_ATOMS,
+             f"{what} has {len(f.atoms)} atoms, more than {MAX_ATOMS}")
+    _require(all(len(a.poly) <= MAX_POLY_TERMS for _, a in f.atoms),
+             f"{what} has an atom with more than {MAX_POLY_TERMS} poly terms")
+    return f
 
 
 def parse_config(raw: dict) -> StudyConfig:

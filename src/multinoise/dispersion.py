@@ -92,6 +92,18 @@ def measure_weight(disp: Dispersion, k):
     return np.ones_like(k)
 
 
+def measure_taylor(disp: Dispersion, k0: float) -> tuple[float, ...]:
+    """Taylor coefficients of measure_weight about k0, in powers of k - k0."""
+    if disp.dimension == 3:
+        return (4.0 * math.pi * k0 * k0, 8.0 * math.pi * k0, 4.0 * math.pi)
+    return (1.0,)
+
+
+def curvature(disp: Dispersion) -> float:
+    """omega'', which is constant for both kinds."""
+    return 0.0 if isinstance(disp, LinearDispersion) else 1.0 / disp.mass
+
+
 def clip_domain(disp: Dispersion, lo: float, hi: float) -> tuple[float, float]:
     """Restrict an interval to the dispersion's momentum domain."""
     if disp.dimension == 3:

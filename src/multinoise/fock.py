@@ -8,16 +8,17 @@ with gram = L L^H and L^-1 pairing L^-H = V diag(lam) V^H, the coordinates
 c' = to_krein c, to_krein = V^H L^H, turn the gram matrix into the identity
 and the pairing matrix into diag(lam), with lam real and of both signs for
 odd n.  Vectors are tuples of dense symmetric tensors in these Krein
-coordinates, one per particle number up to the cap, and each operator acts
-on the sector of the vector it is given:
+coordinates, one per particle number up to the cap.  Each operator takes
+the basis coefficients c of its test function, and acts on the sector of
+the vector it is given; project_coefficients is the one bridge from a
+TestFunction in the basis span to its coefficients.
 
-* create maps its coefficient vector once, c' = to_krein c, appends c' as a
-  new last slot and symmetrizes that slot in, with weight sqrt(k+1);
+* create maps c once, c' = to_krein c, appends c' as a new last slot and
+  symmetrizes that slot in, with weight sqrt(k+1);
 * annihilate contracts the first slot against conj(c') lam, with weight
   sqrt(k);
 * the positive inner product is a plain vdot per rank, and the metric one
-  weights rank k elementwise by lam (x) ... (x) lam, which is also what
-  apply_sector_metric multiplies by.
+  weights rank k elementwise by lam (x) ... (x) lam.
 
 A word of operators from several orders acts sector by sector on the vacuum
 of the full theory, a tensor product over sectors; its vacuum expectation is
@@ -46,7 +47,6 @@ __all__ = [
     "create",
     "annihilate",
     "fock_inner",
-    "apply_sector_metric",
     "vacuum_expectation",
 ]
 
@@ -174,37 +174,29 @@ def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
     return coeffs
 
 
-def _krein_coefficients(sector: Sector, f) -> np.ndarray:
-    """Krein coordinates of f, given as a TestFunction or basis coefficients."""
-    if isinstance(f, TestFunction):
-        coeffs = project_coefficients(sector, f)
-    else:
-        coeffs = np.asarray(f, dtype=complex)
-        if coeffs.shape != (sector.size,):
-            raise ValueError(
-                f"coefficient vector must have shape ({sector.size},)")
-    return sector.to_krein @ coeffs
+def _krein_coefficients(sector: Sector, coeffs) -> np.ndarray:
+    """Krein coordinates of a vector of basis coefficients; numpy refuses a
+    vector of the wrong length (ValueError) or a TestFunction (TypeError)."""
+    return sector.to_krein @ np.asarray(coeffs, dtype=complex)
 
 
-def create(f, phi: FockVector) -> FockVector:
-    """Creation operator for f (TestFunction or coefficient vector) on phi."""
+def create(coeffs, phi: FockVector) -> FockVector:
+    """Creation operator for the basis coefficient vector coeffs on phi."""
     sector = phi.sector
-    coeffs = _krein_coefficients(sector, f)
+    krein = _krein_coefficients(sector, coeffs)
     cap = sector.particle_cap
     if np.any(phi.components[cap] != 0):
         raise CapacityExceeded(
             f"top component at particle number {cap} is occupied")
-    out = [np.zeros((), dtype=complex)]
-    for k, comp in enumerate(phi.components[:cap]):
-        out.append(math.sqrt(k + 1)
-                   * _symmetrize_slot(np.multiply.outer(comp, coeffs), k))
-    return FockVector(sector, tuple(out))
+    out = [math.sqrt(k + 1) * _symmetrize_slot(np.multiply.outer(comp, krein), k)
+           for k, comp in enumerate(phi.components[:cap])]
+    return FockVector(sector, (np.zeros((), dtype=complex), *out))
 
 
-def annihilate(f, phi: FockVector) -> FockVector:
-    """Annihilation operator for f on phi; the vacuum maps to zero."""
+def annihilate(coeffs, phi: FockVector) -> FockVector:
+    """Annihilation operator for coeffs on phi; the vacuum maps to zero."""
     sector = phi.sector
-    v = np.conj(_krein_coefficients(sector, f)) * sector.krein_metric
+    v = np.conj(_krein_coefficients(sector, coeffs)) * sector.krein_metric
     m = sector.size
     out = [math.sqrt(k) * (v @ comp.reshape(m, -1)).reshape(comp.shape[1:])
            for k, comp in enumerate(phi.components[1:], 1)]
@@ -221,16 +213,6 @@ def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> com
                     for T, S in zip(phi.components, psi.components)), 0j)
     return sum((complex(np.vdot(T, W * S)) for T, S, W in
                 zip(phi.components, psi.components, phi.sector.weights)), 0j)
-
-
-def apply_sector_metric(phi: FockVector) -> FockVector:
-    """Second-quantized metric gram^-1 pairing on every slot.
-
-    In Krein coordinates it is diag(krein_metric), so rank k is multiplied
-    elementwise by weights[k].
-    """
-    return FockVector(phi.sector, tuple(
-        W * S for W, S in zip(phi.sector.weights, phi.components)))
 
 
 def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
@@ -264,10 +246,10 @@ def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
 
     Letters act rightmost first, each on its order's sector, which starts at
     the vacuum; sign is +1 for creation, -1 for annihilation, and the smear
-    is a TestFunction or a coefficient vector in the sector basis.  The value
-    is the product, over the touched sectors in sorted order, of the rank-0
-    entry of the sector's vector, which is its metric inner product with the
-    sector vacuum; untouched sectors contribute a factor 1.
+    is a coefficient vector in the sector basis.  The value is the product,
+    over the touched sectors in sorted order, of the rank-0 entry of the
+    sector's vector, which is its metric inner product with the sector
+    vacuum; untouched sectors contribute a factor 1.
     """
     vectors: dict[int, FockVector] = {}
     for sign, order, smear in reversed(list(zip(signs, orders, smears,

@@ -41,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .atoms import TestFunction
-from .dispersion import (Dispersion, LinearDispersion, clip_domain,
+from .dispersion import (Dispersion, clip_domain, curvature, measure_taylor,
                          measure_weight)
 from .errors import (DegenerateRoot, ImaginaryResidue, OracleMismatch,
                      QuadratureFailure, SlowDecay)
@@ -239,16 +239,14 @@ def _root_derivative(disp: Dispersion, g: TestFunction, k0: float,
     coeffs = [g.derivative(j)(k0) / math.factorial(j) for j in range(n + 1)]
     taylor = [sum(coeffs[i] * coeffs[j - i].conjugate()
                   for i in range(j + 1)).real for j in range(n + 1)]
-    if disp.dimension == 3:
-        weight = [4.0 * math.pi * k0 * k0, 8.0 * math.pi * k0, 4.0 * math.pi]
-        taylor = np.convolve(taylor, weight)[:n + 1]
-    # omega'(k0 + delta) = slope + curvature * delta, so dividing by it is a
+    taylor = np.convolve(taylor, measure_taylor(disp, k0))[:n + 1]
+    # omega'(k0 + delta) = slope + omega'' delta, so dividing by it is a
     # two-term recurrence
-    curvature = 0.0 if isinstance(disp, LinearDispersion) else 1.0 / disp.mass
+    second = curvature(disp)
     for _ in range(n):
         quotient, last = [], 0.0
         for t in taylor:
-            last = (t - curvature * last) / slope
+            last = (t - second * last) / slope
             quotient.append(last)
         taylor = [j * q for j, q in enumerate(quotient)][1:]
     return float(taylor[0]) / abs(slope)

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import multinoise
-from multinoise import checks, cli, expansion
+from multinoise import checks, cli, config, expansion
 from multinoise.atoms import gaussian
 from multinoise.gamma import GammaRow, GammaTable
 from multinoise.config import load_config
@@ -150,6 +151,11 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
                                   "sector_max": 1}}),
     ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 3,
                                   "sector_max": 7}}),
+    ("gamma", {"form_factor": atom_with() * 257}),
+    ("kernel-check", {"smears": [gaussian().to_json_dict(),
+                                 atom_with() * 257]}),
+    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0]] * 65)}),
+    ("corr-check", {"smears": [atom_with(poly=[[1.0, 0.0]] * 65)] * 4}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
@@ -163,7 +169,9 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "center-nan-kernel", "width-infinite", "modulation-nan",
         "coefficient-nan-smear", "coefficient-im-infinite", "poly-nan",
         "center-infinite-corr", "zero-poly-form-factor", "zero-poly-smear",
-        "fock-component-too-large", "particle-cap-2", "sector-max-7"])
+        "fock-component-too-large", "particle-cap-2", "sector-max-7",
+        "atoms-257-form-factor", "atoms-257-smear", "poly-65-form-factor",
+        "poly-65-smear"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides):
     cfg = write_config(tmp_path, **overrides)
@@ -171,6 +179,14 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_test_function_size_limits_are_inclusive(tmp_path):
+    """MAX_ATOMS atoms and MAX_POLY_TERMS terms per atom still parse."""
+    atoms = atom_with(poly=[[1.0, 0.0]] * config.MAX_POLY_TERMS)
+    cfg = load_config(write_config(
+        tmp_path, form_factor=atoms * config.MAX_ATOMS))
+    assert len(cfg.form_factor.atoms) == config.MAX_ATOMS
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -430,15 +446,16 @@ def test_nan_suite_residual_fails_rep_check(tmp_path, monkeypatch):
 
 
 def test_nan_propagates_through_the_worst_residual(monkeypatch):
-    """One NaN commutator kernel among finite ones still fails ccr."""
+    """One NaN commutator kernel after finite ones still fails ccr: the
+    second sector's kernel matrix is NaN, the first sector's is finite."""
     calls = itertools.count()
     original = checks.indefinite_inner_frequency
 
     def nan_once(*args):
         value = original(*args)
-        return math.nan if next(calls) == 3 else value
+        return np.full_like(value, math.nan) if next(calls) == 1 else value
 
     monkeypatch.setattr(checks, "indefinite_inner_frequency", nan_once)
-    report = checks.run_representation_checks(sector_max=0, basis_size=3,
+    report = checks.run_representation_checks(sector_max=1, basis_size=3,
                                               particle_cap=3, seed=0, pairs=6)
     assert report["failures"] == ["ccr"]

@@ -59,8 +59,19 @@ def test_create_on_vacuum_is_coefficient_vector(small_sectors):
     assert np.all(one.components[0] == 0)
     # a TestFunction in the span projects onto the same coefficients
     f = mn.linear_combination(coeffs, sector.basis)
-    one_tf = mn.create(f, FockVector.vacuum(sector))
+    one_tf = mn.create(mn.project_coefficients(sector, f),
+                       FockVector.vacuum(sector))
     assert_allclose(basis_components(one_tf)[1], coeffs, atol=1e-10)
+
+
+def test_operators_take_coefficient_vectors_only(small_sectors):
+    sector = small_sectors[1]
+    vac = FockVector.vacuum(sector)
+    for op in (mn.create, mn.annihilate):
+        with pytest.raises(TypeError):
+            op(sector.basis[0], vac)
+        with pytest.raises(ValueError):
+            op(np.ones(sector.size + 1), vac)
 
 
 @pytest.mark.parametrize("k", range(6))
@@ -175,7 +186,8 @@ def test_fock_inner_negative_square_norm_witness():
     witness = mn.gaussian(modulation=-5.0)
     partner = mn.gaussian(modulation=5.0)
     sector = mn.build_sector(1, 1.0, (witness, partner), particle_cap=2)
-    one = mn.create(witness, FockVector.vacuum(sector))
+    one = mn.create(mn.project_coefficients(sector, witness),
+                    FockVector.vacuum(sector))
     assert_allclose(mn.fock_inner(one, one), -5.0, rtol=1e-6)
 
 
@@ -225,9 +237,7 @@ def test_metric_consistency_through_sector_matrix(small_sectors, rng):
         expected = (np.conj(T[0]) * S[0] + np.vdot(T[1], P @ S[1])
                     + np.vdot(T[2], P @ S[2] @ P.T))
         direct = mn.fock_inner(phi, psi, use_metric=True)
-        lifted = mn.fock_inner(phi, mn.apply_sector_metric(psi), use_metric=False)
-        for value in (direct, lifted):
-            assert abs(value - expected) <= 1e-12 * (1 + abs(expected))
+        assert abs(direct - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_capacity_is_enforced(small_sectors, rng):
@@ -241,9 +251,11 @@ def test_capacity_is_enforced(small_sectors, rng):
 def test_not_in_span(hermite_sector):
     stranger = mn.gaussian(modulation=7.0)
     with pytest.raises(NotInSpan):
-        mn.create(stranger, FockVector.vacuum(hermite_sector))
+        mn.create(mn.project_coefficients(hermite_sector, stranger),
+                  FockVector.vacuum(hermite_sector))
     with pytest.raises(NotInSpan):
-        mn.annihilate(stranger, FockVector.vacuum(hermite_sector))
+        mn.annihilate(mn.project_coefficients(hermite_sector, stranger),
+                      FockVector.vacuum(hermite_sector))
 
 
 def test_even_sector_pairing_sign_tracks_gamma():
@@ -263,7 +275,7 @@ def test_sector_mismatch(small_sectors):
         mn.fock_inner(vac0, vac1)
 
 
-def test_multi_inner_vacuum_and_factorization(small_sectors, rng):
+def test_vacuum_expectation_of_no_sectors_and_factorization(small_sectors, rng):
     """No sector touched gives 1; a word over two sectors factorizes."""
     assert mn.vacuum_expectation([], [], [], {}) == 1.0
     c = [random_coefficients(rng, 4) for _ in range(4)]
@@ -279,12 +291,12 @@ def test_multi_inner_vacuum_and_factorization(small_sectors, rng):
         assert_allclose(expectation(word), expected, rtol=1e-12)
 
 
-def test_apply_word_empty_is_identity(small_sectors):
+def test_vacuum_expectation_of_empty_word_is_one(small_sectors):
     val = mn.vacuum_expectation([], [], [], small_sectors)
     assert type(val) is complex and val == 1.0
 
 
-def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
+def test_vacuum_expectation_of_pair_is_kernel(small_sectors, rng):
     sector = small_sectors[1]
     cf = random_coefficients(rng, sector.size)
     ch = random_coefficients(rng, sector.size)
@@ -295,7 +307,7 @@ def test_apply_word_pair_reduces_to_kernel(small_sectors, rng):
     assert abs(val - kernel) <= 1e-10 * (1 + abs(kernel))
 
 
-def test_apply_word_cross_sector_vanishes(small_sectors, rng):
+def test_vacuum_expectation_across_sectors_vanishes(small_sectors, rng):
     cf = random_coefficients(rng, 4)
     ch = random_coefficients(rng, 4)
     assert mn.vacuum_expectation((-1, +1), (1, 2), (cf, ch),
@@ -310,9 +322,38 @@ def test_span_check_accepts_every_in_span_combination(n):
     draws = np.random.default_rng(20240711 + n)
     for _ in range(200):
         c = draws.standard_normal(4) + 1j * draws.standard_normal(4)
-        mn.create(mn.linear_combination(c, sector.basis), vac)
+        mn.create(mn.project_coefficients(
+            sector, mn.linear_combination(c, sector.basis)), vac)
     with pytest.raises(NotInSpan):
-        mn.create(mn.gaussian(center=0.7, width=0.5), vac)
+        mn.create(mn.project_coefficients(
+            sector, mn.gaussian(center=0.7, width=0.5)), vac)
+
+
+def test_second_routes_are_built_once_per_sector(monkeypatch):
+    """ccr and metric take their kernels and samples as basis matrices once
+    per sector, and build no test function per random pair."""
+    counts = {"indefinite_inner_frequency": 0, "linear_combination": 0}
+
+    def counted(name):
+        original = getattr(checks, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(checks, name, counted(name))
+    report = run_representation_checks(sector_max=1, basis_size=4,
+                                       particle_cap=3, seed=0, pairs=3)
+    assert report["passes"]
+    assert counts["indefinite_inner_frequency"] == 2
+    counts["linear_combination"] = 0
+    sectors = checks.build_check_sectors(1, 4, 3)
+    rng = np.random.default_rng(0)
+    checks.ccr_suite(sectors, rng, 3)
+    checks.metric_suite(sectors, rng)
+    assert counts["linear_combination"] == 0
 
 
 @pytest.fixture(scope="module")

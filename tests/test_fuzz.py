@@ -18,6 +18,10 @@ from multinoise import cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MUTANTS = 40  # per config
+# rep-check mutates catalog_linear at the smallest size where every suite runs
+REP_CHECK_SIZE = {"truncation": {"basis_size": 4, "particle_cap": 3,
+                                 "sector_max": 1},
+                  "rep_pairs": 2}
 BUILTIN_ERRORS = {name for name, obj in vars(builtins).items()
                   if isinstance(obj, type) and issubclass(obj, BaseException)}
 DELETE = object()
@@ -65,9 +69,14 @@ def _mutant(base: dict, rng: random.Random) -> dict:
 @pytest.mark.parametrize("command, name, seed", [
     ("gamma", "catalog_linear", 11),
     ("kernel-check", "kernel_linear", 12),
+    ("corr-check", "corr_quadratic", 13),
+    ("rep-check", "catalog_linear", 14),
 ])
 def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
     base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if command == "rep-check":
+        base.update(REP_CHECK_SIZE)
+    codes = (0, 2, 3, 4, 5, 6) if command == "rep-check" else (0, 2, 3, 4, 6)
     rng = random.Random(seed)
     for i in range(MUTANTS):
         raw = _mutant(base, rng)
@@ -77,7 +86,7 @@ def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
                          "--out", str(tmp_path / f"out{i}")])
         err = capsys.readouterr().err.strip().splitlines()
         context = (i, json.dumps(raw), err)
-        assert code in (0, 2, 3, 4, 6), context
+        assert code in codes, context
         assert len(err) <= 1, context
         if code == 4:
             assert err[0].split(":")[0] not in BUILTIN_ERRORS, context

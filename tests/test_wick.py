@@ -69,7 +69,7 @@ def test_word_length_cap():
         mn.enumerate_matchings([-1, +1] * 7)
 
 
-def test_noise_pair_examples(rng):
+def test_correlation_two_point_examples(rng):
     """Two-letter noise correlations: one pair contraction each."""
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
