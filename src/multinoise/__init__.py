@@ -11,10 +11,10 @@ correlation functions.
 from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination, zero
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
-                     IllConditionedBasis, ImaginaryResidue, MultinoiseError,
-                     NotInSpan, OracleMismatch, QuadratureFailure,
-                     SectorMismatch, SlowDecay, SupportConditionFailed,
-                     ZeroGamma)
+                     FloatingPointFault, IllConditionedBasis, ImaginaryResidue,
+                     MultinoiseError, NotInSpan, OracleMismatch,
+                     QuadratureFailure, SectorMismatch, SlowDecay,
+                     SupportConditionFailed, ZeroGamma)
 from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
                    fock_inner, project_coefficients, vacuum_expectation)
@@ -22,8 +22,7 @@ from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, l2_inner, metric_sign,
                     weighted_inner)
 from .gamma import (GammaRow, GammaTable, SupportReport, check_support,
-                    effective_support, gamma_osc, gamma_shell, gamma_table,
-                    shell_density)
+                    gamma_osc, gamma_shell, gamma_table)
 from .wick import correlation, enumerate_matchings, reservoir_pair
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
                   agrees with the commutator kernel, both Fock inner
-                  products, computed in Krein coordinates, agree with the
-                  gram and pairing matrices applied slot by slot in basis
-                  coordinates, and the modulated Gaussian witness has
-                  squared norm -5.
+                  products of tensors drawn in basis coordinates, mapped
+                  forward to Krein coordinates, agree with the gram and
+                  pairing matrices applied slot by slot, and the modulated
+                  Gaussian witness has squared norm -5.
 * fock_wick    -- vacuum correlations of noise words agree between the pair
                   partition sum (exact kernels on the smears) and the
                   explicit Fock representation.
@@ -42,7 +42,7 @@ from .wick import correlation
 
 __all__ = [
     "default_basis",
-    "basis_components",
+    "krein_vector",
     "build_check_sectors",
     "random_fock_vector",
     "run_representation_checks",
@@ -134,10 +134,11 @@ def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
     return S
 
 
-def basis_components(phi: FockVector) -> tuple[np.ndarray, ...]:
-    """phi's components mapped from Krein back to basis coordinates."""
-    from_krein = np.linalg.inv(phi.sector.to_krein)
-    return tuple(_apply_slotwise(from_krein, comp) for comp in phi.components)
+def krein_vector(sector: Sector, basis_components) -> FockVector:
+    """The vector with the given basis-coordinate components: to_krein on
+    every slot (an inverse would lose cond(to_krein) ** rank to rounding)."""
+    return FockVector(sector, tuple(_apply_slotwise(sector.to_krein, comp)
+                                    for comp in basis_components))
 
 
 def _basis_inner(kernel: np.ndarray, phi_b, psi_b) -> complex:
@@ -230,11 +231,12 @@ def metric_suite(sectors: Mapping[int, Sector],
                 report["metric_two_route"],
                 abs(grid_val - kernel) / (1.0 + abs(kernel)))
 
-            phi = random_fock_vector(sector, rng, sector.particle_cap)
-            psi = random_fock_vector(sector, rng, sector.particle_cap)
-            phi_b, psi_b = basis_components(phi), basis_components(psi)
+            # the draws read as basis-coordinate tensors
+            phi_b = random_fock_vector(sector, rng, sector.particle_cap).components
+            psi_b = random_fock_vector(sector, rng, sector.particle_cap).components
             metric = _basis_inner(sector.pairing, phi_b, psi_b)
             positive = _basis_inner(sector.gram, phi_b, psi_b)
+            phi, psi = krein_vector(sector, phi_b), krein_vector(sector, psi_b)
             direct = fock_inner(phi, psi, use_metric=True)
             plain = fock_inner(phi, psi, use_metric=False)
             report["metric_consistency"] = _worst(

@@ -1,15 +1,16 @@
 """Batch command line front end.
 
     multinoise <gamma|rep-check|kernel-check|corr-check> --config PATH
-               [--out DIR] [--format csv|json] [--seed INT] [--force]
+               [--out DIR] [--seed INT] [--force]
 
 kernel-check is corr-check's expansion study on the two-letter word.  Exit
 codes: 0 success, 2 bad or unreadable config or unwritable output, 3 support
 condition failed, 4 oracle or computation mismatch, 5 representation
-invariant violated, 6 rate criterion failed; any other error ends with exit 4
-and one stderr line naming its type.  Artifacts are written to a
-temporary file and renamed into place, so a failing run never leaves partial
-files.
+invariant violated, 6 rate criterion failed; any other error, a numpy
+overflow, division by zero or invalid value among them (FloatingPointFault),
+ends with exit 4 and one stderr line naming its type.  Artifacts are written
+to a temporary file and renamed into place, so a failing run never leaves
+partial files.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .checks import run_representation_checks
 from .config import StudyConfig, load_config
-from .errors import BelowFloor, ConfigError, SupportConditionFailed
+from .errors import (BelowFloor, ConfigError, FloatingPointFault,
+                     SupportConditionFailed)
 from .expansion import correlation_error, fit_rate
 from .gamma import GammaTable, check_support, gamma_table
 
@@ -60,7 +64,7 @@ def _json_text(obj) -> str:
 
 
 def _gate_on_support(cfg: StudyConfig, force: bool) -> None:
-    report = check_support(cfg.dispersion, cfg.form_factor, cfg.eps_supp)
+    report = check_support(cfg.dispersion, cfg.form_factor)
     if not report.passes:
         message = (f"stationary points {list(report.stationary_inside)} inside "
                    f"effective support {report.support}")
@@ -113,13 +117,7 @@ def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
         raise ConfigError("gamma study needs a nonempty orders list")
     _gate_on_support(cfg, force)
     table = gamma_table(cfg.dispersion, cfg.form_factor, cfg.orders)
-    out = Path(cfg.out_dir)
-    if cfg.out_format == "json":
-        rows = [{"n": r.n, "gamma_osc": r.gamma_osc, "gamma_shell": r.gamma_shell,
-                 "rel_diff": r.rel_diff} for r in table.rows]
-        _write_text(out / "gamma.json", _json_text(rows))
-    else:
-        _write_text(out / "gamma.csv", table.to_csv_text())
+    _write_text(Path(cfg.out_dir) / "gamma.csv", table.to_csv_text())
     if not _oracle_agrees(table, cfg.assert_rel):
         return EXIT_ORACLE
     print(f"gamma table written for orders {list(cfg.orders)}; "
@@ -183,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON study config")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       help="artifact format (overrides config)")
         p.add_argument("--seed", type=int, help="PRNG seed (overrides config)")
         p.add_argument("--force", action="store_true",
                        help="continue past a failed support condition")
@@ -197,18 +193,17 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.out_dir = args.out
-        if args.format is not None:
-            cfg.out_format = args.format
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")
             cfg.seed = args.seed
 
-        if args.command == "gamma":
-            return cmd_gamma(cfg, args.force)
-        if args.command == "rep-check":
-            return cmd_rep_check(cfg)
-        return cmd_expansion(cfg, args.force, args.command)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "gamma":
+                return cmd_gamma(cfg, args.force)
+            if args.command == "rep-check":
+                return cmd_rep_check(cfg)
+            return cmd_expansion(cfg, args.force, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -216,6 +211,8 @@ def main(argv=None) -> int:
         print(f"support condition failed: {exc}", file=sys.stderr)
         return EXIT_SUPPORT
     except Exception as exc:
+        if isinstance(exc, FloatingPointError):
+            exc = FloatingPointFault(exc)
         message = str(exc).replace("\n", " ")
         print(f"{type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_ORACLE

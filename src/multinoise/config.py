@@ -10,18 +10,27 @@ from pathlib import Path
 from .atoms import TestFunction, gaussian
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
-from .gamma import EPS_SUPP_DEFAULT, MAX_ORDER
+from .gamma import MAX_ORDER
 
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # largest top Fock component, basis_size ** particle_cap entries (64 MiB)
 MAX_FOCK_ENTRIES = 2 ** 22
+# default_basis(16) has a gram condition of at least 3.2e10 at every order,
+# past fock.COND_LIMIT = 1e10, so rep-check could only fail after the work
+MAX_BASIS_SIZE = 15
 # rep-check's six-letter Fock-Wick words put three particles in one sector
 MIN_PARTICLE_CAP = 3
 # One form_factor or smears entry: a form's memory grows with the square of
 # its atom count (160 MB at 1,000), 160-term polys overflow the envelope bound
 MAX_ATOMS = 256
 MAX_POLY_TERMS = 64
+
+# every key parse_config reads; any other key is refused
+ROOT_KEYS = ("dispersion", "form_factor", "orders", "lambda_grid", "truncation",
+             "tolerances", "seed", "rep_pairs", "output", "smears",
+             "fault_injection")
+ATOM_KEYS = tuple(gaussian().to_json_dict()[0])
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -47,8 +56,6 @@ class StudyConfig:
     assert_rel: float
     seed: int
     out_dir: str
-    out_format: str
-    eps_supp: float
     smears: tuple[TestFunction, ...]
     rep_pairs: int
     fault_injection: str | None
@@ -69,9 +76,16 @@ def _integer(value, what: str) -> int:
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
-def _object(raw: dict, key: str) -> dict:
+def _closed(obj: dict, keys, where: str) -> None:
+    """Refuse any key of obj that the parser does not read."""
+    for key in obj:
+        _require(key in keys, f"unknown key {key!r} in {where}")
+
+
+def _object(raw: dict, key: str, keys) -> dict:
     value = raw.get(key, {})
     _require(isinstance(value, dict), f"{key} must be a JSON object")
+    _closed(value, keys, key)
     return value
 
 
@@ -96,6 +110,9 @@ def _parse_dispersion(d: dict) -> Dispersion:
     _require(isinstance(d, dict) and "kind" in d,
              "dispersion must be a JSON object with a 'kind'")
     kind = d["kind"]
+    _require(kind in ("linear", "quadratic"), f"unknown dispersion kind {kind!r}")
+    scale = "slope" if kind == "linear" else "mass"
+    _closed(d, ("kind", "dimension", "offset", scale), "dispersion")
     dim = _integer(d.get("dimension", 1), "dispersion.dimension")
     offset = _finite(d.get("offset", 0.0), "dispersion.offset")
     try:
@@ -103,16 +120,16 @@ def _parse_dispersion(d: dict) -> Dispersion:
             return LinearDispersion(
                 slope=_finite(d.get("slope", 1.0), "dispersion.slope"),
                 offset=offset, dimension=dim)
-        if kind == "quadratic":
-            return QuadraticDispersion(
-                mass=_finite(d.get("mass", 1.0), "dispersion.mass"),
-                offset=offset, dimension=dim)
+        return QuadraticDispersion(
+            mass=_finite(d.get("mass", 1.0), "dispersion.mass"),
+            offset=offset, dimension=dim)
     except ValueError as exc:
         raise ConfigError(f"bad dispersion parameters: {exc}") from exc
-    raise ConfigError(f"unknown dispersion kind {kind!r}")
 
 
 def _parse_test_function(data, what: str) -> TestFunction:
+    for atom in data if isinstance(data, list) else ():
+        _closed(atom if isinstance(atom, dict) else {}, ATOM_KEYS, f"{what} atom")
     try:
         f = TestFunction.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -126,6 +143,7 @@ def _parse_test_function(data, what: str) -> TestFunction:
 
 def parse_config(raw: dict) -> StudyConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    _closed(raw, ROOT_KEYS, "config")
     for key in ("dispersion", "form_factor", "orders", "lambda_grid"):
         _require(key in raw, f"config is missing {key!r}")
 
@@ -141,15 +159,19 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(isinstance(raw["lambda_grid"], list), "lambda_grid must be a list")
     grid = tuple(_finite(x, "lambda_grid entry") for x in raw["lambda_grid"])
     _require(len(grid) > 0, "lambda_grid must be nonempty")
-    _require(all(x > 0 for x in grid), "lambda_grid entries must be positive")
+    # the reservoir kernel divides by lambda^2, which is 0 below about 1e-162
+    _require(all(x > 0 and x * x > 0 for x in grid),
+             "lambda_grid entries must be positive, with a nonzero square")
     _require(all(a > b for a, b in zip(grid, grid[1:])),
              "lambda_grid must be strictly decreasing")
 
-    trunc = _object(raw, "truncation")
+    trunc = _object(raw, "truncation",
+                    ("basis_size", "particle_cap", "sector_max"))
     basis_size = _integer(trunc.get("basis_size", 6), "basis_size")
     particle_cap = _integer(trunc.get("particle_cap", 4), "particle_cap")
     sector_max = _integer(trunc.get("sector_max", 3), "sector_max")
-    _require(basis_size >= 2, "basis_size must be at least 2")
+    _require(2 <= basis_size <= MAX_BASIS_SIZE,
+             f"basis_size must lie in 2..{MAX_BASIS_SIZE}, got {basis_size}")
     _require(particle_cap >= MIN_PARTICLE_CAP,
              f"particle_cap must be at least {MIN_PARTICLE_CAP}")
     # min() keeps the power cheap; basis_size >= 2 already fails at cap 64
@@ -159,9 +181,7 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(0 <= sector_max <= MAX_ORDER,
              f"sector_max must lie in 0..{MAX_ORDER}, got {sector_max}")
 
-    # tolerances.quad_abs and quad_rel are accepted for old configs but have
-    # no effect: the forms are exact and the remaining quadratures fix their own
-    tols = _object(raw, "tolerances")
+    tols = _object(raw, "tolerances", ("assert_rel",))
     assert_rel = _finite(tols.get("assert_rel", 1e-6), "tolerances.assert_rel")
     _require(assert_rel > 0, "tolerances.assert_rel must be positive")
 
@@ -170,9 +190,7 @@ def parse_config(raw: dict) -> StudyConfig:
     rep_pairs = _integer(raw.get("rep_pairs", 50), "rep_pairs")
     _require(rep_pairs >= 1, "rep_pairs must be at least 1")
 
-    output = _object(raw, "output")
-    out_format = output.get("format", "csv")
-    _require(out_format in ("csv", "json"), "output format must be csv or json")
+    output = _object(raw, "output", ("directory",))
 
     smears = DEFAULT_WORD_SMEARS
     if "smears" in raw:
@@ -181,9 +199,6 @@ def parse_config(raw: dict) -> StudyConfig:
         smears = tuple(_parse_test_function(s, "smear") for s in raw["smears"])
         _require(not any(s.is_zero() for s in smears),
                  "smears entries must be nonzero")
-
-    eps_supp = _finite(raw.get("eps_supp", EPS_SUPP_DEFAULT), "eps_supp")
-    _require(0 < eps_supp < 1, "eps_supp must lie strictly between 0 and 1")
 
     fault = raw.get("fault_injection")
     _require(fault in (None, "transpose_pairing"),
@@ -200,8 +215,6 @@ def parse_config(raw: dict) -> StudyConfig:
         assert_rel=assert_rel,
         seed=seed,
         out_dir=str(output.get("directory", "out")),
-        out_format=out_format,
-        eps_supp=eps_supp,
         smears=smears,
         rep_pairs=rep_pairs,
         fault_injection=fault,

@@ -55,3 +55,7 @@ class ConfigError(MultinoiseError):
 
 class OracleMismatch(MultinoiseError):
     """Two independent computation routes disagree beyond tolerance."""
+
+
+class FloatingPointFault(MultinoiseError):
+    """A numpy operation overflowed, divided by zero or was invalid."""

@@ -254,6 +254,8 @@ def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
     vectors: dict[int, FockVector] = {}
     for sign, order, smear in reversed(list(zip(signs, orders, smears,
                                                 strict=True))):
+        if sign not in (+1, -1):
+            raise ValueError("letter sign must be +1 or -1")
         if order not in vectors:
             vectors[order] = FockVector.vacuum(sectors[order])
         op = create if sign > 0 else annihilate

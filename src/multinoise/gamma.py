@@ -28,8 +28,8 @@ root k0 of omega contributes (S^n F)(k0) / |omega'(k0)| to rho^(n)(0), with
 F = w |g|^2 and S F = (F / omega')'.  F is carried as its Taylor series about
 k0, from the exact derivatives of g; omega' is affine in k, so each division
 by it is a two-term recurrence and S loses nothing but rounding.
-Both routes require the stationary set of omega to avoid the support of g;
-``check_support`` reports that condition.
+Both routes require the stationary set of omega to avoid the support of g,
+where |g|^2 may reach EPS_SUPP; ``check_support`` reports that condition.
 """
 
 from __future__ import annotations
@@ -50,16 +50,14 @@ from .panels import MOMENTUM_TOL, envelope, panel_rule
 __all__ = [
     "SupportReport",
     "check_support",
-    "effective_support",
     "gamma_osc",
-    "shell_density",
     "gamma_shell",
     "GammaRow",
     "GammaTable",
     "gamma_table",
 ]
 
-EPS_SUPP_DEFAULT = 1e-10   # threshold on |g|^2 for the effective support
+EPS_SUPP = 1e-10   # threshold on |g|^2 for the effective support
 SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
@@ -67,14 +65,8 @@ MAX_ORDER = 6
 MAX_SIGMA_TABLE = 2 ** 24  # (sigma panels) x (momentum nodes); shipped: 1.7e6
 
 
-def effective_support(g: TestFunction, eps_supp: float = EPS_SUPP_DEFAULT) -> tuple[float, float]:
-    """Interval outside which |g(k)|^2 is provably below eps_supp."""
-    return envelope(g, math.sqrt(eps_supp))
-
-
 @dataclass(frozen=True)
 class SupportReport:
-    eps_supp: float
     support: tuple[float, float]
     stationary_inside: tuple[float, ...]
 
@@ -83,12 +75,11 @@ class SupportReport:
         return not self.stationary_inside
 
 
-def check_support(disp: Dispersion, g: TestFunction,
-                  eps_supp: float = EPS_SUPP_DEFAULT) -> SupportReport:
-    """Report stationary points of omega inside the effective support of g."""
-    lo, hi = clip_domain(disp, *effective_support(g, eps_supp))
+def check_support(disp: Dispersion, g: TestFunction) -> SupportReport:
+    """Stationary points of omega where |g(k)|^2 may reach EPS_SUPP."""
+    lo, hi = clip_domain(disp, *envelope(g, math.sqrt(EPS_SUPP)))
     inside = tuple(p for p in disp.stationary_points() if lo <= p <= hi)
-    return SupportReport(eps_supp, (lo, hi), inside)
+    return SupportReport((lo, hi), inside)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +214,6 @@ def _shell_roots(disp: Dispersion, energy: float):
         yield k, slope
 
 
-def shell_density(disp: Dispersion, g: TestFunction, energy: float) -> float:
-    """Pushforward density of the weighted |g|^2 through omega."""
-    return sum((float(measure_weight(disp, k)) * abs(g(k)) ** 2 / abs(slope)
-                for k, slope in _shell_roots(disp, energy)), 0.0)
-
-
 def _root_derivative(disp: Dispersion, g: TestFunction, k0: float,
                      slope: float, n: int) -> float:
     """(S^n F)(k0) / |omega'(k0)|, one root's share of rho^(n)(0).
@@ -256,11 +241,6 @@ def gamma_shell(disp: Dispersion, g: TestFunction, n: int) -> float:
     """Order-n coefficient from the exact n-th E-derivative of rho at E = 0."""
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    lo, hi = effective_support(g)
-    if all(not lo <= k <= hi for k in disp.roots(0.0)):
-        # empty energy shell on the support: make sure rho vanishes there too
-        if shell_density(disp, g, 0.0) < 1e-30:
-            return 0.0
     val = sum(_root_derivative(disp, g, k, slope, n)
               for k, slope in _shell_roots(disp, 0.0))
     return (2.0 * math.pi / math.factorial(n)) * (-1.0) ** n * val

@@ -34,10 +34,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "orders": [0, 1],
         "lambda_grid": [0.5, 0.35, 0.25, 0.15],
         "truncation": {"basis_size": 4, "particle_cap": 3, "sector_max": 1},
-        "tolerances": {"quad_abs": 1e-14, "quad_rel": 1e-11, "assert_rel": 1e-6},
+        "tolerances": {"assert_rel": 1e-6},
         "seed": 7,
         "rep_pairs": 6,
-        "output": {"directory": str(tmp_path / "out"), "format": "csv"},
+        "output": {"directory": str(tmp_path / "out")},
     }
     base.update(overrides)
     path = tmp_path / name
@@ -109,8 +109,20 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"orders": [True]}),
     ("gamma", {"orders": [1.5]}),
     ("kernel-check", {"lambda_grid": [math.inf, 0.35, 0.25, 0.15]}),
+    ("kernel-check", {"lambda_grid": [0.5, 0.25, 1e-200]}),
     ("gamma", {"eps_supp": 0}),
     ("gamma", {"eps_supp": 2.0}),
+    ("gamma", {"eps_supp": 1e-10}),
+    ("gamma", {"output": {"directory": "out", "format": "csv"}}),
+    ("rep-check", {"rep_pair": 2}),
+    ("gamma", {"dispersion": {"kind": "linear", "mass": 1.0}}),
+    ("gamma", {"dispersion": {"kind": "quadratic", "slope": 1.0}}),
+    ("rep-check", {"truncation": {"basis_size": 4, "particle_caps": 3}}),
+    ("gamma", {"form_factor": atom_with(phase=0.0)}),
+    ("kernel-check", {"smears": [gaussian().to_json_dict(),
+                                 atom_with(centre=0.0)]}),
+    ("rep-check", {"truncation": {"basis_size": 16, "particle_cap": 3,
+                                  "sector_max": 1}}),
     ("gamma", {"truncation": {"basis_size": "x"}}),
     ("rep-check", {"truncation": {"particle_cap": 2.5}}),
     ("rep-check", {"truncation": {"sector_max": True}}),
@@ -146,7 +158,7 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"form_factor": atom_with(poly=[[0.0, 0.0]])}),
     ("kernel-check", {"smears": [atom_with(poly=[[0.0, 0.0]]),
                                  gaussian().to_json_dict()]}),
-    ("rep-check", {"truncation": {"basis_size": 40, "particle_cap": 8}}),
+    ("rep-check", {"truncation": {"basis_size": 15, "particle_cap": 6}}),
     ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 2,
                                   "sector_max": 1}}),
     ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 3,
@@ -157,7 +169,13 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0]] * 65)}),
     ("corr-check", {"smears": [atom_with(poly=[[1.0, 0.0]] * 65)] * 4}),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
-        "order-fraction", "lambda-infinite", "eps-supp-0", "eps-supp-2",
+        "order-fraction", "lambda-infinite", "lambda-square-underflows",
+        "unknown-key-eps-supp-0", "unknown-key-eps-supp-2",
+        "unknown-key-eps-supp-default", "unknown-key-output-format",
+        "unknown-key-rep-pair",
+        "unknown-key-mass-on-linear", "unknown-key-slope-on-quadratic",
+        "unknown-key-truncation", "unknown-key-form-factor-atom",
+        "unknown-key-smear-atom", "basis-size-16",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
         "truncation-list", "seed-string", "seed-negative", "rep-pairs-0",
         "assert-rel-string", "assert-rel-infinite", "tolerances-list",
@@ -237,13 +255,6 @@ def test_gamma_writes_table_and_succeeds(tmp_path):
     row0 = lines[1].split(",")
     assert float(row0[1]) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-8)
     assert float(lines[2].split(",")[1]) == 0.0
-
-
-def test_gamma_json_format(tmp_path):
-    cfg = write_config(tmp_path)
-    assert cli.main(["gamma", "--config", str(cfg), "--format", "json"]) == 0
-    rows = json.loads((tmp_path / "out" / "gamma.json").read_text())
-    assert [r["n"] for r in rows] == [0, 1]
 
 
 def test_support_failure_exits_3_without_force(tmp_path):
@@ -384,11 +395,21 @@ def test_study_computes_each_noise_contraction_once(tmp_path, monkeypatch):
         (0, f, h) for f, h in itertools.product(smears[:2], smears[2:4])}
 
 
-def test_quadrature_tolerance_keys_are_accepted_and_ignored(tmp_path):
-    with_keys = load_config(write_config(tmp_path, "a.json"))
-    without = load_config(write_config(
-        tmp_path, "b.json", tolerances={"assert_rel": 1e-6}))
-    assert with_keys == without
+def test_quadrature_tolerance_keys_are_refused(tmp_path, capsys):
+    """The forms are exact, so a quadrature tolerance would change nothing."""
+    for key in ("quad_abs", "quad_rel"):
+        cfg = write_config(tmp_path, f"{key}.json",
+                           tolerances={"assert_rel": 1e-6, key: 1e-11})
+        assert cli.main(["gamma", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"config error: unknown key {key!r} in tolerances"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_basis_size_limit_is_inclusive(tmp_path):
+    cfg = load_config(write_config(tmp_path, truncation={
+        "basis_size": config.MAX_BASIS_SIZE, "particle_cap": 3}))
+    assert cfg.basis_size == config.MAX_BASIS_SIZE
 
 
 def test_no_partial_files_on_support_failure(tmp_path):
@@ -414,6 +435,24 @@ def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
     assert message in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("kernel-check", {"smears": [atom_with(center=1e300)] * 2}),
+    ("kernel-check", {"smears": [atom_with(coefficient_re=1e300)] * 2}),
+    ("kernel-check", {"smears": [atom_with(width=1e-300)] * 2}),
+    ("gamma", {"form_factor": atom_with(center=1e300)}),
+], ids=["smear-center-1e300", "smear-coefficient-1e300", "smear-width-1e-300",
+        "form-factor-center-1e300"])
+def test_floating_point_fault_exits_4_in_one_line(tmp_path, capsys, command,
+                                                  overrides):
+    """Overflow, division by zero and invalid operations raise at once,
+    instead of warning and carrying an inf or a NaN on."""
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("FloatingPointFault: "), err
     assert not (tmp_path / "out").exists()
 
 

@@ -158,7 +158,7 @@ def test_degenerate_root_detected():
     disp = mn.QuadraticDispersion(mass=1.0, offset=5e-14)
     g = mn.gaussian(width=1.0)
     with pytest.raises(DegenerateRoot):
-        mn.shell_density(disp, g, 0.0)
+        mn.gamma_shell(disp, g, 0)
 
 
 def test_slow_decay_raised_for_stationary_point_in_support():
