@@ -11,10 +11,10 @@ correlation functions.
 from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination, zero
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
-                     FloatingPointFault, IllConditionedBasis, ImaginaryResidue,
-                     MultinoiseError, NotInSpan, OracleMismatch,
-                     QuadratureFailure, SectorMismatch, SlowDecay,
-                     SupportConditionFailed, ZeroGamma)
+                     FloatingPointFault, IllConditionedBasis, MultinoiseError,
+                     NotInSpan, OracleMismatch, QuadratureFailure,
+                     SectorMismatch, SlowDecay, SupportConditionFailed,
+                     ZeroGamma)
 from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
                    fock_inner, project_coefficients, vacuum_expectation)

@@ -29,10 +29,6 @@ class QuadratureFailure(MultinoiseError):
     """An adaptive quadrature did not reach the requested tolerance."""
 
 
-class ImaginaryResidue(MultinoiseError):
-    """A value that must be real carries too large an imaginary part."""
-
-
 class SlowDecay(MultinoiseError):
     """The oscillatory integrand does not decay below the truncation bound."""
 

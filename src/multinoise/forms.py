@@ -333,7 +333,7 @@ def frequency_grid(fns) -> tuple[np.ndarray, np.ndarray]:
     for f in fns:
         lo, hi = f.fourier().envelope_interval(ENVELOPE_TOL)
         radius = max(radius, abs(lo), abs(hi))
-    pos_nodes, pos_weights, _, _ = panel_rule(0.0, radius, radius / GRID_PANELS)
+    pos_nodes, pos_weights = panel_rule(0.0, radius, radius / GRID_PANELS)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
     weights = np.concatenate([pos_weights[::-1], pos_weights])
     return nodes, weights

@@ -3,20 +3,19 @@
 The n-th coefficient is
 
     gamma_n = (i^n / n!) integral dsigma sigma^n I(sigma),
-    I(sigma) = integral dk exp(i sigma omega(k)) |g(k)|^2,
+    I(sigma) = integral dk exp(i sigma omega(k)) w(k) |g(k)|^2,
 
-computed by truncating the sigma integral where |I(sigma)| has decayed below
-a bound, with Gauss-Legendre panels (``panels.panel_rule``) narrow enough to
-resolve both oscillation rates (sigma * max|omega'| in momentum, max|omega|
-in sigma).  ``_i_sigma_on_panels`` is the one evaluator of I:  the sigma
-panels share one half-width h, so every node is mid_p + h x_j with the same
-Legendre nodes x_j, and exp(i sigma omega) = exp(i mid_p omega)
-exp(i h x_j omega) exactly: per momentum block the table is one
-(panels x momentum) by (momentum x 16) matrix product of the two phase
-factors, and no sigma x momentum matrix is formed.  The table is evaluated
-once on the sigma nodes and memoized; the decay probes that place the cutoff
-are one-node panels.  The test suite checks I against the direct node-by-node
-sum and adaptive quadrature.
+truncated to [-Sigma, Sigma], where ``_sigma_cutoff`` finds |I| decayed
+below SIGMA_DECAY_TOL.  On that finite domain the two integrals swap: with
+the momentum rule's densities d_k (Gauss-Legendre panels resolving
+exp(i Sigma omega)),
+
+    gamma_n = (i^n / n!) Sigma^(n+1) sum_k d_k M_n(Sigma omega_k),
+    M_n(x) = integral_{-1}^{1} t^n exp(i x t) dt,
+
+and M_n is taken in closed form (``_half_moment``), so no sigma grid is
+built.  The test suite checks M_n against high-precision values and gamma_n
+against sigma panels over I summed node by node.
 
 The independent oracle pushes |g|^2 through omega:  with
 rho(E) = sum_{omega(k)=E} w(k) |g(k)|^2 / |omega'(k)|  (the shell density),
@@ -43,9 +42,8 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, clip_domain, curvature, measure_taylor,
                          measure_weight)
-from .errors import (DegenerateRoot, ImaginaryResidue, OracleMismatch,
-                     QuadratureFailure, SlowDecay)
-from .panels import MOMENTUM_TOL, envelope, panel_rule
+from .errors import DegenerateRoot, OracleMismatch, SlowDecay
+from .panels import GL_NODES, GL_WEIGHTS, MOMENTUM_TOL, envelope, panel_rule
 
 __all__ = [
     "SupportReport",
@@ -62,7 +60,7 @@ SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
 MAX_ORDER = 6
-MAX_SIGMA_TABLE = 2 ** 24  # (sigma panels) x (momentum nodes); shipped: 1.7e6
+SERIES_FROM = 8.0  # |Sigma omega| from which M_n is summed by parts
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,10 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
 
     A domain straddling 0 is widened to [-X, X] and returned as a positive
     block plus its bitwise mirror, so that configurations with odd omega and
-    even |g|^2 produce exactly conjugate node pairs; summing the mirror blocks
-    elementwise then cancels the imaginary part identically, which is what
-    makes symmetry-forced odd coefficients come out as exact zeros.
+    even |g|^2 produce node pairs with exactly opposite omega and equal
+    density; summing the mirror blocks elementwise then cancels an odd kernel
+    identically, which is what makes symmetry-forced odd coefficients come
+    out as exact zeros.
     """
     lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:
@@ -111,31 +110,48 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
 
     if lo < 0.0 < hi:
         radius = max(-lo, hi)
-        nodes, weights, _, _ = panel_rule(0.0, radius, width)
+        nodes, weights = panel_rule(0.0, radius, width)
         return (block(nodes, weights), block(-nodes, weights))
-    nodes, weights, _, _ = panel_rule(lo, hi, width)
+    nodes, weights = panel_rule(lo, hi, width)
     return (block(nodes, weights),)
 
 
-def _i_sigma_on_panels(blocks, mids, offsets) -> np.ndarray:
-    """I on the nodes ``mids[p] + offsets[j]``, raveled panel by panel.
+def _half_moment(n: int, u: np.ndarray) -> np.ndarray:
+    """H_n(u) = int_0^1 t^n e^{iut} dt, u >= 0, less a part the kernel drops.
 
-    exp(i sigma omega) splits exactly into exp(i mid omega) exp(i offset
-    omega), so each momentum block costs (P + J) K exponentials and one
-    P x K by K x J matrix product instead of P J K exponentials.  More than
-    MAX_SIGMA_TABLE entries P K is QuadratureFailure, raised before allocating.
+    Up to SERIES_FROM, 16 Legendre nodes on [0, 1] are exact to below 1e-25.
+    Past it, integration by parts gives H_n = exp(iu) sum_j c_j z^(j+1) -
+    c_n z^(n+1), with z = 1/(iu) and c_j = (-1)^j n!/(n-j)!, summed by
+    Horner in z without cancellation (n!/u^n <= 2.7e-3 for n <= 6).  The
+    t = 0 term c_n z^(n+1) is imaginary for even n and real for odd n, the
+    part the kernel drops, so it is left out.
     """
-    entries = mids.size * sum(omega_nodes.size for omega_nodes, _ in blocks)
-    if entries > MAX_SIGMA_TABLE:
-        raise QuadratureFailure(f"sigma table needs {entries:.3g} phase "
-                                f"entries, more than {MAX_SIGMA_TABLE}")
-    acc = np.zeros((mids.size, offsets.size), dtype=complex)
-    for omega_nodes, density in blocks:
-        # a mirror block's product is the bitwise conjugate of its partner's,
-        # so odd coefficients of symmetric configurations still cancel exactly
-        acc += ((np.exp(1j * np.outer(mids, omega_nodes)) * density)
-                @ np.exp(1j * np.outer(offsets, omega_nodes)).T)
-    return acc.ravel()
+    out = np.empty(u.shape, dtype=complex)
+    near = u <= SERIES_FROM
+    un = u[near]
+    acc = np.zeros(un.shape, dtype=complex)
+    for t, w in zip(0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS):
+        acc += w * t ** n * np.exp(1j * t * un)
+    out[near] = acc
+    far = ~near
+    z = 1.0 / (1j * u[far])
+    coeffs = [(-1) ** j * math.perm(n, j) for j in range(n + 1)]
+    poly = np.full(z.shape, complex(coeffs[n]))
+    for c in reversed(coeffs[:-1]):
+        poly = c + z * poly
+    out[far] = np.exp(1j * u[far]) * z * poly
+    return out
+
+
+def _moment_kernel(n: int, x: np.ndarray) -> np.ndarray:
+    """Re M_n(x) for even n and Im M_n(x) for odd n, elementwise.
+
+    M_n(x) = int_{-1}^1 t^n e^{ixt} dt = H_n(x) + (-1)^n conj(H_n(x)), so
+    the kernel is 2 Re H_n(|x|) or 2 sign(x) Im H_n(|x|): evaluated on |x|,
+    it is bitwise even or odd in x.
+    """
+    half = _half_moment(n, np.abs(x))
+    return 2.0 * half.real if n % 2 == 0 else 2.0 * np.sign(x) * half.imag
 
 
 def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
@@ -146,10 +162,10 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
     SlowDecay if the cap is reached.
     """
     def probe_mag(sig: float) -> float:
-        blocks = _momentum_rule(disp, g, 1.7 * sig)
         probes = np.array([sig, 1.3 * sig, 1.7 * sig])
-        # one-node panels: I at the probes themselves
-        values = _i_sigma_on_panels(blocks, probes, np.zeros(1))
+        values = np.zeros(probes.size, dtype=complex)
+        for omega_nodes, density in _momentum_rule(disp, g, 1.7 * sig):
+            values += np.exp(1j * np.outer(probes, omega_nodes)) @ density
         return float(np.max(np.abs(values)))
 
     sigma_end = 1.0
@@ -164,39 +180,27 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
 
 
 @lru_cache(maxsize=32)
-def _oscillation_table(disp: Dispersion, g: TestFunction):
-    """Sigma nodes, weights and memoized I values on [0, Sigma]."""
+def _truncated_rule(disp: Dispersion, g: TestFunction):
+    """Sigma and the momentum blocks resolving exp(i sigma omega) up to it."""
     sigma_end = _sigma_cutoff(disp, g)
-    blocks = _momentum_rule(disp, g, sigma_end)
-    omega_max = max((float(np.max(np.abs(om))) for om, _ in blocks),
-                    default=0.0)
-    panel = math.pi / max(omega_max, 1e-6)
-    nodes, weights, mids, offsets = panel_rule(
-        0.0, sigma_end, min(panel, sigma_end / 4.0))
-    values = _i_sigma_on_panels(blocks, mids, offsets)
-    for arr in (nodes, weights, values):
-        arr.setflags(write=False)
-    return nodes, weights, values
+    return sigma_end, _momentum_rule(disp, g, sigma_end)
 
 
 def gamma_osc(disp: Dispersion, g: TestFunction, n: int) -> float:
-    """Order-n coefficient via the truncated oscillatory sigma integral.
+    """Order-n coefficient from the sigma integral truncated at Sigma.
 
-    The negative half line is folded in through the exact identity
-    I(-sigma) = conj(I(sigma)), so the assembled value is real by
-    construction; the residue check is a tripwire for evaluators that break
-    that symmetry.
+    i^n M_n is real, (-1)^((n+1)//2) times the kernel, so the value is real
+    by construction; adding the mirror blocks elementwise before the sum
+    makes symmetry-forced odd coefficients exact (positive) zeros.
     """
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    nodes, weights, values = _oscillation_table(disp, g)
-    half = np.sum(weights * nodes ** n * values)
-    raw = (1j) ** n / math.factorial(n) * (half + (-1) ** n * np.conj(half))
-    if abs(raw.imag) > 1e-8 * (abs(raw.real) + 1e-14):
-        raise ImaginaryResidue(
-            f"gamma_{n} carries imaginary part {raw.imag:.3g} "
-            f"against real part {raw.real:.3g}")
-    return float(raw.real)
+    sigma_end, blocks = _truncated_rule(disp, g)
+    acc = 0.0
+    for omega_nodes, density in blocks:
+        acc = acc + density * _moment_kernel(n, sigma_end * omega_nodes)
+    scale = (-1) ** ((n + 1) // 2) * sigma_end ** (n + 1) / math.factorial(n)
+    return scale * float(np.sum(acc)) + 0.0
 
 
 # ---------------------------------------------------------------------------

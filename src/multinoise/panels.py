@@ -1,4 +1,4 @@
-"""Gauss-Legendre panel rules shared by the gamma table and the reservoir kernel.
+"""Gauss-Legendre panel rules shared by gamma, forms and the reservoir kernel.
 
 ``panel_rule`` lays equal panels of GL_ORDER Legendre nodes on an interval;
 ``panel_sum`` doubles the panel count until two successive sums agree;
@@ -42,11 +42,8 @@ def envelope(f: TestFunction, tol: float) -> tuple[float, float]:
 def panel_rule(lo: float, hi: float, width: float):
     """Equal Gauss-Legendre panels on [lo, hi], none wider than ``width``.
 
-    Returns ``(nodes, weights, mids, offsets)``: node ``p * GL_ORDER + j`` is
-    ``mids[p] + offsets[j]``.  Every panel shares one half-width, so the
-    offsets are the same floats in every panel, which is what lets the sigma
-    table factor its phase per panel.  More than MAX_RULE_PANELS panels (or
-    a non-finite interval) is QuadratureFailure, raised before allocating.
+    Returns ``(nodes, weights)``.  More than MAX_RULE_PANELS panels (or a
+    non-finite interval) is QuadratureFailure, raised before allocating.
     """
     if not hi - lo <= MAX_RULE_PANELS * width:
         raise QuadratureFailure(f"panel rule on [{lo:g}, {hi:g}] needs more "
@@ -54,10 +51,9 @@ def panel_rule(lo: float, hi: float, width: float):
     n_panels = int(math.ceil((hi - lo) / width))
     half = 0.5 * (hi - lo) / n_panels
     mids = lo + half * (2.0 * np.arange(n_panels) + 1.0)
-    offsets = half * GL_NODES
-    nodes = (mids[:, None] + offsets[None, :]).ravel()
+    nodes = (mids[:, None] + half * GL_NODES[None, :]).ravel()
     weights = np.tile(half * GL_WEIGHTS, n_panels)
-    return nodes, weights, mids, offsets
+    return nodes, weights
 
 
 def panel_sum(fun, lo: float, hi: float, *, epsabs: float,
@@ -71,7 +67,7 @@ def panel_sum(fun, lo: float, hi: float, *, epsabs: float,
     previous, change = None, math.inf
     panels = 1
     while panels <= MAX_PANELS:
-        nodes, weights, _, _ = panel_rule(lo, hi, (hi - lo) / panels)
+        nodes, weights = panel_rule(lo, hi, (hi - lo) / panels)
         total = complex(np.dot(weights, fun(nodes)))
         if previous is not None:
             change = abs(total - previous)

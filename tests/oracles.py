@@ -2,10 +2,12 @@
 
 The package computes every integral without QUADPACK; these routines redo
 them by scipy's adaptive Gauss-Kronrod quadrature, so a fault in the exact
-forms, the sigma table or the reservoir kernel shows up as a disagreement.
-``i_sigma_on_rule`` sums the sigma table's own momentum rule node by node,
-without the per-panel phase factoring.  ``symmetrize_by_permutations`` is
-the k!-term average the slot-by-slot Fock symmetrizer must reproduce.
+forms, the gamma moments or the reservoir kernel shows up as a disagreement.
+``i_sigma_on_rule`` sums I(sigma) on gamma's momentum rule node by node, and
+``gamma_by_sigma_panels`` integrates it over sigma panels: the package
+integrates the other way round, sigma first, in closed form.
+``symmetrize_by_permutations`` is the k!-term average the slot-by-slot Fock
+symmetrizer must reproduce.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 from multinoise.dispersion import clip_domain, measure_weight
 from multinoise.errors import QuadratureFailure
 from multinoise.forms import QUAD_REL
-from multinoise.panels import MOMENTUM_TOL, envelope
+from multinoise.panels import MOMENTUM_TOL, envelope, panel_rule
 
 QUAD_ABS = 1e-14     # absolute quadrature floor
 
@@ -75,3 +77,25 @@ def symmetrize_by_permutations(tensor: np.ndarray) -> np.ndarray:
     return (sum(np.transpose(tensor, perm)
                 for perm in itertools.permutations(range(k)))
             / math.factorial(k))
+
+
+def gamma_by_sigma_panels(sigma_end: float, blocks, orders) -> list[float]:
+    """gamma_n of the sigma integral truncated at Sigma, integrated over sigma.
+
+    Legendre panels on [0, Sigma], none wider than pi / max|omega|, over I
+    from ``i_sigma_on_rule`` (64 sigma nodes at a time, so that no
+    sigma x momentum matrix of the whole rule is held); the negative half
+    line enters through I(-sigma) = conj(I(sigma)).
+    """
+    omega_max = max((float(np.max(np.abs(om))) for om, _ in blocks),
+                    default=0.0)
+    nodes, weights = panel_rule(
+        0.0, sigma_end, min(math.pi / max(omega_max, 1e-6), sigma_end / 4.0))
+    values = np.concatenate([i_sigma_on_rule(blocks, nodes[i:i + 64])
+                             for i in range(0, nodes.size, 64)])
+    gammas = []
+    for n in orders:
+        half = np.sum(weights * nodes ** n * values)
+        full = (1j) ** n * (half + (-1) ** n * np.conj(half))
+        gammas.append(float(full.real) / math.factorial(n))
+    return gammas

@@ -1,18 +1,20 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
+import csv
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import multinoise
-from multinoise import checks, cli, config, expansion
+from multinoise import checks, cli, config, expansion, gamma
 from multinoise.atoms import gaussian
 from multinoise.gamma import GammaRow, GammaTable
 from multinoise.config import load_config
@@ -425,9 +427,7 @@ def test_no_partial_files_on_support_failure(tmp_path):
     ({"form_factor": atom_with(width=1e300)}, "panel rule"),
     ({"dispersion": {"kind": "linear", "slope": 1e300, "offset": 0.0}},
      "panel rule"),
-    # each panel rule fits, but their sigma table would hold 5e8 entries
-    ({"form_factor": atom_with(width=1e3)}, "sigma table"),
-], ids=["width-1e300", "slope-1e300", "width-1e3"])
+], ids=["width-1e300", "slope-1e300"])
 def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides,
                                                 message):
     cfg = write_config(tmp_path, **overrides)
@@ -436,6 +436,27 @@ def test_huge_finite_config_exits_4_in_one_line(tmp_path, capsys, overrides,
     assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
     assert message in err[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_wide_form_factor_computes_in_momentum_sized_memory(tmp_path):
+    """A form-factor width of 1e3 needs 59,392 momentum nodes on the linear
+    catalog; a sigma x momentum table of them would hold 5e8 entries, but
+    gamma_osc keeps only vectors of the momentum rule."""
+    cfg = write_config(tmp_path, form_factor=atom_with(width=1e3),
+                       orders=[0, 1, 2])
+    gamma._truncated_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        assert cli.main(["gamma", "--config", str(cfg)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6
+    rows = list(csv.DictReader(
+        (tmp_path / "out" / "gamma.csv").read_text().splitlines()))
+    assert [int(r["n"]) for r in rows] == [0, 1, 2]
+    # the oracles agree to 2.1e-10 at gamma_2 = -3.5e-9 and to 1e-15 below
+    assert max(float(r["rel_diff"]) for r in rows) <= 1e-9
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -12,7 +12,7 @@ import multinoise as mn
 from multinoise import gamma as gamma_mod
 from multinoise.errors import DegenerateRoot, QuadratureFailure, SlowDecay
 from multinoise.panels import MAX_RULE_PANELS, panel_rule
-from oracles import i_sigma, i_sigma_on_rule
+from oracles import gamma_by_sigma_panels, i_sigma, i_sigma_on_rule
 
 TWO_SQRT_PI = 2 * math.sqrt(math.pi)
 
@@ -39,8 +39,9 @@ def test_i_sigma_gaussian_closed_form(linear_catalog):
 def test_gamma_osc_linear_catalog(linear_catalog):
     disp, g = linear_catalog
     assert_allclose(mn.gamma_osc(disp, g, 0), TWO_SQRT_PI, rtol=1e-8)
-    for n in (1, 3, 5):  # even |g|^2, odd-symmetric omega
-        assert mn.gamma_osc(disp, g, n) == 0.0
+    for n in (1, 3, 5):  # even |g|^2, odd-symmetric omega: an exact +0.0
+        value = mn.gamma_osc(disp, g, n)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
     assert_allclose(mn.gamma_osc(disp, g, 2), -TWO_SQRT_PI, rtol=1e-8)
 
 
@@ -123,11 +124,14 @@ def test_gamma_nonnegativity_of_order_zero(quadratic_catalog):
 
 
 def test_realness_through_order_four(linear_catalog, quadratic_catalog):
-    """gamma_osc discards no visible imaginary residue up to n = 4."""
+    """gamma_osc is a real float up to n = 4.
+
+    i^n M_n(x) is real for real x, so the route has no imaginary part to
+    discard: the kernel is Re M_n or Im M_n by construction.
+    """
     for disp, g in (linear_catalog, quadratic_catalog):
         for n in range(5):
-            value = mn.gamma_osc(disp, g, n)  # raises ImaginaryResidue if not
-            assert isinstance(value, float)
+            assert isinstance(mn.gamma_osc(disp, g, n), float)
 
 
 def test_sigma_decay_ladder(linear_catalog, quadratic_catalog):
@@ -205,39 +209,88 @@ def test_radial_reduction_runs(radial_catalog):
                     rtol=0.05)
 
 
-def test_sigma_table_matches_direct_and_adaptive_routes(
+def test_i_sigma_on_the_momentum_rule_matches_adaptive_quadrature(
         linear_catalog, quadratic_catalog, radial_catalog):
-    """The factored panel table against I evaluated node by node."""
+    """The momentum rule gamma_osc integrates over resolves I up to Sigma."""
     for disp, g in (linear_catalog, quadratic_catalog, radial_catalog):
-        nodes, _, values = gamma_mod._oscillation_table(disp, g)
-        blocks = gamma_mod._momentum_rule(
-            disp, g, gamma_mod._sigma_cutoff(disp, g))
+        sigma_end, blocks = gamma_mod._truncated_rule(disp, g)
         scale = max(1.0, abs(i_sigma_on_rule(blocks, [0.0])[0]))
-        picks = np.linspace(0, nodes.size - 1, 40).round().astype(int)
-        direct = i_sigma_on_rule(blocks, nodes[picks])
-        assert np.max(np.abs(values[picks] - direct)) <= 1e-12 * scale
+        sigmas = np.linspace(0.0, sigma_end, 6)
+        on_rule = i_sigma_on_rule(blocks, sigmas)
         # adaptive quadrature asks for 1e-11 relative; allow ten times that
-        for k in range(0, 40, 8):
-            adaptive = i_sigma(disp, g, float(nodes[k]))
-            assert abs(values[k] - adaptive) <= 1e-10 * scale
+        for sigma, value in zip(sigmas, on_rule):
+            assert abs(value - i_sigma(disp, g, float(sigma))) <= 1e-10 * scale
 
 
-def test_sigma_table_never_builds_the_dense_sigma_momentum_matrix(
-        quadratic_catalog):
-    """Peak traced memory of the table stays far below the dense matrix.
+# Kernel of gamma_osc: Re M_n(u) for even n, Im M_n(u) for odd n, with
+# M_n(u) = int_{-1}^1 t^n exp(i u t) dt, at the u of MOMENT_US (mpmath 1.3.0).
+# To regenerate, sum the power series M_n(u) = sum_k (iu)^k / k!
+# (1 + (-1)^(n+k)) / (n + k + 1) at 70 + u/2.3 digits until a term falls
+# below 1e-70; it agreed to 1e-40 with mp.quad on 32 panels (u <= 50) and
+# with the integration-by-parts sum at 60 digits (u >= 8).
+MOMENT_US = (0.0, 1e-8, 7.999, 8.0, 8.001, 50.0, 3000.0)
+MOMENT_PINS = {
+    0: (2.0, 2.0, 0.24740673883081843, 0.24733956165584545,
+        0.24727215396443972, -0.010494994148157152, 0.00014612664952187872),
+    1: (0.0, 6.666666666666667e-09, 0.06706187583254945, 0.06729245365913407,
+        0.06752290866705483, -0.03880854102264768, 0.0006505035088070076),
+    2: (0.6666666666666666, 0.6666666666666666, 0.2306391739270681,
+        0.23051644824106193, 0.23039353662484346, -0.008942652507251245,
+        0.00014569298051600736),
+    3: (0.0, 4e-09, 0.12263267005062495, 0.1228186765425516,
+        0.12300453045309291, -0.039135200290119604, 0.0006506004929043497),
+    4: (0.4, 0.39999999999999997, 0.18608273830544028, 0.18593022338456963,
+        0.18577757556019378, -0.007364178124947583, 0.00014525918219800626),
+    5: (0.0, 2.857142857142857e-09, 0.15244841823739794, 0.1525813980675094,
+        0.15271422523205036, -0.039335058952179286, 0.0006506968985608303),
+    6: (0.2857142857142857, 0.2857142857142857, 0.13305613132683197,
+        0.1329035131052134, 0.1327508002096213, -0.005774787073895637,
+        0.00014482525572475705),
+}
 
-    The dense sigma x momentum matrix on this catalog alone is about 440 MB;
-    numpy reports its buffers to tracemalloc, so the peak repeats exactly.
+
+@pytest.mark.parametrize("n", sorted(MOMENT_PINS))
+def test_moment_kernel_against_high_precision_pins(n):
+    u = np.array(MOMENT_US)
+    pins = np.array(MOMENT_PINS[n])
+    got = gamma_mod._moment_kernel(n, u)
+    assert np.all(np.abs(got - pins)
+                  <= 1e-14 * np.maximum(np.abs(pins), 1.0 / (1.0 + u)))
+    # bitwise parity in x: even n is even, odd n is odd
+    assert np.array_equal(gamma_mod._moment_kernel(n, -u),
+                          got if n % 2 == 0 else -got)
+
+
+@pytest.mark.parametrize("catalog",
+                         ["linear_catalog", "quadratic_catalog",
+                          "radial_catalog"])
+def test_gamma_osc_matches_the_sigma_panel_route(catalog, request):
+    """The same truncated integral, sigma integrated last by Legendre panels."""
+    disp, g = request.getfixturevalue(catalog)
+    sigma_end, blocks = gamma_mod._truncated_rule(disp, g)
+    orders = range(gamma_mod.MAX_ORDER + 1)
+    reference = gamma_by_sigma_panels(sigma_end, blocks, orders)
+    got = [mn.gamma_osc(disp, g, n) for n in orders]
+    # rounding amplified by Sigma^6 leaves 1.4e-8 at n = 6 (quadratic)
+    assert_allclose(got, reference, rtol=1e-7, atol=0)
+
+
+def test_gamma_osc_allocates_no_sigma_table(quadratic_catalog):
+    """Peak traced memory of a cold gamma_osc is a few momentum-sized vectors.
+
+    A (sigma panels) x (momentum nodes) phase table on this catalog is
+    145 x 11,872 complex entries, 27.5 MB; numpy reports its buffers to
+    tracemalloc, so the peak repeats exactly (1.3 MB when written).
     """
     disp, g = quadratic_catalog
-    gamma_mod._oscillation_table.cache_clear()
+    gamma_mod._truncated_rule.cache_clear()
     tracemalloc.start()
     try:
-        gamma_mod._oscillation_table(disp, g)
+        gamma_mod.gamma_osc(disp, g, gamma_mod.MAX_ORDER)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 100e6
+    assert peak <= 5e6
 
 
 @pytest.mark.parametrize("lo, hi, width", [
@@ -253,6 +306,6 @@ def test_panel_rule_refuses_oversized_rules_before_allocating(lo, hi, width):
 
 
 def test_panel_rule_at_the_cap():
-    nodes, weights, _, _ = panel_rule(0.0, 1.0, 1.0 / MAX_RULE_PANELS)
+    nodes, weights = panel_rule(0.0, 1.0, 1.0 / MAX_RULE_PANELS)
     assert nodes.size == MAX_RULE_PANELS * 16
     assert weights.sum() == pytest.approx(1.0, rel=1e-12)
