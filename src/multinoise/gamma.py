@@ -13,7 +13,7 @@ exp(i Sigma omega)),
     gamma_n = (i^n / n!) Sigma^(n+1) sum_k d_k M_n(Sigma omega_k),
     M_n(x) = integral_{-1}^{1} t^n exp(i x t) dt,
 
-and M_n is taken in closed form (``_half_moment``), so no sigma grid is
+and M_n is taken in closed form (``_moment_kernel``), so no sigma grid is
 built.  The test suite checks M_n against high-precision values and gamma_n
 against sigma panels over I summed node by node.
 
@@ -116,41 +116,34 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     return (block(nodes, weights),)
 
 
-def _half_moment(n: int, u: np.ndarray) -> np.ndarray:
-    """H_n(u) = int_0^1 t^n e^{iut} dt, u >= 0, less a part the kernel drops.
+def _moment_kernel(n: int, x: np.ndarray) -> np.ndarray:
+    """Re M_n(x) for even n and Im M_n(x) for odd n, elementwise.
 
-    Up to SERIES_FROM, 16 Legendre nodes on [0, 1] are exact to below 1e-25.
-    Past it, integration by parts gives H_n = exp(iu) sum_j c_j z^(j+1) -
+    M_n(x) = int_{-1}^1 t^n e^{ixt} dt = H + (-1)^n conj(H) with
+    H = int_0^1 t^n e^{iut} dt at u = |x|, so the kernel is 2 Re H or
+    2 sign(x) Im H: evaluated on |x|, it is bitwise even or odd in x.  Up to
+    SERIES_FROM, 16 Legendre nodes on [0, 1] give H exactly to below 1e-25.
+    Past it, integration by parts gives H = exp(iu) sum_j c_j z^(j+1) -
     c_n z^(n+1), with z = 1/(iu) and c_j = (-1)^j n!/(n-j)!, summed by
     Horner in z without cancellation (n!/u^n <= 2.7e-3 for n <= 6).  The
     t = 0 term c_n z^(n+1) is imaginary for even n and real for odd n, the
     part the kernel drops, so it is left out.
     """
-    out = np.empty(u.shape, dtype=complex)
+    u = np.abs(x)
+    half = np.empty(u.shape, dtype=complex)
     near = u <= SERIES_FROM
     un = u[near]
     acc = np.zeros(un.shape, dtype=complex)
     for t, w in zip(0.5 * (GL_NODES + 1.0), 0.5 * GL_WEIGHTS):
         acc += w * t ** n * np.exp(1j * t * un)
-    out[near] = acc
+    half[near] = acc
     far = ~near
     z = 1.0 / (1j * u[far])
     coeffs = [(-1) ** j * math.perm(n, j) for j in range(n + 1)]
     poly = np.full(z.shape, complex(coeffs[n]))
     for c in reversed(coeffs[:-1]):
         poly = c + z * poly
-    out[far] = np.exp(1j * u[far]) * z * poly
-    return out
-
-
-def _moment_kernel(n: int, x: np.ndarray) -> np.ndarray:
-    """Re M_n(x) for even n and Im M_n(x) for odd n, elementwise.
-
-    M_n(x) = int_{-1}^1 t^n e^{ixt} dt = H_n(x) + (-1)^n conj(H_n(x)), so
-    the kernel is 2 Re H_n(|x|) or 2 sign(x) Im H_n(|x|): evaluated on |x|,
-    it is bitwise even or odd in x.
-    """
-    half = _half_moment(n, np.abs(x))
+    half[far] = np.exp(1j * u[far]) * z * poly
     return 2.0 * half.real if n % 2 == 0 else 2.0 * np.sign(x) * half.imag
 
 
