@@ -16,8 +16,8 @@ __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # largest top Fock component, basis_size ** particle_cap entries (64 MiB)
 MAX_FOCK_ENTRIES = 2 ** 22
-# default_basis(16) has a gram condition of at least 3.2e10 at every order,
-# past fock.COND_LIMIT = 1e10, so rep-check could only fail after the work
+# default_basis(16) has gram condition >= 3.2e10 > fock.COND_LIMIT at every
+# order; each smaller basis passes rep-check but 15 at sector_max 6 (1.03e10)
 MAX_BASIS_SIZE = 15
 # rep-check's six-letter Fock-Wick words put three particles in one sector
 MIN_PARTICLE_CAP = 3

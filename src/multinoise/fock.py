@@ -4,13 +4,13 @@ A sector holds one multipole order n, its coupling gamma, a finite basis of
 test functions, the positive Gram matrix of the order-n weighted form and the
 indefinite pairing matrix of the commutator kernel.  On this basis the
 pseudo-Hilbert space splits as H+ (+) H- (its fundamental decomposition):
-with gram = L L^H and L^-1 pairing L^-H = V diag(lam) V^H, the coordinates
-c' = to_krein c, to_krein = V^H L^H, turn the gram matrix into the identity
-and the pairing matrix into diag(lam), with lam real and of both signs for
-odd n.  Vectors are tuples of dense symmetric tensors in these Krein
-coordinates, one per particle number up to the cap.  Each operator takes
-the basis coefficients c of its test function, and acts on the sector of
-the vector it is given; project_coefficients is the one bridge from a
+with gram = U S U^H and S^-1/2 U^H pairing U S^-1/2 = V diag(lam) V^H, the
+coordinates c' = to_krein c, to_krein = V^H S^1/2 U^H, turn the gram matrix
+into the identity and the pairing matrix into diag(lam), with lam real and of
+both signs for odd n.  Vectors are tuples of dense symmetric tensors in these
+Krein coordinates, one per particle number up to the cap.  Each operator
+takes the basis coefficients c of its test function, and acts on the sector
+of the vector it is given; project_coefficients is the one bridge from a
 TestFunction in the basis span to its coefficients.
 
 * create maps c once, c' = to_krein c, appends c' as a new last slot and
@@ -56,8 +56,8 @@ COND_LIMIT = 1e10
 
 @dataclass(frozen=True, eq=False)
 class Sector:
-    """One multipole order with its truncated one-particle data and Krein
-    coordinates; ``from_matrices`` builds the two consistently."""
+    """One order's truncated one-particle data and Krein coordinates, with
+    to_krein = V^H S^1/2 U^H for gram = U S U^H; built by ``from_matrices``."""
 
     n: int
     gamma: float
@@ -82,13 +82,21 @@ class Sector:
     def from_matrices(cls, n: int, gamma: float,
                       basis: Sequence[TestFunction], gram: np.ndarray,
                       pairing: np.ndarray, particle_cap: int) -> "Sector":
-        """Sector with the Krein coordinates of a positive definite gram and
-        a hermitian pairing, as in the module docstring."""
-        chol = np.linalg.cholesky(gram)
-        inv = np.linalg.inv(chol)
-        lam, vecs = np.linalg.eigh(_hermitian(inv @ pairing @ inv.conj().T))
+        """Sector of a hermitian gram and pairing in the module's Krein
+        coordinates; the one check of the particle cap (ValueError) and of
+        the gram's positivity and condition (IllConditionedBasis)."""
+        if particle_cap < 1:
+            raise ValueError("particle_cap must be at least 1")
+        s, u = np.linalg.eigh(gram)
+        if not (s[0] > 0 and s[-1] / s[0] <= COND_LIMIT):
+            raise IllConditionedBasis(
+                f"gram condition number {s[-1] / max(s[0], 1e-300):.3g} "
+                f"exceeds {COND_LIMIT:g}")
+        whiten = u / np.sqrt(s)  # diagonal scaling, no triangular inverse
+        lam, vecs = np.linalg.eigh(_hermitian(whiten.conj().T @ pairing @ whiten))
+        to_krein = vecs.conj().T @ (u * np.sqrt(s)).conj().T
         return cls(n, float(gamma), tuple(basis), gram, pairing,
-                   int(particle_cap), vecs.conj().T @ chol.conj().T, lam)
+                   int(particle_cap), to_krein, lam)
 
     @property
     def size(self) -> int:
@@ -102,16 +110,9 @@ def _hermitian(matrix: np.ndarray) -> np.ndarray:
 
 def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
                  particle_cap: int) -> Sector:
-    """Assemble gram/pairing matrices and validate the basis."""
-    if particle_cap < 1:
-        raise ValueError("particle_cap must be at least 1")
+    """Assemble the gram and pairing matrices into a validated sector."""
     basis = tuple(basis)
     gram = _hermitian(weighted_inner(n, basis, basis))
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 0 or eigs[-1] / eigs[0] > COND_LIMIT:
-        raise IllConditionedBasis(
-            f"gram condition number {eigs[-1] / max(eigs[0], 1e-300):.3g} "
-            f"exceeds {COND_LIMIT:g}")
     pairing = _hermitian(indefinite_inner(n, gamma, basis, basis))
     return Sector.from_matrices(n, gamma, basis, gram, pairing, particle_cap)
 
@@ -208,11 +209,9 @@ def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> com
     """Sector inner product: the metric one, or the positive one without it."""
     if phi.sector is not psi.sector:
         raise SectorMismatch("fock_inner requires vectors of the same sector")
-    if not use_metric:
-        return sum((complex(np.vdot(T, S))
-                    for T, S in zip(phi.components, psi.components)), 0j)
+    weights = phi.sector.weights if use_metric else (1.0,) * len(phi.components)
     return sum((complex(np.vdot(T, W * S)) for T, S, W in
-                zip(phi.components, psi.components, phi.sector.weights)), 0j)
+                zip(phi.components, psi.components, weights)), 0j)
 
 
 def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -172,23 +171,23 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
     return sigma_end
 
 
-@lru_cache(maxsize=32)
 def _truncated_rule(disp: Dispersion, g: TestFunction):
     """Sigma and the momentum blocks resolving exp(i sigma omega) up to it."""
     sigma_end = _sigma_cutoff(disp, g)
     return sigma_end, _momentum_rule(disp, g, sigma_end)
 
 
-def gamma_osc(disp: Dispersion, g: TestFunction, n: int) -> float:
+def gamma_osc(disp: Dispersion, g: TestFunction, n: int, rule=None) -> float:
     """Order-n coefficient from the sigma integral truncated at Sigma.
 
-    i^n M_n is real, (-1)^((n+1)//2) times the kernel, so the value is real
-    by construction; adding the mirror blocks elementwise before the sum
-    makes symmetry-forced odd coefficients exact (positive) zeros.
+    ``rule`` is ``_truncated_rule(disp, g)``, built when not given.  i^n M_n
+    is real, (-1)^((n+1)//2) times the kernel, so the value is real by
+    construction; adding the mirror blocks elementwise before the sum makes
+    symmetry-forced odd coefficients exact (positive) zeros.
     """
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
-    sigma_end, blocks = _truncated_rule(disp, g)
+    sigma_end, blocks = rule or _truncated_rule(disp, g)
     acc = 0.0
     for omega_nodes, density in blocks:
         acc = acc + density * _moment_kernel(n, sigma_end * omega_nodes)
@@ -276,10 +275,11 @@ class GammaTable:
 
 
 def gamma_table(disp: Dispersion, g: TestFunction, orders) -> GammaTable:
-    """Both gamma routes for every requested order, with their disagreement."""
+    """Both gamma routes for every order, the oscillatory one on one rule."""
+    rule = _truncated_rule(disp, g)
     rows = []
     for n in orders:
-        osc = gamma_osc(disp, g, n)
+        osc = gamma_osc(disp, g, n, rule)
         shell = gamma_shell(disp, g, n)
         rel = abs(osc - shell) / (abs(shell) + 1e-10)
         rows.append(GammaRow(int(n), osc, shell, rel))

@@ -288,6 +288,26 @@ def test_rep_check_fault_injection_caught(tmp_path):
     assert {"ccr", "fock_wick"} <= set(report["failures"])
 
 
+def test_rep_check_at_the_basis_bound(tmp_path, capsys):
+    """Basis 15 passes up to sector_max 5; order 6 has gram condition 1.03e10
+    and is refused at sector build, before any suite runs."""
+    def run(sector_max):
+        cfg = json.loads((CONFIG_DIR / "catalog_linear.json").read_text())
+        cfg.update(truncation={"basis_size": 15, "particle_cap": 3,
+                               "sector_max": sector_max}, rep_pairs=2)
+        path = tmp_path / f"cfg{sector_max}.json"
+        path.write_text(json.dumps(cfg))
+        return cli.main(["rep-check", "--config", str(path),
+                         "--out", str(tmp_path / f"out{sector_max}")])
+
+    assert run(5) == 0
+    capsys.readouterr()
+    assert run(6) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("IllConditionedBasis: "), err
+    assert not (tmp_path / "out6").exists()
+
+
 def test_seed_override_lands_in_report(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["rep-check", "--config", str(cfg), "--seed", "99"]) == 0
@@ -444,7 +464,6 @@ def test_wide_form_factor_computes_in_momentum_sized_memory(tmp_path):
     gamma_osc keeps only vectors of the momentum rule."""
     cfg = write_config(tmp_path, form_factor=atom_with(width=1e3),
                        orders=[0, 1, 2])
-    gamma._truncated_rule.cache_clear()
     tracemalloc.start()
     try:
         assert cli.main(["gamma", "--config", str(cfg)]) == 0

@@ -391,6 +391,43 @@ def test_krein_coordinates_reproduce_gram_and_pairing(acceptance_sectors):
             assert err <= 1e-12, (sector.n, err)
 
 
+@pytest.mark.parametrize("n, basis_size", [(n, 15) for n in range(6)]
+                         + [(6, 14)])
+def test_krein_map_reconstructs_both_matrices_at_the_basis_bound(n, basis_size):
+    """A triangular inverse of the gram's Cholesky factor missed the pairing
+    by 1.2e-10 relative here; diagonal scaling of the gram's eigenvectors
+    keeps both matrices at rounding level."""
+    sector = mn.build_sector(n, 1.0, default_basis(basis_size), particle_cap=3)
+    K = sector.to_krein
+    for target, rebuilt in (
+            (sector.gram, K.conj().T @ K),
+            (sector.pairing, K.conj().T @ (sector.krein_metric[:, None] * K))):
+        err = np.max(np.abs(rebuilt - target))
+        assert err <= 1e-13 * np.max(np.abs(target)), err
+
+
+@pytest.mark.parametrize("gram", [np.diag([1.0, -1e-3]), np.diag([1.0, 1e-11])],
+                         ids=["negative-eigenvalue", "condition-1e11"])
+def test_from_matrices_refuses_an_ill_conditioned_gram(gram):
+    basis = default_basis(2)
+    with pytest.raises(IllConditionedBasis):
+        mn.Sector.from_matrices(0, 1.0, basis, gram, np.eye(2), particle_cap=2)
+
+
+def test_from_matrices_refuses_particle_cap_0():
+    with pytest.raises(ValueError, match="particle_cap"):
+        mn.Sector.from_matrices(0, 1.0, default_basis(2), np.eye(2),
+                                np.eye(2), particle_cap=0)
+
+
+def test_representation_checks_pass_at_the_basis_bound():
+    """ccr read 7.4e-10 here while the Krein map came from a triangular
+    inverse."""
+    report = run_representation_checks(sector_max=5, basis_size=15,
+                                       particle_cap=3, seed=1, pairs=2)
+    assert report["passes"] and report["residuals"]["ccr"] <= 1e-12
+
+
 def test_krein_metric_signs(acceptance_sectors):
     """Even orders carry gamma times the positive form; order 1 is indefinite."""
     for n, sector in acceptance_sectors.items():

@@ -270,7 +270,7 @@ def test_gamma_osc_matches_the_sigma_panel_route(catalog, request):
     sigma_end, blocks = gamma_mod._truncated_rule(disp, g)
     orders = range(gamma_mod.MAX_ORDER + 1)
     reference = gamma_by_sigma_panels(sigma_end, blocks, orders)
-    got = [mn.gamma_osc(disp, g, n) for n in orders]
+    got = [mn.gamma_osc(disp, g, n, (sigma_end, blocks)) for n in orders]
     # rounding amplified by Sigma^6 leaves 1.4e-8 at n = 6 (quadratic)
     assert_allclose(got, reference, rtol=1e-7, atol=0)
 
@@ -283,7 +283,6 @@ def test_gamma_osc_allocates_no_sigma_table(quadratic_catalog):
     tracemalloc, so the peak repeats exactly (1.3 MB when written).
     """
     disp, g = quadratic_catalog
-    gamma_mod._truncated_rule.cache_clear()
     tracemalloc.start()
     try:
         gamma_mod.gamma_osc(disp, g, gamma_mod.MAX_ORDER)
