@@ -8,7 +8,10 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   frequency side, gamma (-1)^n int x^n conj(f_F) h_F, a
                   route independent of the derivative route that fills the
                   sector pairing matrix; creator/creator and
-                  annihilator/annihilator commutators vanish.
+                  annihilator/annihilator commutators vanish; and the
+                  packed c^+(h) agrees entry by entry with the dense one, an
+                  outer product symmetrized one slot at a time, on the dense
+                  draw symmetrized the same way (``symmetry``).
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
@@ -22,20 +25,25 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   explicit Fock representation.
 
 Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
-reproducible bit for bit.  Commutator residuals are norms relative to
-(1 + |state|); scalar identities are relative to (1 + |value|).
+reproducible bit for bit.  Fock vectors are drawn densely, rank by rank in
+the generator's order, and packed right after each draw (``pack``).  ccr and
+adjoint draw the pairs of a sector first, then run the packed operators once
+over the stacked batch; batches are split so that none of their arrays
+holds more than MAX_FOCK_ENTRIES entries.  Commutator residuals are norms
+relative to (1 + |state|); scalar identities are relative to (1 + |value|).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+import math
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .atoms import TestFunction, gaussian, hermite_fn, linear_combination
+from .config import MAX_FOCK_ENTRIES
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
-                   fock_inner, max_symmetry_defect, project_coefficients,
-                   symmetrize, vacuum_expectation)
+                   fock_inner, project_coefficients, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, metric_sign)
 from .wick import correlation
@@ -45,6 +53,9 @@ __all__ = [
     "krein_vector",
     "build_check_sectors",
     "random_fock_vector",
+    "pack",
+    "unpack",
+    "symmetrize",
     "run_representation_checks",
     "THRESHOLDS",
 ]
@@ -98,29 +109,118 @@ def build_check_sectors(sector_max: int, basis_size: int,
             for n in range(sector_max + 1)}
 
 
-def random_coefficients(rng: np.random.Generator, size: int) -> np.ndarray:
-    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+def pack(sector: Sector, dense: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Packed components of the symmetric parts of dense tensors of ranks
+    0, 1, ...: per rank, a bincount over the dense index -> multi-index map,
+    divided by the multiplicity; ranks past the last one given are zero."""
+    out = []
+    for k, (flat, mult) in enumerate(zip(sector.tables.flat,
+                                         sector.tables.mult)):
+        if k < len(dense):
+            x = np.ravel(dense[k])
+            out.append((np.bincount(flat, x.real, mult.size)
+                        + 1j * np.bincount(flat, x.imag, mult.size)) / mult)
+        else:
+            out.append(np.zeros(mult.size, dtype=complex))
+    return tuple(out)
+
+
+def unpack(phi: FockVector) -> tuple[np.ndarray, ...]:
+    """The dense symmetric tensors of a packed vector, batch axes first."""
+    m = phi.sector.size
+    return tuple(comp[..., flat].reshape(comp.shape[:-1] + (m,) * k)
+                 for k, (comp, flat) in enumerate(zip(phi.components,
+                                                      phi.sector.tables.flat)))
+
+
+def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
+    """Mean over i <= j of the tensor with slots i and j swapped.
+
+    If slots 0..j-1 are symmetric, the result is symmetric in slots 0..j.
+    """
+    acc = tensor.copy()
+    for i in range(j):
+        acc += np.swapaxes(tensor, i, j)
+    return acc / (j + 1)
+
+
+def symmetrize(tensor: np.ndarray) -> np.ndarray:
+    """Symmetric part of the tensor, built up one slot at a time."""
+    for j in range(1, tensor.ndim):
+        tensor = _symmetrize_slot(tensor, j)
+    return tensor
+
+
+def _dense_create(krein: np.ndarray, dense) -> list[np.ndarray]:
+    """Ranks 1, 2, ... of the creation operator on the dense symmetric
+    tensors of ranks 0, 1, ...: the outer product with the Krein coordinates,
+    symmetrized in its new last slot, with weight sqrt(k+1)."""
+    return [math.sqrt(k + 1) * _symmetrize_slot(np.multiply.outer(comp, krein), k)
+            for k, comp in enumerate(dense)]
+
+
+def _ranks(m: int, max_rank: int) -> list[tuple[int, ...]]:
+    """Dense tensor shapes of ranks 0..max_rank over m basis functions."""
+    return [(m,) * k for k in range(max_rank + 1)]
+
+
+def _draw(rng: np.random.Generator, shapes) -> list[np.ndarray]:
+    """Complex normal tensors of the given shapes.  One call to the generator
+    yields the numbers that one call per part would, in the same order: per
+    shape, the real part, then the imaginary part."""
+    sizes = [math.prod(shape) for shape in shapes]
+    normals = rng.standard_normal(2 * sum(sizes))
+    out, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        real, imag = normals[start:start + 2 * size].reshape(2, size)
+        out.append((real + 1j * imag).reshape(shape))
+        start += 2 * size
+    return out
+
+
+def _unit(c: np.ndarray) -> np.ndarray:
     return c / np.linalg.norm(c)
+
+
+def random_coefficients(rng: np.random.Generator, size: int) -> np.ndarray:
+    return _unit(_draw(rng, [(size,)])[0])
+
+
+def _stack(sector: Sector, packed) -> FockVector:
+    """The batch of the given packed component tuples."""
+    return FockVector(sector, tuple(np.stack(ranks) for ranks in zip(*packed)))
+
+
+def _normalized(phi: FockVector) -> tuple[FockVector, np.ndarray]:
+    """phi over its positive norm, per batch entry (a zero vector stays
+    zero), and the divisor."""
+    norm = phi.positive_norm()
+    norm = np.where(norm > 0, norm, 1.0)
+    return FockVector(phi.sector, tuple(c / norm[..., None]
+                                        for c in phi.components)), norm
 
 
 def random_fock_vector(sector: Sector, rng: np.random.Generator,
                        max_rank: int) -> FockVector:
-    m = sector.size
-    comps = [np.zeros((m,) * k, dtype=complex)
-             for k in range(sector.particle_cap + 1)]
-    for k in range(max_rank + 1):
-        raw = rng.standard_normal((m,) * k) + 1j * rng.standard_normal((m,) * k)
-        comps[k] = symmetrize(np.asarray(raw, dtype=complex))
-    phi = FockVector(sector, tuple(comps))
-    norm = phi.positive_norm()
-    if norm > 0:
-        phi = FockVector(sector, tuple(c / norm for c in phi.components))
-    return phi
+    """A vector of positive norm 1 with ranks 0..max_rank occupied: complex
+    normals, drawn densely and packed, so symmetrized."""
+    draw = _draw(rng, _ranks(sector.size, max_rank))
+    return _normalized(FockVector(sector, pack(sector, draw)))[0]
 
 
-def _worst(*values: float) -> float:
+def _batch_sizes(sector: Sector, pairs: int) -> list[int]:
+    """Pairs per batch.  A packed vector holds C(m + cap, cap) entries and an
+    index gather of the operators fewer than m times that, so no array of a
+    batch holds more entries than MAX_FOCK_ENTRIES, the bound on one dense
+    top component."""
+    per_pair = sector.size * sum(len(rows) for rows in sector.tables.multi)
+    step = max(1, MAX_FOCK_ENTRIES // per_pair)
+    return [min(step, pairs - start) for start in range(0, pairs, step)]
+
+
+def _worst(*values) -> float:
     """Largest residual; NaN if any is NaN, which the builtin max can drop."""
-    return float(np.max(values))
+    return float(np.max(np.hstack(values)))
 
 
 def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -137,8 +237,8 @@ def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
 def krein_vector(sector: Sector, basis_components) -> FockVector:
     """The vector with the given basis-coordinate components: to_krein on
     every slot (an inverse would lose cond(to_krein) ** rank to rounding)."""
-    return FockVector(sector, tuple(_apply_slotwise(sector.to_krein, comp)
-                                    for comp in basis_components))
+    return FockVector(sector, pack(sector, [_apply_slotwise(sector.to_krein, c)
+                                            for c in basis_components]))
 
 
 def _basis_inner(kernel: np.ndarray, phi_b, psi_b) -> complex:
@@ -147,10 +247,12 @@ def _basis_inner(kernel: np.ndarray, phi_b, psi_b) -> complex:
                 for T, S in zip(phi_b, psi_b)), 0j)
 
 
-def _diff_norm(a: FockVector, b: FockVector) -> float:
-    diff = FockVector(a.sector, tuple(x - y for x, y in
-                                      zip(a.components, b.components)))
-    return diff.positive_norm()
+def _diff_norm(a: FockVector, b: FockVector, kernel=None, c=None) -> np.ndarray:
+    """Positive norm of a - b, or of a - b - kernel c, per batch entry."""
+    diff = [x - y for x, y in zip(a.components, b.components)]
+    if c is not None:
+        diff = [d - kernel[..., None] * z for d, z in zip(diff, c.components)]
+    return FockVector(a.sector, tuple(diff)).positive_norm()
 
 
 def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
@@ -158,27 +260,35 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
     worst = {"ccr": 0.0, "ccr_creators": 0.0, "ccr_annihilators": 0.0,
              "symmetry": 0.0}
     for sector in sectors.values():
-        cap = sector.particle_cap
+        m, cap = sector.size, sector.particle_cap
         frequency_kernel = indefinite_inner_frequency(
             sector.n, sector.gamma, sector.basis, sector.basis)
-        for _ in range(pairs):
-            cf = random_coefficients(rng, sector.size)
-            ch = random_coefficients(rng, sector.size)
-            kernel = np.conj(cf) @ frequency_kernel @ ch
+        # per pair: cf, ch, phi up to rank cap - 1, psi up to rank cap - 2
+        shapes = [(m,), (m,), *_ranks(m, cap - 1), *_ranks(m, cap - 2)]
+        for count in _batch_sizes(sector, pairs):
+            cf, ch, phi, psi, symmetry = [], [], [], [], []
+            for _ in range(count):
+                f, h, *draw = _draw(rng, shapes)
+                cf.append(_unit(f))
+                ch.append(_unit(h))
+                phi.append(pack(sector, draw[:cap]))
+                psi.append(pack(sector, draw[cap:]))
+                # the dense second route on the same draw, before normalizing
+                direct = _dense_create(sector.to_krein @ ch[-1],
+                                       [symmetrize(x) for x in draw[:cap]])
+                packed = unpack(create(ch[-1], FockVector(sector, phi[-1])))
+                symmetry.append(max(np.max(np.abs(x - y))
+                                    for x, y in zip(direct, packed[1:])))
+            cf, ch = np.array(cf), np.array(ch)
+            kernel = np.einsum("bi,ij,bj->b", np.conj(cf), frequency_kernel, ch)
+            phi, norm = _normalized(_stack(sector, phi))
+            psi = _normalized(_stack(sector, psi))[0]
+            worst["symmetry"] = _worst(worst["symmetry"], np.array(symmetry) / norm)
 
-            phi = random_fock_vector(sector, rng, max_rank=cap - 1)
-            ac = annihilate(cf, create(ch, phi))
-            ca = create(ch, annihilate(cf, phi))
-            comm = FockVector(sector, tuple(
-                x - y - kernel * z for x, y, z in
-                zip(ac.components, ca.components, phi.components)))
-            worst["ccr"] = _worst(worst["ccr"], comm.positive_norm()
-                                  / (1.0 + phi.positive_norm()))
-            worst["symmetry"] = _worst(
-                worst["symmetry"],
-                *(max_symmetry_defect(c) for c in ac.components))
-
-            psi = random_fock_vector(sector, rng, max_rank=cap - 2)
+            comm = _diff_norm(annihilate(cf, create(ch, phi)),
+                              create(ch, annihilate(cf, phi)), kernel, phi)
+            worst["ccr"] = _worst(worst["ccr"],
+                                  comm / (1.0 + phi.positive_norm()))
             cc = _diff_norm(create(cf, create(ch, psi)),
                             create(ch, create(cf, psi)))
             worst["ccr_creators"] = _worst(
@@ -194,14 +304,23 @@ def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
                   pairs: int) -> dict[str, float]:
     worst = 0.0
     for sector in sectors.values():
-        for _ in range(pairs):
-            cf = random_coefficients(rng, sector.size)
-            phi = random_fock_vector(sector, rng, sector.particle_cap)
-            psi = random_fock_vector(sector, rng, sector.particle_cap - 1)
+        m, cap = sector.size, sector.particle_cap
+        # per pair: cf, phi up to rank cap, psi up to rank cap - 1
+        shapes = [(m,), *_ranks(m, cap), *_ranks(m, cap - 1)]
+        for count in _batch_sizes(sector, pairs):
+            cf, phi, psi = [], [], []
+            for _ in range(count):
+                f, *draw = _draw(rng, shapes)
+                cf.append(_unit(f))
+                phi.append(pack(sector, draw[:cap + 1]))
+                psi.append(pack(sector, draw[cap + 1:]))
+            cf = np.array(cf)
+            phi = _normalized(_stack(sector, phi))[0]
+            psi = _normalized(_stack(sector, psi))[0]
             left = fock_inner(annihilate(cf, phi), psi)
             right = fock_inner(phi, create(cf, psi))
-            worst = _worst(worst, abs(left - right)
-                           / (1.0 + max(abs(left), abs(right))))
+            worst = _worst(worst, np.abs(left - right)
+                           / (1.0 + np.maximum(np.abs(left), np.abs(right))))
     return {"adjoint": worst}
 
 
@@ -232,8 +351,8 @@ def metric_suite(sectors: Mapping[int, Sector],
                 abs(grid_val - kernel) / (1.0 + abs(kernel)))
 
             # the draws read as basis-coordinate tensors
-            phi_b = random_fock_vector(sector, rng, sector.particle_cap).components
-            psi_b = random_fock_vector(sector, rng, sector.particle_cap).components
+            phi_b = unpack(random_fock_vector(sector, rng, sector.particle_cap))
+            psi_b = unpack(random_fock_vector(sector, rng, sector.particle_cap))
             metric = _basis_inner(sector.pairing, phi_b, psi_b)
             positive = _basis_inner(sector.gram, phi_b, psi_b)
             phi, psi = krein_vector(sector, phi_b), krein_vector(sector, psi_b)

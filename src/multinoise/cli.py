@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import run_representation_checks
 from .config import StudyConfig, load_config
 from .errors import (BelowFloor, ConfigError, FloatingPointFault,
                      SupportConditionFailed)
@@ -126,6 +125,8 @@ def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
 
 
 def cmd_rep_check(cfg: StudyConfig) -> int:
+    # imported here: the other commands never load the representation suites
+    from .checks import run_representation_checks
     report = run_representation_checks(
         sector_max=cfg.sector_max, basis_size=cfg.basis_size,
         particle_cap=cfg.particle_cap, seed=cfg.seed, pairs=cfg.rep_pairs,

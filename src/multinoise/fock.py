@@ -1,36 +1,33 @@
-"""Truncated symmetric Fock sectors with indefinite metric.
+"""Truncated symmetric Fock sectors with indefinite metric, stored packed.
 
 A sector holds one multipole order n, its coupling gamma, a finite basis of
 test functions, the positive Gram matrix of the order-n weighted form and the
-indefinite pairing matrix of the commutator kernel.  On this basis the
-pseudo-Hilbert space splits as H+ (+) H- (its fundamental decomposition):
-with gram = U S U^H and S^-1/2 U^H pairing U S^-1/2 = V diag(lam) V^H, the
-coordinates c' = to_krein c, to_krein = V^H S^1/2 U^H, turn the gram matrix
-into the identity and the pairing matrix into diag(lam), with lam real and of
-both signs for odd n.  Vectors are tuples of dense symmetric tensors in these
-Krein coordinates, one per particle number up to the cap.  Each operator
-takes the basis coefficients c of its test function, and acts on the sector
-of the vector it is given; project_coefficients is the one bridge from a
-TestFunction in the basis span to its coefficients.
+indefinite pairing matrix of the commutator kernel.  Its Krein coordinates
+c' = to_krein c turn the gram into the identity and the pairing into
+diag(lam), lam real and of both signs for odd n: the fundamental
+decomposition H+ (+) H- of the pseudo-Hilbert space.
 
-* create maps c once, c' = to_krein c, appends c' as a new last slot and
-  symmetrizes that slot in, with weight sqrt(k+1);
-* annihilate contracts the first slot against conj(c') lam, with weight
-  sqrt(k);
-* the positive inner product is a plain vdot per rank, and the metric one
-  weights rank k elementwise by lam (x) ... (x) lam.
+A vector holds, per particle number k up to the cap, a symmetric tensor in
+Krein coordinates stored once per sorted multi-index alpha, C(m+k-1, k)
+entries for m basis functions instead of m**k, after any leading batch axes;
+the operators broadcast those against the batch axes of the coefficients c,
+so one call serves one vector or a stack.  The dense operators are the ccr
+suite's second route, in ``checks``.  Index tables, built with numpy per
+(basis size, cap) with the first sector of that size, give
 
-A word of operators from several orders acts sector by sector on the vacuum
-of the full theory, a tensor product over sectors; its vacuum expectation is
-the product of the sectors' rank-0 entries, each one the metric inner product
-of the sector vacuum with the sector's vector.
+* create: rank k+1 at alpha is sum_p phi_k[alpha without slot p] c'[alpha_p]
+  / sqrt(k+1), which is sqrt(k+1) Sym(phi_k (x) c');
+* annihilate: rank k-1 at beta is sqrt(k) sum_j phi_k[beta + j] conj(c'_j) lam_j;
+* the inner products weight each entry by its multiplicity k!/prod n_i!, the
+  metric one also by prod_p lam[alpha_p].
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,19 +36,45 @@ from .errors import (CapacityExceeded, IllConditionedBasis, NotInSpan,
                      SectorMismatch)
 from .forms import indefinite_inner, weighted_inner
 
-__all__ = [
-    "Sector",
-    "build_sector",
-    "FockVector",
-    "project_coefficients",
-    "create",
-    "annihilate",
-    "fock_inner",
-    "vacuum_expectation",
-]
+__all__ = ["Sector", "build_sector", "FockVector", "project_coefficients",
+           "create", "annihilate", "fock_inner", "vacuum_expectation"]
 
 SPAN_RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e10
+
+
+class IndexTables(NamedTuple):  # per rank k = 0..cap, for m basis functions
+    multi: tuple[np.ndarray, ...]   # (N_k, k) sorted multi-indices, in order
+    mult: tuple[np.ndarray, ...]    # (N_k,) multiplicities k!/prod n_i!
+    remove: tuple[np.ndarray, ...]  # (N_k, k) rank-(k-1) index without slot p
+    add: tuple[np.ndarray, ...]     # (N_k, m) rank-(k+1) index with j added
+    flat: tuple[np.ndarray, ...]    # (m**k,) packed index of each dense index
+
+
+@functools.lru_cache(maxsize=None)
+def index_tables(m: int, cap: int) -> IndexTables:
+    """The packed index tables of m basis functions up to rank cap."""
+    multi = [np.zeros((1, 0), dtype=np.intp)]
+    for _ in range(cap):  # append each j >= the largest entry: lexicographic
+        rows, cols = np.nonzero(np.arange(m) >= multi[-1].max(
+            axis=1, initial=0, keepdims=True))
+        multi.append(np.column_stack([multi[-1][rows], cols]))
+
+    def lookup(rows):  # positions of sorted rows among those of their rank
+        code = m ** np.arange(rows.shape[1])[::-1]
+        return np.searchsorted(multi[rows.shape[1]] @ code, rows @ code)
+
+    remove = [np.column_stack([lookup(np.delete(a, p, axis=1)) for p in
+                               range(k)]) if k else a for k, a in enumerate(multi)]
+    add = [lookup(np.sort(np.column_stack([np.repeat(a, m, axis=0), np.tile(
+        np.arange(m), len(a))]), axis=1)).reshape(-1, m) for a in multi[:-1]]
+    flat = [np.zeros(1, dtype=np.intp)]  # dense index d*m + j: add[flat[d], j]
+    for table in add:
+        flat.append(table[flat[-1]].reshape(-1))
+    mult = [np.bincount(f).astype(float) for f in flat]  # dense entries per orbit
+    for array in (*multi, *mult, *remove, *add, *flat):
+        array.setflags(write=False)
+    return IndexTables(*map(tuple, (multi, mult, remove, add, flat)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +90,18 @@ class Sector:
     particle_cap: int
     to_krein: np.ndarray      # basis coefficients -> Krein coordinates
     krein_metric: np.ndarray  # lam: the pairing is diag(lam) in Krein coordinates
-    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # lam^(x k)
+    tables: IndexTables = field(init=False, repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False)  # mult lam^J
 
     def __post_init__(self):
-        weights = [np.ones(())]
-        for _ in range(self.particle_cap):
-            weights.append(np.multiply.outer(weights[-1], self.krein_metric))
+        tables = index_tables(self.size, self.particle_cap)
+        weights = tuple(mult * self.krein_metric[rows].prod(axis=1)
+                        for mult, rows in zip(tables.mult, tables.multi))
         for array in (self.gram, self.pairing, self.to_krein,
                       self.krein_metric, *weights):
             array.setflags(write=False)
-        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_matrices(cls, n: int, gamma: float,
@@ -88,10 +113,11 @@ class Sector:
         if particle_cap < 1:
             raise ValueError("particle_cap must be at least 1")
         s, u = np.linalg.eigh(gram)
-        if not (s[0] > 0 and s[-1] / s[0] <= COND_LIMIT):
-            raise IllConditionedBasis(
-                f"gram condition number {s[-1] / max(s[0], 1e-300):.3g} "
-                f"exceeds {COND_LIMIT:g}")
+        if not s[0] > 0:
+            raise IllConditionedBasis(f"gram has a non-positive eigenvalue {s[0]:.3g}")
+        if not s[-1] / s[0] <= COND_LIMIT:
+            raise IllConditionedBasis(f"gram condition number {s[-1] / s[0]:.3g}"
+                                      f" exceeds {COND_LIMIT:g}")
         whiten = u / np.sqrt(s)  # diagonal scaling, no triangular inverse
         lam, vecs = np.linalg.eigh(_hermitian(whiten.conj().T @ pairing @ whiten))
         to_krein = vecs.conj().T @ (u * np.sqrt(s)).conj().T
@@ -119,32 +145,30 @@ def build_sector(n: int, gamma: float, basis: Sequence[TestFunction],
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """Finite vector of one sector: components[k] is a rank-k symmetric tensor
-    in the sector's Krein coordinates."""
+    """Finite vector, or stack of vectors, of one sector: components[k] is the
+    packed rank-k symmetric tensor in the sector's Krein coordinates, its
+    last axis the sorted multi-indices, after the batch axes shared by all."""
 
     sector: Sector
     components: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        m, cap = self.sector.size, self.sector.particle_cap
-        if len(self.components) != cap + 1:
-            raise ValueError("need one component per particle number 0..cap")
-        for k, comp in enumerate(self.components):
-            if comp.shape != (m,) * k:
-                raise ValueError(f"component {k} has shape {comp.shape}")
+        batch = self.components[0].shape[:-1]
+        if [c.shape for c in self.components] != [
+                (*batch, len(rows)) for rows in self.sector.tables.multi]:
+            raise ValueError("need one packed component per particle number "
+                             "0..cap, all with the same batch axes")
+        for comp in self.components:
             comp.setflags(write=False)
 
     @classmethod
     def vacuum(cls, sector: Sector) -> "FockVector":
-        m = sector.size
-        comps = [np.zeros((m,) * k, dtype=complex)
-                 for k in range(sector.particle_cap + 1)]
-        comps[0] = np.array(1.0 + 0j)
-        return cls(sector, tuple(comps))
+        comps = [np.zeros(len(rows), dtype=complex) for rows in sector.tables.multi]
+        return cls(sector, (comps[0] + 1, *comps[1:]))
 
-    def positive_norm(self) -> float:
-        """Norm in the positive (gram-kernel) inner product."""
-        return math.sqrt(max(fock_inner(self, self, use_metric=False).real, 0.0))
+    def positive_norm(self):
+        """Norm in the positive (gram-kernel) inner product, per batch entry."""
+        return np.sqrt(np.real(fock_inner(self, self, use_metric=False)))
 
 
 def _merged(f: TestFunction) -> TestFunction:
@@ -176,67 +200,44 @@ def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
 
 
 def _krein_coefficients(sector: Sector, coeffs) -> np.ndarray:
-    """Krein coordinates of a vector of basis coefficients; numpy refuses a
-    vector of the wrong length (ValueError) or a TestFunction (TypeError)."""
-    return sector.to_krein @ np.asarray(coeffs, dtype=complex)
+    """Krein coordinates of coefficient vectors (last axis); numpy refuses a
+    wrong length (ValueError) or a TestFunction (TypeError)."""
+    return np.asarray(coeffs, dtype=complex) @ sector.to_krein.T
 
 
 def create(coeffs, phi: FockVector) -> FockVector:
     """Creation operator for the basis coefficient vector coeffs on phi."""
-    sector = phi.sector
+    sector, tables, cap = phi.sector, phi.sector.tables, phi.sector.particle_cap
     krein = _krein_coefficients(sector, coeffs)
-    cap = sector.particle_cap
     if np.any(phi.components[cap] != 0):
         raise CapacityExceeded(
             f"top component at particle number {cap} is occupied")
-    out = [math.sqrt(k + 1) * _symmetrize_slot(np.multiply.outer(comp, krein), k)
+    out = [np.einsum("...ap,...ap->...a", comp[..., tables.remove[k + 1]],
+                     krein[..., tables.multi[k + 1]]) / math.sqrt(k + 1)
            for k, comp in enumerate(phi.components[:cap])]
-    return FockVector(sector, (np.zeros((), dtype=complex), *out))
+    return FockVector(sector, (np.zeros_like(out[0][..., :1]), *out))
 
 
 def annihilate(coeffs, phi: FockVector) -> FockVector:
     """Annihilation operator for coeffs on phi; the vacuum maps to zero."""
-    sector = phi.sector
+    sector, tables = phi.sector, phi.sector.tables
     v = np.conj(_krein_coefficients(sector, coeffs)) * sector.krein_metric
-    m = sector.size
-    out = [math.sqrt(k) * (v @ comp.reshape(m, -1)).reshape(comp.shape[1:])
+    out = [math.sqrt(k) * np.einsum("...aj,...j->...a",
+                                    comp[..., tables.add[k - 1]], v)
            for k, comp in enumerate(phi.components[1:], 1)]
-    out.append(np.zeros((m,) * sector.particle_cap, dtype=complex))
-    return FockVector(sector, tuple(out))
+    top = np.zeros((*out[0].shape[:-1], len(tables.multi[-1])), dtype=complex)
+    return FockVector(sector, (*out, top))
 
 
-def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True) -> complex:
-    """Sector inner product: the metric one, or the positive one without it."""
+def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True):
+    """Sector inner product: the metric one, or the positive one without it;
+    a complex for single vectors, an array over the batch axes otherwise."""
     if phi.sector is not psi.sector:
         raise SectorMismatch("fock_inner requires vectors of the same sector")
-    weights = phi.sector.weights if use_metric else (1.0,) * len(phi.components)
-    return sum((complex(np.vdot(T, W * S)) for T, S, W in
-                zip(phi.components, psi.components, weights)), 0j)
-
-
-def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
-    """Mean over i <= j of the tensor with slots i and j swapped.
-
-    If slots 0..j-1 are symmetric, the result is symmetric in slots 0..j.
-    """
-    acc = tensor.copy()
-    for i in range(j):
-        acc += np.swapaxes(tensor, i, j)
-    return acc / (j + 1)
-
-
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Symmetric part of the tensor, built up one slot at a time."""
-    for j in range(1, tensor.ndim):
-        tensor = _symmetrize_slot(tensor, j)
-    return tensor
-
-
-def max_symmetry_defect(tensor: np.ndarray) -> float:
-    """Largest deviation from permutation symmetry across adjacent swaps."""
-    return float(np.max(
-        [np.max(np.abs(tensor - np.swapaxes(tensor, i, i + 1)))
-         for i in range(tensor.ndim - 1)], initial=0.0))
+    weights = phi.sector.weights if use_metric else phi.sector.tables.mult
+    total = sum(np.einsum("...a,...a->...", np.conj(T), W * S) for T, S, W in
+                zip(phi.components, psi.components, weights))
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
@@ -245,10 +246,9 @@ def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
 
     Letters act rightmost first, each on its order's sector, which starts at
     the vacuum; sign is +1 for creation, -1 for annihilation, and the smear
-    is a coefficient vector in the sector basis.  The value is the product,
-    over the touched sectors in sorted order, of the rank-0 entry of the
-    sector's vector, which is its metric inner product with the sector
-    vacuum; untouched sectors contribute a factor 1.
+    is a coefficient vector in the sector basis.  The value is the product
+    over the touched sectors, in sorted order, of the rank-0 entries: each
+    one the metric inner product with the sector vacuum.
     """
     vectors: dict[int, FockVector] = {}
     for sign, order, smear in reversed(list(zip(signs, orders, smears,
@@ -261,5 +261,5 @@ def vacuum_expectation(signs: Sequence[int], orders: Sequence[int], smears,
         vectors[order] = op(smear, vectors[order])
     prod = 1.0 + 0j
     for order in sorted(vectors):
-        prod *= vectors[order].components[0]
+        prod *= vectors[order].components[0][0]
     return complex(prod)

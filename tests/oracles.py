@@ -6,8 +6,9 @@ forms, the gamma moments or the reservoir kernel shows up as a disagreement.
 ``i_sigma_on_rule`` sums I(sigma) on gamma's momentum rule node by node, and
 ``gamma_by_sigma_panels`` integrates it over sigma panels: the package
 integrates the other way round, sigma first, in closed form.
-``symmetrize_by_permutations`` is the k!-term average the slot-by-slot Fock
-symmetrizer must reproduce.
+``symmetrize_by_permutations`` is the k!-term average the slot-by-slot
+symmetrizer must reproduce, and ``max_symmetry_defect`` measures how far a
+dense tensor is from symmetric.
 """
 
 import itertools
@@ -77,6 +78,13 @@ def symmetrize_by_permutations(tensor: np.ndarray) -> np.ndarray:
     return (sum(np.transpose(tensor, perm)
                 for perm in itertools.permutations(range(k)))
             / math.factorial(k))
+
+
+def max_symmetry_defect(tensor: np.ndarray) -> float:
+    """Largest deviation from permutation symmetry across adjacent swaps."""
+    return float(np.max(
+        [np.max(np.abs(tensor - np.swapaxes(tensor, i, i + 1)))
+         for i in range(tensor.ndim - 1)], initial=0.0))
 
 
 def gamma_by_sigma_panels(sigma_end: float, blocks, orders) -> list[float]:
