@@ -8,10 +8,10 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   frequency side, gamma (-1)^n int x^n conj(f_F) h_F, a
                   route independent of the derivative route that fills the
                   sector pairing matrix; creator/creator and
-                  annihilator/annihilator commutators vanish; and the
-                  packed c^+(h) agrees entry by entry with the dense one, an
-                  outer product symmetrized one slot at a time, on the dense
-                  draw symmetrized the same way (``symmetry``).
+                  annihilator/annihilator commutators vanish; and, pair by
+                  pair, the packed c^+(h) phi agrees entry by entry with the
+                  dense one, an outer product with the unpacked phi
+                  symmetrized one slot at a time (``symmetry``).
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
@@ -25,18 +25,22 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   explicit Fock representation.
 
 Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
-reproducible bit for bit.  Fock vectors are drawn densely, rank by rank in
-the generator's order, and packed right after each draw (``pack``).  ccr and
-adjoint draw the pairs of a sector first, then run the packed operators once
-over the stacked batch; batches are split so that none of their arrays
-holds more than MAX_FOCK_ENTRIES entries.  Commutator residuals are norms
+reproducible bit for bit per (configuration, seed).  Fock vectors are drawn
+straight into packed storage, C(m+k-1, k) complex normals per rank k, and
+scaled to unit positive norm; only the metric suite's basis-coordinate route
+and each ccr pair's dense creation unpack them.  ccr and adjoint draw a batch
+of pairs at once, each quantity as one array over the batch, and run the
+packed operators once over it; batches are split so that none of their
+arrays holds more than MAX_FOCK_ENTRIES entries, so the generator's stream,
+and with it the residuals, depends on that split, which the basis size, the
+particle cap and MAX_FOCK_ENTRIES fix.  Commutator residuals are norms
 relative to (1 + |state|); scalar identities are relative to (1 + |value|).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,7 +59,6 @@ __all__ = [
     "random_fock_vector",
     "pack",
     "unpack",
-    "symmetrize",
     "run_representation_checks",
     "THRESHOLDS",
 ]
@@ -144,13 +147,6 @@ def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
     return acc / (j + 1)
 
 
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Symmetric part of the tensor, built up one slot at a time."""
-    for j in range(1, tensor.ndim):
-        tensor = _symmetrize_slot(tensor, j)
-    return tensor
-
-
 def _dense_create(krein: np.ndarray, dense) -> list[np.ndarray]:
     """Ranks 1, 2, ... of the creation operator on the dense symmetric
     tensors of ranks 0, 1, ...: the outer product with the Krein coordinates,
@@ -159,63 +155,47 @@ def _dense_create(krein: np.ndarray, dense) -> list[np.ndarray]:
             for k, comp in enumerate(dense)]
 
 
-def _ranks(m: int, max_rank: int) -> list[tuple[int, ...]]:
-    """Dense tensor shapes of ranks 0..max_rank over m basis functions."""
-    return [(m,) * k for k in range(max_rank + 1)]
-
-
-def _draw(rng: np.random.Generator, shapes) -> list[np.ndarray]:
-    """Complex normal tensors of the given shapes.  One call to the generator
-    yields the numbers that one call per part would, in the same order: per
-    shape, the real part, then the imaginary part."""
-    sizes = [math.prod(shape) for shape in shapes]
-    normals = rng.standard_normal(2 * sum(sizes))
-    out, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        real, imag = normals[start:start + 2 * size].reshape(2, size)
-        out.append((real + 1j * imag).reshape(shape))
-        start += 2 * size
-    return out
-
-
-def _unit(c: np.ndarray) -> np.ndarray:
-    return c / np.linalg.norm(c)
-
-
-def random_coefficients(rng: np.random.Generator, size: int) -> np.ndarray:
-    return _unit(_draw(rng, [(size,)])[0])
-
-
-def _stack(sector: Sector, packed) -> FockVector:
-    """The batch of the given packed component tuples."""
-    return FockVector(sector, tuple(np.stack(ranks) for ranks in zip(*packed)))
-
-
-def _normalized(phi: FockVector) -> tuple[FockVector, np.ndarray]:
-    """phi over its positive norm, per batch entry (a zero vector stays
-    zero), and the divisor."""
-    norm = phi.positive_norm()
-    norm = np.where(norm > 0, norm, 1.0)
-    return FockVector(phi.sector, tuple(c / norm[..., None]
-                                        for c in phi.components)), norm
+def random_coefficients(rng: np.random.Generator, size: int,
+                        batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Unit complex normal coefficient vectors of the given size, after the
+    batch axes: all real parts, then all imaginary parts."""
+    real, imag = rng.standard_normal((2, *batch, size))
+    c = real + 1j * imag
+    return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
 def random_fock_vector(sector: Sector, rng: np.random.Generator,
-                       max_rank: int) -> FockVector:
-    """A vector of positive norm 1 with ranks 0..max_rank occupied: complex
-    normals, drawn densely and packed, so symmetrized."""
-    draw = _draw(rng, _ranks(sector.size, max_rank))
-    return _normalized(FockVector(sector, pack(sector, draw)))[0]
+                       max_rank: int, batch: tuple[int, ...] = ()) -> FockVector:
+    """Vectors of positive norm 1 per batch entry with ranks 0..max_rank
+    occupied: per rank, complex normals straight into the packed entries,
+    all real parts, then all imaginary parts; higher ranks are zero."""
+    comps = []
+    for k, rows in enumerate(sector.tables.multi):
+        shape = (*batch, len(rows))
+        if k <= max_rank:
+            real, imag = rng.standard_normal((2, *shape))
+            comps.append(real + 1j * imag)
+        else:
+            comps.append(np.zeros(shape, dtype=complex))
+    norm = FockVector(sector, tuple(comps)).positive_norm()
+    norm = np.where(norm > 0, norm, 1.0)  # a zero vector stays zero
+    return FockVector(sector, tuple(c / norm[..., None] for c in comps))
 
 
-def _batch_sizes(sector: Sector, pairs: int) -> list[int]:
-    """Pairs per batch.  A packed vector holds C(m + cap, cap) entries and an
-    index gather of the operators fewer than m times that, so no array of a
-    batch holds more entries than MAX_FOCK_ENTRIES, the bound on one dense
-    top component."""
+def _entry(phi: FockVector, i: int) -> tuple[np.ndarray, ...]:
+    """The dense tensors of batch entry i of phi."""
+    return unpack(FockVector(phi.sector, tuple(c[i] for c in phi.components)))
+
+
+def _batch_sizes(sector: Sector, pairs: int) -> Iterator[int]:
+    """Pairs per batch, yielded lazily.  A packed vector holds C(m + cap, cap)
+    entries and an index gather of the operators fewer than m times that, so
+    no array of a batch holds more entries than MAX_FOCK_ENTRIES, the bound
+    on one dense top component."""
     per_pair = sector.size * sum(len(rows) for rows in sector.tables.multi)
     step = max(1, MAX_FOCK_ENTRIES // per_pair)
-    return [min(step, pairs - start) for start in range(0, pairs, step)]
+    for start in range(0, pairs, step):
+        yield min(step, pairs - start)
 
 
 def _worst(*values) -> float:
@@ -263,29 +243,23 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
         m, cap = sector.size, sector.particle_cap
         frequency_kernel = indefinite_inner_frequency(
             sector.n, sector.gamma, sector.basis, sector.basis)
-        # per pair: cf, ch, phi up to rank cap - 1, psi up to rank cap - 2
-        shapes = [(m,), (m,), *_ranks(m, cap - 1), *_ranks(m, cap - 2)]
         for count in _batch_sizes(sector, pairs):
-            cf, ch, phi, psi, symmetry = [], [], [], [], []
-            for _ in range(count):
-                f, h, *draw = _draw(rng, shapes)
-                cf.append(_unit(f))
-                ch.append(_unit(h))
-                phi.append(pack(sector, draw[:cap]))
-                psi.append(pack(sector, draw[cap:]))
-                # the dense second route on the same draw, before normalizing
-                direct = _dense_create(sector.to_krein @ ch[-1],
-                                       [symmetrize(x) for x in draw[:cap]])
-                packed = unpack(create(ch[-1], FockVector(sector, phi[-1])))
-                symmetry.append(max(np.max(np.abs(x - y))
-                                    for x, y in zip(direct, packed[1:])))
-            cf, ch = np.array(cf), np.array(ch)
+            cf = random_coefficients(rng, m, (count,))
+            ch = random_coefficients(rng, m, (count,))
+            phi = random_fock_vector(sector, rng, cap - 1, (count,))
+            psi = random_fock_vector(sector, rng, cap - 2, (count,))
             kernel = np.einsum("bi,ij,bj->b", np.conj(cf), frequency_kernel, ch)
-            phi, norm = _normalized(_stack(sector, phi))
-            psi = _normalized(_stack(sector, psi))[0]
-            worst["symmetry"] = _worst(worst["symmetry"], np.array(symmetry) / norm)
+            created = create(ch, phi)
+            for i in range(count):
+                # the dense second route; rank cap of phi is zero, and
+                # passing it on would build a rank cap + 1 tensor
+                direct = _dense_create(sector.to_krein @ ch[i],
+                                       _entry(phi, i)[:cap])
+                worst["symmetry"] = _worst(worst["symmetry"], *(
+                    np.max(np.abs(x - y))
+                    for x, y in zip(direct, _entry(created, i)[1:])))
 
-            comm = _diff_norm(annihilate(cf, create(ch, phi)),
+            comm = _diff_norm(annihilate(cf, created),
                               create(ch, annihilate(cf, phi)), kernel, phi)
             worst["ccr"] = _worst(worst["ccr"],
                                   comm / (1.0 + phi.positive_norm()))
@@ -305,18 +279,10 @@ def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
     worst = 0.0
     for sector in sectors.values():
         m, cap = sector.size, sector.particle_cap
-        # per pair: cf, phi up to rank cap, psi up to rank cap - 1
-        shapes = [(m,), *_ranks(m, cap), *_ranks(m, cap - 1)]
         for count in _batch_sizes(sector, pairs):
-            cf, phi, psi = [], [], []
-            for _ in range(count):
-                f, *draw = _draw(rng, shapes)
-                cf.append(_unit(f))
-                phi.append(pack(sector, draw[:cap + 1]))
-                psi.append(pack(sector, draw[cap + 1:]))
-            cf = np.array(cf)
-            phi = _normalized(_stack(sector, phi))[0]
-            psi = _normalized(_stack(sector, psi))[0]
+            cf = random_coefficients(rng, m, (count,))
+            phi = random_fock_vector(sector, rng, cap, (count,))
+            psi = random_fock_vector(sector, rng, cap - 1, (count,))
             left = fock_inner(annihilate(cf, phi), psi)
             right = fock_inner(phi, create(cf, psi))
             worst = _worst(worst, np.abs(left - right)

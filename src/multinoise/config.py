@@ -15,8 +15,9 @@ from .gamma import MAX_ORDER
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # largest dense top Fock component, basis_size ** particle_cap entries
-# (64 MiB): rep-check still draws densely and runs a dense second route, and
-# no array of one of its batches of pairs holds more entries
+# (64 MiB): rep-check draws packed, but its metric route unpacks to rank-cap
+# dense tensors and each ccr pair's dense create builds them, and no array of
+# one of its batches of pairs holds more entries
 MAX_FOCK_ENTRIES = 2 ** 22
 # default_basis(16) has gram condition >= 3.2e10 > fock.COND_LIMIT at every
 # order; each smaller basis passes rep-check but 15 at sector_max 6 (1.03e10)

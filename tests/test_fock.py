@@ -11,7 +11,7 @@ import multinoise as mn
 from multinoise import checks
 from multinoise.checks import (default_basis, krein_vector,
                                random_coefficients, random_fock_vector,
-                               run_representation_checks, symmetrize, unpack)
+                               run_representation_checks, unpack)
 from multinoise.errors import (CapacityExceeded, IllConditionedBasis,
                                NotInSpan, SectorMismatch, ZeroGamma)
 from multinoise.fock import FockVector
@@ -75,10 +75,18 @@ def test_operators_take_coefficient_vectors_only(small_sectors):
 
 @pytest.mark.parametrize("k", range(6))
 def test_symmetrize_matches_permutation_average(k, rng):
-    shape = (3,) * k
-    tensor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert_allclose(symmetrize(tensor), symmetrize_by_permutations(tensor),
-                    rtol=0, atol=1e-13)
+    """The dense second route's creation on symmetric tensors of ranks 0..k,
+    symmetrized one slot at a time, is sqrt(k+1) times the permutation
+    average of the outer product at every rank."""
+    dense = [symmetrize_by_permutations(rng.standard_normal((3,) * j)
+                                        + 1j * rng.standard_normal((3,) * j))
+             for j in range(k + 1)]
+    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    out = checks._dense_create(c, dense)
+    for j, (got, T) in enumerate(zip(out, dense)):
+        want = math.sqrt(j + 1) * symmetrize_by_permutations(
+            np.multiply.outer(T, c))
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
 
 
 def test_create_is_weighted_symmetric_product(rng):

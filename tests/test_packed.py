@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from numpy.testing import assert_allclose
 import multinoise as mn
 from multinoise import checks, fock
 from multinoise.checks import (pack, random_coefficients, random_fock_vector,
-                               run_representation_checks, symmetrize, unpack)
+                               run_representation_checks, unpack)
 from multinoise.fock import FockVector
+from oracles import symmetrize_by_permutations
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -62,25 +64,30 @@ def test_tables_are_not_built_at_import():
     assert out.stdout.strip() == "0"
 
 
-def test_packed_draw_is_the_symmetrized_dense_draw(small_sectors):
-    """random_fock_vector reads the generator as one dense draw per rank did,
-    real part then imaginary part, and its packing equals ``symmetrize``."""
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+def test_random_fock_vector_draws_packed_normals(small_sectors, batch):
+    """2 |batch| sum_{k <= r} C(m+k-1, k) normals, nothing above rank r, and
+    unit positive norm per batch entry."""
     sector = small_sectors[1]
+    m = sector.size
     for max_rank in range(sector.particle_cap + 1):
-        ours, dense = np.random.default_rng(5), np.random.default_rng(5)
-        phi = random_fock_vector(sector, ours, max_rank)
-        raw = [dense.standard_normal((4,) * k)
-               + 1j * dense.standard_normal((4,) * k) for k in range(max_rank + 1)]
-        expected = [symmetrize(x) for x in raw]
-        norm = math.sqrt(sum(np.vdot(x, x).real for x in expected))
-        for k, got in enumerate(unpack(phi)):
-            want = expected[k] / norm if k <= max_rank else 0.0
-            assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
-        assert ours.standard_normal() == dense.standard_normal()
-        # packing the same dense draw unpacks to its symmetrization
-        for got, want in zip(unpack(FockVector(sector, pack(sector, raw))),
-                             expected):
-            assert np.max(np.abs(got - want)) <= 1e-15
+        ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+        phi = random_fock_vector(sector, ours, max_rank, batch)
+        twin.standard_normal(2 * math.prod(batch) * sum(
+            math.comb(m + k - 1, k) for k in range(max_rank + 1)))
+        assert ours.standard_normal() == twin.standard_normal()
+        for k, comp in enumerate(phi.components):
+            assert comp.shape == (*batch, math.comb(m + k - 1, k))
+            assert np.all(comp == 0) == (k > max_rank)
+        assert_allclose(phi.positive_norm(), np.ones(batch), rtol=0, atol=1e-15)
+
+
+def test_pack_of_a_dense_draw_is_its_permutation_average(small_sectors, rng):
+    sector = small_sectors[1]
+    raw = [rng.standard_normal((4,) * k) + 1j * rng.standard_normal((4,) * k)
+           for k in range(sector.particle_cap + 1)]
+    for got, x in zip(unpack(FockVector(sector, pack(sector, raw))), raw):
+        assert np.max(np.abs(got - symmetrize_by_permutations(x))) <= 1e-15
 
 
 def test_pack_of_a_symmetric_tensor_round_trips(small_sectors, rng):
@@ -120,26 +127,70 @@ def test_batched_operators_equal_one_vector_at_a_time(small_sectors, rng):
         assert_allclose(x, y, rtol=0, atol=1e-14)
 
 
-def test_batched_suites_equal_one_pair_at_a_time(monkeypatch):
-    sectors = checks.build_check_sectors(2, 4, 3)
-    batched = {**checks.ccr_suite(sectors, np.random.default_rng(3), 6),
-               **checks.adjoint_suite(sectors, np.random.default_rng(3), 6)}
-    monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", 1)
-    assert checks._batch_sizes(sectors[0], 6) == [1] * 6
-    single = {**checks.ccr_suite(sectors, np.random.default_rng(3), 6),
-              **checks.adjoint_suite(sectors, np.random.default_rng(3), 6)}
-    assert batched.keys() == single.keys()
-    for name, value in batched.items():
-        assert abs(value - single[name]) <= 1e-14, name
-
-
 @pytest.mark.parametrize("m, cap, pairs", [(6, 4, 50), (10, 6, 10), (12, 6, 25)])
 def test_batches_cover_the_pairs_within_the_entry_bound(m, cap, pairs):
     sector = mn.build_sector(0, 1.0, checks.default_basis(m), cap)
-    sizes = checks._batch_sizes(sector, pairs)
+    sizes = list(checks._batch_sizes(sector, pairs))
     assert sum(sizes) == pairs and min(sizes) >= 1
     per_pair = m * sum(len(rows) for rows in sector.tables.multi)
     assert max(sizes) * per_pair <= checks.MAX_FOCK_ENTRIES
+
+
+def test_batch_sizes_are_yielded_lazily():
+    """A huge pair count costs nothing before the first batch is drawn."""
+    sector = mn.build_sector(0, 1.0, checks.default_basis(6), 4)
+    tracemalloc.start()
+    try:
+        first = next(iter(checks._batch_sizes(sector, 10 ** 18)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == checks.MAX_FOCK_ENTRIES // (6 * 210)
+    assert peak <= 100_000
+
+
+class _CountingGenerator:
+    """A generator that counts the normals it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.normals = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        out = self.rng.standard_normal(*args, **kwargs)
+        self.normals += np.size(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_rep_check_draws_packed_normals_only(monkeypatch):
+    """Per vector, 2 C(m+k-1, k) normals per occupied rank k, never the 2 m**k
+    of a dense draw; per coefficient vector 2 m."""
+    generators = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        generators.append(_CountingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    size = dict(sector_max=1, basis_size=4, particle_cap=3)
+    pairs = 3
+    run_representation_checks(**size, seed=2, pairs=pairs)
+    m, cap = size["basis_size"], size["particle_cap"]
+    expected = 2 * m * checks.FOCK_WICK_WORDS_PER_PATTERN * sum(
+        len(signs) for signs in checks._WORD_PATTERNS)
+    for sector in checks.build_check_sectors(**size).values():
+        def vector(r):
+            return 2 * sum(len(rows) for rows in sector.tables.multi[:r + 1])
+        # ccr: cf, ch, phi up to rank cap - 1, psi up to cap - 2
+        expected += pairs * (2 * 2 * m + vector(cap - 1) + vector(cap - 2))
+        # adjoint: cf, phi up to rank cap, psi up to cap - 1
+        expected += pairs * (2 * m + vector(cap) + vector(cap - 1))
+        # metric: cf, ch and two vectors up to rank cap
+        expected += checks.METRIC_PAIRS * (2 * 2 * m + 2 * vector(cap))
+    assert [g.normals for g in generators] == [expected]
 
 
 # -- faults the checks must catch ----------------------------------------------
@@ -165,12 +216,14 @@ def test_clean_tables_pass():
 
 
 def test_wrong_multiplicity_fails(monkeypatch):
+    """The multiplicities weigh the inner products and pack, not the dense
+    tensors, so the adjoint identity and the metric route see the fault."""
     def edit(tables):
         mult = [array.copy() for array in tables.mult]
         mult[2][1] = 1.0  # (0, 1) stands for two dense entries, not one
         return {"mult": tuple(mult)}
     report = _run_with_tables(monkeypatch, edit)
-    assert {"metric_consistency", "symmetry"} <= set(report["failures"])
+    assert set(report["failures"]) == {"adjoint", "metric_consistency"}
 
 
 def test_wrong_removal_entry_fails(monkeypatch):
@@ -182,20 +235,35 @@ def test_wrong_removal_entry_fails(monkeypatch):
     assert {"ccr", "ccr_creators", "symmetry"} <= set(report["failures"])
 
 
+def _wrong_addition_entry(tables):
+    add = [array.copy() for array in tables.add]
+    add[2][3, 2] = add[2][3, 3]
+    return {"add": tuple(add)}
+
+
 def test_wrong_addition_entry_fails(monkeypatch):
-    def edit(tables):
-        add = [array.copy() for array in tables.add]
-        add[2][3, 2] = add[2][3, 3]
-        return {"add": tuple(add)}
-    report = _run_with_tables(monkeypatch, edit)
+    report = _run_with_tables(monkeypatch, _wrong_addition_entry)
     assert {"ccr", "ccr_annihilators", "adjoint"} <= set(report["failures"])
+
+
+def test_one_pair_batches_pass_clean_and_fail_the_same_faults(monkeypatch):
+    """Batches of one pair read other draws than full batches do; a clean run
+    still passes, and a table fault still fails the same residuals."""
+    full_batches = checks.MAX_FOCK_ENTRIES
+    monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", 1)
+    assert list(checks._batch_sizes(checks.build_check_sectors(0, 6, 4)[0],
+                                    ACCEPTANCE["pairs"])) == [1] * 5
+    assert run_representation_checks(**ACCEPTANCE)["passes"]
+    single = _run_with_tables(monkeypatch, _wrong_addition_entry)["failures"]
+    monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", full_batches)
+    full = run_representation_checks(**ACCEPTANCE)["failures"]  # tables still edited
+    assert single == full
 
 
 def test_packed_draw_without_the_division_fails(monkeypatch):
     """Summing each orbit without dividing by its multiplicity still gives a
-    symmetric vector, on which the algebra holds; the dense second route on
-    the same draw is what sees it (and metric_consistency, whose Krein-side
-    vectors are packed the same way)."""
+    symmetric vector, on which the algebra holds; only the metric route
+    packs, mapping its basis-coordinate tensors forward, and it sees it."""
     original = checks.pack
 
     def undivided(sector, dense):
@@ -204,4 +272,4 @@ def test_packed_draw_without_the_division_fails(monkeypatch):
 
     monkeypatch.setattr(checks, "pack", undivided)
     report = run_representation_checks(**ACCEPTANCE)
-    assert report["failures"] == ["metric_consistency", "symmetry"]
+    assert report["failures"] == ["metric_consistency"]
