@@ -15,10 +15,11 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
-                  agrees with the commutator kernel, both Fock inner
-                  products of tensors drawn in basis coordinates, mapped
-                  forward to Krein coordinates, agree with the gram and
-                  pairing matrices applied slot by slot, and the modulated
+                  agrees with the commutator kernel, for each rank r up to
+                  the cap both Fock inner products of c^+(f)^r vac and
+                  c^+(h)^r vac are r! <f, h>^r, with <f, h> read from the
+                  sector's pairing or gram matrix (f, h scaled to unit gram
+                  norm; powers span each symmetric rank), and the modulated
                   Gaussian witness has squared norm -5.
 * fock_wick    -- vacuum correlations of noise words agree between the pair
                   partition sum (exact kernels on the smears) and the
@@ -27,10 +28,10 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
 Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
 reproducible bit for bit per (configuration, seed).  Fock vectors are drawn
 straight into packed storage, C(m+k-1, k) complex normals per rank k, and
-scaled to unit positive norm; only the metric suite's basis-coordinate route
-and each ccr pair's dense creation unpack them.  ccr and adjoint draw a batch
-of pairs at once, each quantity as one array over the batch, and run the
-packed operators once over it; batches are split so that none of their
+scaled to unit positive norm; only each ccr pair's dense creation unpacks
+them.  ccr, adjoint and metric draw each quantity of a batch of pairs as one
+array and run the packed operators once over it: metric its METRIC_PAIRS
+pairs per sector, ccr and adjoint batches split so that none of their
 arrays holds more than MAX_FOCK_ENTRIES entries, so the generator's stream,
 and with it the residuals, depends on that split, which the basis size, the
 particle cap and MAX_FOCK_ENTRIES fix.  Commutator residuals are norms
@@ -40,7 +41,7 @@ relative to (1 + |state|); scalar identities are relative to (1 + |value|).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -54,10 +55,8 @@ from .wick import correlation
 
 __all__ = [
     "default_basis",
-    "krein_vector",
     "build_check_sectors",
     "random_fock_vector",
-    "pack",
     "unpack",
     "run_representation_checks",
     "THRESHOLDS",
@@ -110,22 +109,6 @@ def build_check_sectors(sector_max: int, basis_size: int,
     basis = default_basis(basis_size)
     return {n: build_sector(n, 1.0, basis, particle_cap)
             for n in range(sector_max + 1)}
-
-
-def pack(sector: Sector, dense: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Packed components of the symmetric parts of dense tensors of ranks
-    0, 1, ...: per rank, a bincount over the dense index -> multi-index map,
-    divided by the multiplicity; ranks past the last one given are zero."""
-    out = []
-    for k, (flat, mult) in enumerate(zip(sector.tables.flat,
-                                         sector.tables.mult)):
-        if k < len(dense):
-            x = np.ravel(dense[k])
-            out.append((np.bincount(flat, x.real, mult.size)
-                        + 1j * np.bincount(flat, x.imag, mult.size)) / mult)
-        else:
-            out.append(np.zeros(mult.size, dtype=complex))
-    return tuple(out)
 
 
 def unpack(phi: FockVector) -> tuple[np.ndarray, ...]:
@@ -203,28 +186,9 @@ def _worst(*values) -> float:
     return float(np.max(np.hstack(values)))
 
 
-def _apply_slotwise(kernel: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Apply the matrix kernel to every slot of the tensor S.
-
-    Each pass contracts the leading slot and appends the result as the last
-    axis, so after S.ndim passes the slots are back in their original order.
-    """
-    for _ in range(S.ndim):
-        S = np.tensordot(S, kernel, axes=([0], [1]))
-    return S
-
-
-def krein_vector(sector: Sector, basis_components) -> FockVector:
-    """The vector with the given basis-coordinate components: to_krein on
-    every slot (an inverse would lose cond(to_krein) ** rank to rounding)."""
-    return FockVector(sector, pack(sector, [_apply_slotwise(sector.to_krein, c)
-                                            for c in basis_components]))
-
-
-def _basis_inner(kernel: np.ndarray, phi_b, psi_b) -> complex:
-    """Fock inner product of basis-coordinate components under a slot kernel."""
-    return sum((complex(np.vdot(T, _apply_slotwise(kernel, S)))
-                for T, S in zip(phi_b, psi_b)), 0j)
+def _form(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(a) @ matrix @ b per batch entry of the coefficient arrays."""
+    return np.einsum("bi,ij,bj->b", np.conj(a), matrix, b)
 
 
 def _diff_norm(a: FockVector, b: FockVector, kernel=None, c=None) -> np.ndarray:
@@ -248,7 +212,7 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
             ch = random_coefficients(rng, m, (count,))
             phi = random_fock_vector(sector, rng, cap - 1, (count,))
             psi = random_fock_vector(sector, rng, cap - 2, (count,))
-            kernel = np.einsum("bi,ij,bj->b", np.conj(cf), frequency_kernel, ch)
+            kernel = _form(frequency_kernel, cf, ch)
             created = create(ch, phi)
             for i in range(count):
                 # the dense second route; rank cap of phi is zero, and
@@ -300,34 +264,33 @@ def metric_suite(sectors: Mapping[int, Sector],
         samples = np.array([b.fourier()(nodes) for b in sector.basis])
         # recomputed, not sector.pairing, so a fault there cannot leak in
         pairing = indefinite_inner(sector.n, 1.0, sector.basis, sector.basis)
-        for _ in range(METRIC_PAIRS):
-            cf = random_coefficients(rng, sector.size)
-            ch = random_coefficients(rng, sector.size)
+        cf = random_coefficients(rng, sector.size, (METRIC_PAIRS,))
+        ch = random_coefficients(rng, sector.size, (METRIC_PAIRS,))
+        # einsum, not @, which hands this small product to threaded BLAS
+        uf, uh = np.einsum("kbi,ij->kbj", np.array([cf, ch]), samples)
+        report["metric_involution"] = _worst(
+            report["metric_involution"],
+            float(np.max(np.abs(uh * eta * eta - uh), initial=0.0)))
+        grid_val = grid_weighted_inner(sector.n, nodes, weights, uf, uh * eta)
+        kernel = _form(pairing, cf, ch)
+        report["metric_two_route"] = _worst(
+            report["metric_two_route"],
+            np.abs(grid_val - kernel) / (1.0 + np.abs(kernel)))
 
-            # einsum, not @, which hands this small product to threaded BLAS
-            uf, uh = np.einsum("ki,ij->kj", np.array([cf, ch]), samples)
-            report["metric_involution"] = _worst(
-                report["metric_involution"],
-                float(np.max(np.abs(uh * eta * eta - uh), initial=0.0)))
-
-            grid_val = grid_weighted_inner(sector.n, nodes, weights, uf, uh * eta)
-            kernel = np.conj(cf) @ pairing @ ch
-            report["metric_two_route"] = _worst(
-                report["metric_two_route"],
-                abs(grid_val - kernel) / (1.0 + abs(kernel)))
-
-            # the draws read as basis-coordinate tensors
-            phi_b = unpack(random_fock_vector(sector, rng, sector.particle_cap))
-            psi_b = unpack(random_fock_vector(sector, rng, sector.particle_cap))
-            metric = _basis_inner(sector.pairing, phi_b, psi_b)
-            positive = _basis_inner(sector.gram, phi_b, psi_b)
-            phi, psi = krein_vector(sector, phi_b), krein_vector(sector, psi_b)
-            direct = fock_inner(phi, psi, use_metric=True)
-            plain = fock_inner(phi, psi, use_metric=False)
-            report["metric_consistency"] = _worst(
-                report["metric_consistency"],
-                abs(direct - metric) / (1.0 + abs(metric)),
-                abs(plain - positive) / (1.0 + abs(positive)))
+        # <c+(f)^r vac, c+(h)^r vac> = r! <f, h>^r; powers span each
+        # symmetric rank, so a form that agrees on random ones agrees on all
+        f = cf / np.sqrt(_form(sector.gram, cf, cf).real)[:, None]
+        h = ch / np.sqrt(_form(sector.gram, ch, ch).real)[:, None]
+        phi = psi = FockVector.vacuum(sector)
+        for r in range(1, sector.particle_cap + 1):
+            phi, psi = create(f, phi), create(h, psi)
+            for use_metric, matrix in ((True, sector.pairing),
+                                       (False, sector.gram)):
+                z = _form(matrix, f, h) ** r
+                value = fock_inner(phi, psi, use_metric) / math.factorial(r)
+                report["metric_consistency"] = _worst(
+                    report["metric_consistency"],
+                    np.abs(value - z) / (1.0 + np.abs(z)))
 
     witness = gaussian(modulation=WITNESS_MODULATION)
     partner = gaussian(modulation=-WITNESS_MODULATION)

@@ -15,9 +15,9 @@ from .gamma import MAX_ORDER
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # largest dense top Fock component, basis_size ** particle_cap entries
-# (64 MiB): rep-check draws packed, but its metric route unpacks to rank-cap
-# dense tensors and each ccr pair's dense create builds them, and no array of
-# one of its batches of pairs holds more entries
+# (64 MiB): rep-check draws packed, but each ccr pair's dense create builds
+# rank-cap dense tensors, and no array of one of its batches of pairs holds
+# more entries
 MAX_FOCK_ENTRIES = 2 ** 22
 # default_basis(16) has gram condition >= 3.2e10 > fock.COND_LIMIT at every
 # order; each smaller basis passes rep-check but 15 at sector_max 6 (1.03e10)
@@ -28,6 +28,9 @@ MIN_PARTICLE_CAP = 3
 # its atom count (160 MB at 1,000), 160-term polys overflow the envelope bound
 MAX_ATOMS = 256
 MAX_POLY_TERMS = 64
+# rep_pairs, 200 times the default: rep-check at acceptance size runs for
+# about 16 s at this count and grows linearly, without end for 10**15
+MAX_REP_PAIRS = 10_000
 
 # every key parse_config reads; any other key is refused
 ROOT_KEYS = ("dispersion", "form_factor", "orders", "lambda_grid", "truncation",
@@ -191,7 +194,8 @@ def parse_config(raw: dict) -> StudyConfig:
     seed = _integer(raw.get("seed", 0), "seed")
     _require(seed >= 0, "seed must be nonnegative")
     rep_pairs = _integer(raw.get("rep_pairs", 50), "rep_pairs")
-    _require(rep_pairs >= 1, "rep_pairs must be at least 1")
+    _require(1 <= rep_pairs <= MAX_REP_PAIRS,
+             f"rep_pairs must lie in 1..{MAX_REP_PAIRS}, got {rep_pairs}")
 
     output = _object(raw, "output", ("directory",))
 

@@ -41,7 +41,7 @@ from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
 
 from .atoms import TestFunction
 from .errors import QuadratureFailure, ZeroGamma
-from .panels import panel_rule
+from .panels import envelope, panel_rule
 
 __all__ = [
     "QUAD_REL",
@@ -331,7 +331,7 @@ def frequency_grid(fns) -> tuple[np.ndarray, np.ndarray]:
     """
     radius = 1.0
     for f in fns:
-        lo, hi = f.fourier().envelope_interval(ENVELOPE_TOL)
+        lo, hi = envelope(f.fourier(), ENVELOPE_TOL)
         radius = max(radius, abs(lo), abs(hi))
     pos_nodes, pos_weights = panel_rule(0.0, radius, radius / GRID_PANELS)
     nodes = np.concatenate([-pos_nodes[::-1], pos_nodes])
@@ -351,6 +351,8 @@ def metric_sign(n: int, nodes: np.ndarray) -> np.ndarray:
 
 
 def grid_weighted_inner(n: int, nodes: np.ndarray, weights: np.ndarray,
-                        u: np.ndarray, v: np.ndarray) -> complex:
-    """Order-n positive form of two sample arrays on one grid."""
-    return complex(np.sum(weights * np.abs(nodes) ** n * np.conj(u) * v))
+                        u: np.ndarray, v: np.ndarray) -> complex | np.ndarray:
+    """Order-n positive form of sample arrays on one grid, summed over the
+    last axis: a complex for one pair, an array over the batch axes otherwise."""
+    total = np.sum(weights * np.abs(nodes) ** n * np.conj(u) * v, axis=-1)
+    return complex(total) if np.ndim(total) == 0 else total

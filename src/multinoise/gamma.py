@@ -166,9 +166,23 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
         if sigma_end > SIGMA_CAP:
             raise SlowDecay(
                 f"|I(sigma)| not below {SIGMA_DECAY_TOL:g} by sigma = "
-                f"{SIGMA_CAP:g}; "
-                f"stationary phase point suspected")
+                f"{SIGMA_CAP:g}; {_slow_decay_cause(disp, g)}")
     return sigma_end
+
+
+def _slow_decay_cause(disp: Dispersion, g: TestFunction) -> str:
+    """The cause of a slow sigma decay that the momentum range shows: a
+    stationary point of omega inside it, or else a radial domain's k = 0
+    edge that g reaches."""
+    lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
+    inside = [p for p in disp.stationary_points() if lo <= p <= hi]
+    if inside:
+        return (f"stationary points {', '.join(f'{p:g}' for p in inside)} "
+                f"of omega inside the momentum range [{lo:.3g}, {hi:.3g}]")
+    edge = abs(complex(g(0.0)))
+    if disp.dimension == 3 and edge >= MOMENTUM_TOL:
+        return f"|g| = {edge:.3g} at the k = 0 edge of the radial domain"
+    return "no stationary point or domain edge in the momentum range"
 
 
 def _truncated_rule(disp: Dispersion, g: TestFunction):

@@ -2,7 +2,7 @@
 
 ``panel_rule`` lays equal panels of GL_ORDER Legendre nodes on an interval;
 ``panel_sum`` doubles the panel count until two successive sums agree;
-``envelope`` memoizes the integration range both modules take from a test
+``envelope`` memoizes the integration ranges these modules take from a test
 function's envelope.
 """
 
@@ -34,7 +34,9 @@ def envelope(f: TestFunction, tol: float) -> tuple[float, float]:
     """``f.envelope_interval(tol)``, computed once per function and threshold.
 
     The support gate, both gamma routes and the reservoir kernel each ask
-    for the same form factor's interval, the kernel once per pair and lambda.
+    for the same form factor's interval, the kernel once per pair and lambda;
+    the frequency grid asks for each basis function's Fourier transform once
+    per sector, and the basis is the same in every sector.
     """
     return f.envelope_interval(tol)
 

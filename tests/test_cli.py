@@ -132,6 +132,7 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     ("rep-check", {"seed": "x"}),
     ("rep-check", {"seed": -1}),
     ("rep-check", {"rep_pairs": 0}),
+    ("rep-check", {"rep_pairs": 10 ** 15}),
     ("gamma", {"tolerances": {"assert_rel": "x"}}),
     ("gamma", {"tolerances": {"assert_rel": math.inf}}),
     ("gamma", {"tolerances": [1e-6]}),
@@ -180,6 +181,7 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "unknown-key-smear-atom", "basis-size-16",
         "basis-size-string", "particle-cap-fraction", "sector-max-bool",
         "truncation-list", "seed-string", "seed-negative", "rep-pairs-0",
+        "rep-pairs-1e15",
         "assert-rel-string", "assert-rel-infinite", "tolerances-list",
         "output-string", "dispersion-list", "dimension-string", "slope-null",
         "mass-string", "orders-repeat-kernel", "orders-repeat-corr",
@@ -207,6 +209,15 @@ def test_test_function_size_limits_are_inclusive(tmp_path):
     cfg = load_config(write_config(
         tmp_path, form_factor=atoms * config.MAX_ATOMS))
     assert len(cfg.form_factor.atoms) == config.MAX_ATOMS
+
+
+def test_rep_pairs_limit_is_inclusive(tmp_path):
+    """MAX_REP_PAIRS pairs still parse; one more is refused."""
+    cfg = load_config(write_config(tmp_path, rep_pairs=config.MAX_REP_PAIRS))
+    assert cfg.rep_pairs == config.MAX_REP_PAIRS
+    with pytest.raises(multinoise.ConfigError,
+                       match=r"rep_pairs must lie in 1\.\.10000, got 10001$"):
+        load_config(write_config(tmp_path, rep_pairs=config.MAX_REP_PAIRS + 1))
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import checks
-from multinoise.checks import (default_basis, krein_vector,
-                               random_coefficients, random_fock_vector,
-                               run_representation_checks, unpack)
+from multinoise.checks import (default_basis, random_coefficients,
+                               random_fock_vector, run_representation_checks,
+                               unpack)
 from multinoise.errors import (CapacityExceeded, IllConditionedBasis,
                                NotInSpan, SectorMismatch, ZeroGamma)
 from multinoise.fock import FockVector
@@ -90,25 +91,24 @@ def test_symmetrize_matches_permutation_average(k, rng):
 
 
 def test_create_is_weighted_symmetric_product(rng):
-    """Rank k+1 of c+(c) phi is sqrt(k+1) Sym(phi_k (x) c), at every rank."""
+    """Rank k+1 of c+(c) phi is sqrt(k+1) Sym(phi_k (x) c'), at every rank,
+    with phi and c' = to_krein c in Krein coordinates."""
     sector = mn.build_sector(1, 1.0, default_basis(3), particle_cap=5)
-    # the draw read as basis-coordinate tensors, mapped forward
-    phi_b = unpack(random_fock_vector(sector, rng,
-                                      max_rank=sector.particle_cap - 1))
+    phi = random_fock_vector(sector, rng, max_rank=sector.particle_cap - 1)
     c = random_coefficients(rng, sector.size)
-    out = mn.create(c, krein_vector(sector, phi_b))
-    assert unpack(out)[0] == 0
-    expected = [math.sqrt(k + 1) * symmetrize_by_permutations(
-        np.multiply.outer(comp, c)) for k, comp in enumerate(phi_b[:-1])]
-    expected = krein_vector(sector, (np.zeros(()), *expected))
-    for got, want in zip(unpack(out), unpack(expected)):
-        assert_allclose(got, want, rtol=0, atol=1e-13)
+    out = unpack(mn.create(c, phi))
+    assert out[0] == 0
+    krein = sector.to_krein @ c
+    for k, comp in enumerate(unpack(phi)[:-1]):
+        want = math.sqrt(k + 1) * symmetrize_by_permutations(
+            np.multiply.outer(comp, krein))
+        assert_allclose(out[k + 1], want, rtol=0, atol=1e-13)
 
 
 def test_representation_checks_pass_at_basis_10():
-    """metric_consistency maps basis tensors forward to Krein coordinates;
-    mapping back with inv(to_krein) lost cond(to_krein) ** rank to rounding
-    and read 6.3e-8 here against the 1e-8 threshold."""
+    """The Krein map has condition about 400 here; metric_consistency reads
+    its reference values from the gram and pairing matrices, so no power of
+    it reaches the residual (1.5e-15 against the 1e-8 threshold)."""
     report = run_representation_checks(sector_max=3, basis_size=10,
                                        particle_cap=4, seed=1, pairs=2)
     assert report["failures"] == [] and report["passes"]
@@ -248,17 +248,20 @@ def test_outputs_stay_symmetric(small_sectors, rng):
 
 
 def test_metric_consistency_through_sector_matrix(small_sectors, rng):
-    """The Krein-side metric products equal the pairing matrix applied to
-    each slot in basis coordinates, written out up to rank 2."""
+    """Both Fock products of two-particle product vectors that are not
+    powers: <c+(f1) c+(f2) vac, c+(h1) c+(h2) vac> = K11 K22 + K12 K21, with
+    K_ij = conj(f_i) @ M @ h_j for M the pairing or the gram matrix."""
     for sector in small_sectors.values():
-        T = unpack(random_fock_vector(sector, rng, max_rank=2))
-        S = unpack(random_fock_vector(sector, rng, max_rank=2))
-        phi, psi = krein_vector(sector, T), krein_vector(sector, S)
-        P = sector.pairing
-        expected = (np.conj(T[0]) * S[0] + np.vdot(T[1], P @ S[1])
-                    + np.vdot(T[2], P @ S[2] @ P.T))
-        direct = mn.fock_inner(phi, psi, use_metric=True)
-        assert abs(direct - expected) <= 1e-12 * (1 + abs(expected))
+        f = random_coefficients(rng, sector.size, (2,))
+        h = random_coefficients(rng, sector.size, (2,))
+        vac = FockVector.vacuum(sector)
+        phi = mn.create(f[0], mn.create(f[1], vac))
+        psi = mn.create(h[0], mn.create(h[1], vac))
+        for use_metric, M in ((True, sector.pairing), (False, sector.gram)):
+            K = np.conj(f) @ M @ h.T
+            expected = K[0, 0] * K[1, 1] + K[0, 1] * K[1, 0]
+            got = mn.fock_inner(phi, psi, use_metric=use_metric)
+            assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
 
 
 def test_capacity_is_enforced(small_sectors, rng):
@@ -452,8 +455,9 @@ def test_krein_metric_signs(acceptance_sectors):
 
 
 def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
-    """metric_consistency recomputes in basis coordinates, so it sees a sign
-    error in the Krein weights that the Krein-side products share."""
+    """metric_consistency takes its reference values from the pairing and
+    gram matrices, so it sees a sign error in the Krein weights that the
+    Krein-side products share."""
     sector = acceptance_sectors[1]
     lam = sector.krein_metric.copy()
     lam[0] = -lam[0]
@@ -462,3 +466,17 @@ def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
         <= checks.THRESHOLDS["metric_consistency"]
     assert checks.metric_suite({1: flipped}, rng)["metric_consistency"] \
         > checks.THRESHOLDS["metric_consistency"]
+
+
+def test_metric_suite_builds_no_dense_tensors():
+    """At basis 10, cap 6 a dense rank-6 tensor holds 10**6 entries; the
+    metric suite's created powers stay packed (70.8 MB traced peak when it
+    contracted dense draws slot by slot)."""
+    sectors = checks.build_check_sectors(0, 10, 6)
+    tracemalloc.start()
+    try:
+        checks.metric_suite(sectors, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
 import multinoise as mn
+from multinoise import panels
 from multinoise.errors import QuadratureFailure, ZeroGamma
 from multinoise.forms import ENVELOPE_TOL, QUAD_REL, _erfcx
 from conftest import random_test_function
@@ -286,6 +287,39 @@ def test_grid_inner_matches_weighted(rng):
                                      h.fourier()(nodes))
         ref = mn.weighted_inner(n, f, h)
         assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
+
+
+def test_grid_inner_sums_over_the_last_axis(rng):
+    """A complex for one pair of sample arrays, an array over the batch axes
+    for stacked pairs, equal entry by entry."""
+    fns = [random_test_function(rng, n_atoms=1) for _ in range(6)]
+    nodes, weights = mn.frequency_grid(fns)
+    u = np.array([f.fourier()(nodes) for f in fns]).reshape(2, 3, -1)
+    for n in range(4):
+        batch = mn.grid_weighted_inner(n, nodes, weights, u[0], u[1])
+        assert batch.shape == (3,)
+        for i in range(3):
+            one = mn.grid_weighted_inner(n, nodes, weights, u[0, i], u[1, i])
+            assert isinstance(one, complex)
+            assert abs(batch[i] - one) <= 1e-13 * (1 + abs(one))
+
+
+def test_frequency_grid_bisects_each_envelope_once(monkeypatch):
+    """The grid takes its radius from the memoized envelopes, so grids of
+    every sector over one basis bisect each Fourier envelope once."""
+    calls = []
+    original = mn.TestFunction.envelope_interval
+
+    def counted(self, tol=1e-18):
+        calls.append(self)
+        return original(self, tol)
+
+    monkeypatch.setattr(mn.TestFunction, "envelope_interval", counted)
+    panels.envelope.cache_clear()
+    basis = [mn.hermite_fn(k, modulation=0.25 * k) for k in range(3)]
+    grids = [mn.frequency_grid(basis) for _ in range(4)]
+    assert len(calls) == len(basis)
+    assert all(np.array_equal(g[0], grids[0][0]) for g in grids)
 
 
 def test_metric_involution_is_exact(rng):

@@ -166,11 +166,23 @@ def test_degenerate_root_detected():
 
 
 def test_slow_decay_raised_for_stationary_point_in_support():
-    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0)
-    g = mn.gaussian(width=1.0)  # support covers the stationary point k = 0
-    assert not mn.check_support(disp, g).passes
-    with pytest.raises(SlowDecay):
-        mn.gamma_osc(disp, g, 0)
+    """The message names the cause the momentum range shows: a stationary
+    point of omega, or else the k = 0 edge of a radial domain that g
+    reaches (a linear dispersion has no stationary point)."""
+    cases = [
+        # support covers the stationary point k = 0
+        (mn.QuadraticDispersion(mass=1.0, offset=2.0), mn.gaussian(width=1.0),
+         r"stationary points 0 of omega inside the momentum range"),
+        # the linear catalog made radial, g still 0.033 at k = 0
+        (mn.LinearDispersion(slope=1.0, offset=1.5, dimension=3),
+         0.7511255444649425 * mn.gaussian(center=1.5, width=0.6),
+         r"\|g\| = 0\.0\d+ at the k = 0 edge of the radial domain$"),
+    ]
+    for disp, g, message in cases:
+        with pytest.raises(SlowDecay, match=message):
+            mn.gamma_osc(disp, g, 0)
+    assert not mn.check_support(*cases[0][:2]).passes
+    assert mn.check_support(*cases[1][:2]).passes
 
 
 def test_order_cap():

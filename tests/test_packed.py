@@ -1,5 +1,5 @@
-"""Packed symmetric storage: index tables, the dense conversions, batched
-operators and suites, and faults in the tables that the checks must catch."""
+"""Packed symmetric storage: index tables, packed draws, batched operators
+and suites, and faults in the tables that the checks must catch."""
 
 import itertools
 import math
@@ -15,10 +15,9 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import checks, fock
-from multinoise.checks import (pack, random_coefficients, random_fock_vector,
-                               run_representation_checks, unpack)
+from multinoise.checks import (random_coefficients, random_fock_vector,
+                               run_representation_checks)
 from multinoise.fock import FockVector
-from oracles import symmetrize_by_permutations
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -80,22 +79,6 @@ def test_random_fock_vector_draws_packed_normals(small_sectors, batch):
             assert comp.shape == (*batch, math.comb(m + k - 1, k))
             assert np.all(comp == 0) == (k > max_rank)
         assert_allclose(phi.positive_norm(), np.ones(batch), rtol=0, atol=1e-15)
-
-
-def test_pack_of_a_dense_draw_is_its_permutation_average(small_sectors, rng):
-    sector = small_sectors[1]
-    raw = [rng.standard_normal((4,) * k) + 1j * rng.standard_normal((4,) * k)
-           for k in range(sector.particle_cap + 1)]
-    for got, x in zip(unpack(FockVector(sector, pack(sector, raw))), raw):
-        assert np.max(np.abs(got - symmetrize_by_permutations(x))) <= 1e-15
-
-
-def test_pack_of_a_symmetric_tensor_round_trips(small_sectors, rng):
-    sector = small_sectors[2]
-    phi = random_fock_vector(sector, rng, sector.particle_cap)
-    again = FockVector(sector, pack(sector, unpack(phi)))
-    for x, y in zip(again.components, phi.components):
-        assert_allclose(x, y, rtol=0, atol=1e-15)
 
 
 def test_batched_operators_equal_one_vector_at_a_time(small_sectors, rng):
@@ -188,8 +171,8 @@ def test_rep_check_draws_packed_normals_only(monkeypatch):
         expected += pairs * (2 * 2 * m + vector(cap - 1) + vector(cap - 2))
         # adjoint: cf, phi up to rank cap, psi up to cap - 1
         expected += pairs * (2 * m + vector(cap) + vector(cap - 1))
-        # metric: cf, ch and two vectors up to rank cap
-        expected += checks.METRIC_PAIRS * (2 * 2 * m + 2 * vector(cap))
+        # metric: cf and ch, no vectors
+        expected += checks.METRIC_PAIRS * 2 * 2 * m
     assert [g.normals for g in generators] == [expected]
 
 
@@ -216,14 +199,16 @@ def test_clean_tables_pass():
 
 
 def test_wrong_multiplicity_fails(monkeypatch):
-    """The multiplicities weigh the inner products and pack, not the dense
-    tensors, so the adjoint identity and the metric route see the fault."""
-    def edit(tables):
-        mult = [array.copy() for array in tables.mult]
-        mult[2][1] = 1.0  # (0, 1) stands for two dense entries, not one
-        return {"mult": tuple(mult)}
-    report = _run_with_tables(monkeypatch, edit)
-    assert set(report["failures"]) == {"adjoint", "metric_consistency"}
+    """The multiplicities weigh the inner products only, so at every rank the
+    adjoint identity and the metric products of created powers see a fault."""
+    for rank in range(1, ACCEPTANCE["particle_cap"] + 1):
+        def edit(tables):
+            mult = [array.copy() for array in tables.mult]
+            mult[rank][1] = rank + 1.0  # (0, ..., 0, 1) stands for rank entries
+            return {"mult": tuple(mult)}
+        with monkeypatch.context() as patch:
+            report = _run_with_tables(patch, edit)
+        assert set(report["failures"]) == {"adjoint", "metric_consistency"}, rank
 
 
 def test_wrong_removal_entry_fails(monkeypatch):
@@ -258,18 +243,3 @@ def test_one_pair_batches_pass_clean_and_fail_the_same_faults(monkeypatch):
     monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", full_batches)
     full = run_representation_checks(**ACCEPTANCE)["failures"]  # tables still edited
     assert single == full
-
-
-def test_packed_draw_without_the_division_fails(monkeypatch):
-    """Summing each orbit without dividing by its multiplicity still gives a
-    symmetric vector, on which the algebra holds; only the metric route
-    packs, mapping its basis-coordinate tensors forward, and it sees it."""
-    original = checks.pack
-
-    def undivided(sector, dense):
-        return tuple(c * mult for c, mult in
-                     zip(original(sector, dense), sector.tables.mult))
-
-    monkeypatch.setattr(checks, "pack", undivided)
-    report = run_representation_checks(**ACCEPTANCE)
-    assert report["failures"] == ["metric_consistency"]
