@@ -8,10 +8,10 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   frequency side, gamma (-1)^n int x^n conj(f_F) h_F, a
                   route independent of the derivative route that fills the
                   sector pairing matrix; creator/creator and
-                  annihilator/annihilator commutators vanish; and, pair by
-                  pair, the packed c^+(h) phi agrees entry by entry with the
-                  dense one, an outer product with the unpacked phi
-                  symmetrized one slot at a time (``symmetry``).
+                  annihilator/annihilator commutators vanish; and c^+(h) on
+                  the powers f^(x)k, k < cap, equals its closed form
+                  sqrt(k+1) Sym(f^(x)k (x) h) entry by entry (``symmetry``;
+                  f, h scaled to unit gram norm; powers span each rank).
 * adjoint      -- <c^-(f) Phi, Psi> = <Phi, c^+(f) Psi> under the metric
                   inner product.
 * metric       -- grid involution is exact, the eta-weighted positive form
@@ -28,13 +28,13 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
 Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
 reproducible bit for bit per (configuration, seed).  Fock vectors are drawn
 straight into packed storage, C(m+k-1, k) complex normals per rank k, and
-scaled to unit positive norm; only each ccr pair's dense creation unpacks
-them.  ccr, adjoint and metric draw each quantity of a batch of pairs as one
-array and run the packed operators once over it: metric its METRIC_PAIRS
-pairs per sector, ccr and adjoint batches split so that none of their
-arrays holds more than MAX_FOCK_ENTRIES entries, so the generator's stream,
-and with it the residuals, depends on that split, which the basis size, the
-particle cap and MAX_FOCK_ENTRIES fix.  Commutator residuals are norms
+scaled to unit positive norm; no suite builds a dense tensor.  ccr, adjoint
+and metric draw each quantity of a batch of pairs as one array and run the
+packed operators once over it: metric its METRIC_PAIRS pairs per sector,
+ccr and adjoint batches split so that none of their arrays holds more than
+MAX_FOCK_ENTRIES entries, so the generator's stream, and with it the
+residuals, depends on that split, which the basis size, the particle cap
+and MAX_FOCK_ENTRIES fix.  Commutator residuals are norms
 relative to (1 + |state|); scalar identities are relative to (1 + |value|).
 """
 
@@ -57,7 +57,6 @@ __all__ = [
     "default_basis",
     "build_check_sectors",
     "random_fock_vector",
-    "unpack",
     "run_representation_checks",
     "THRESHOLDS",
 ]
@@ -111,33 +110,6 @@ def build_check_sectors(sector_max: int, basis_size: int,
             for n in range(sector_max + 1)}
 
 
-def unpack(phi: FockVector) -> tuple[np.ndarray, ...]:
-    """The dense symmetric tensors of a packed vector, batch axes first."""
-    m = phi.sector.size
-    return tuple(comp[..., flat].reshape(comp.shape[:-1] + (m,) * k)
-                 for k, (comp, flat) in enumerate(zip(phi.components,
-                                                      phi.sector.tables.flat)))
-
-
-def _symmetrize_slot(tensor: np.ndarray, j: int) -> np.ndarray:
-    """Mean over i <= j of the tensor with slots i and j swapped.
-
-    If slots 0..j-1 are symmetric, the result is symmetric in slots 0..j.
-    """
-    acc = tensor.copy()
-    for i in range(j):
-        acc += np.swapaxes(tensor, i, j)
-    return acc / (j + 1)
-
-
-def _dense_create(krein: np.ndarray, dense) -> list[np.ndarray]:
-    """Ranks 1, 2, ... of the creation operator on the dense symmetric
-    tensors of ranks 0, 1, ...: the outer product with the Krein coordinates,
-    symmetrized in its new last slot, with weight sqrt(k+1)."""
-    return [math.sqrt(k + 1) * _symmetrize_slot(np.multiply.outer(comp, krein), k)
-            for k, comp in enumerate(dense)]
-
-
 def random_coefficients(rng: np.random.Generator, size: int,
                         batch: tuple[int, ...] = ()) -> np.ndarray:
     """Unit complex normal coefficient vectors of the given size, after the
@@ -165,16 +137,10 @@ def random_fock_vector(sector: Sector, rng: np.random.Generator,
     return FockVector(sector, tuple(c / norm[..., None] for c in comps))
 
 
-def _entry(phi: FockVector, i: int) -> tuple[np.ndarray, ...]:
-    """The dense tensors of batch entry i of phi."""
-    return unpack(FockVector(phi.sector, tuple(c[i] for c in phi.components)))
-
-
 def _batch_sizes(sector: Sector, pairs: int) -> Iterator[int]:
     """Pairs per batch, yielded lazily.  A packed vector holds C(m + cap, cap)
     entries and an index gather of the operators fewer than m times that, so
-    no array of a batch holds more entries than MAX_FOCK_ENTRIES, the bound
-    on one dense top component."""
+    no array of a batch holds more entries than MAX_FOCK_ENTRIES."""
     per_pair = sector.size * sum(len(rows) for rows in sector.tables.multi)
     step = max(1, MAX_FOCK_ENTRIES // per_pair)
     for start in range(0, pairs, step):
@@ -191,12 +157,40 @@ def _form(matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bi,ij,bj->b", np.conj(a), matrix, b)
 
 
+def _unit(sector: Sector, c: np.ndarray) -> np.ndarray:
+    """Coefficient arrays scaled to unit gram norm per batch entry."""
+    return c / np.sqrt(_form(sector.gram, c, c).real)[:, None]
+
+
 def _diff_norm(a: FockVector, b: FockVector, kernel=None, c=None) -> np.ndarray:
     """Positive norm of a - b, or of a - b - kernel c, per batch entry."""
     diff = [x - y for x, y in zip(a.components, b.components)]
     if c is not None:
         diff = [d - kernel[..., None] * z for d, z in zip(diff, c.components)]
     return FockVector(a.sector, tuple(diff)).positive_norm()
+
+
+def _product_residual(sector: Sector, cf: np.ndarray,
+                      ch: np.ndarray) -> np.ndarray:
+    """Worst entry difference per rank k+1 = 1..cap between c^+(h) on the
+    powers f^(x)k and sum_p h'[alpha_p] prod_{q != p} f'[alpha_q] / sqrt(k+1),
+    with f, h the coefficients scaled to unit gram norm and f', h' their
+    Krein coordinates; the reference reads the multi-indices only, never the
+    removal or addition tables or an operator."""
+    multi, cap = sector.tables.multi, sector.particle_cap
+    f, h = _unit(sector, cf), _unit(sector, ch)
+    fk, hk = f @ sector.to_krein.T, h @ sector.to_krein.T
+    powers = [fk[:, rows].prod(axis=-1) for rows in multi[:cap]]
+    powers.append(np.zeros((len(f), len(multi[cap])), dtype=complex))
+    created = create(h, FockVector(sector, tuple(powers))).components
+    worst = []
+    for k, rows in enumerate(multi[1:], 1):
+        factors = fk[:, rows]
+        want = sum(hk[:, rows[:, p]]
+                   * np.delete(factors, p, axis=-1).prod(axis=-1)
+                   for p in range(k)) / math.sqrt(k)
+        worst.append(np.max(np.abs(created[k] - want)))
+    return np.array(worst)
 
 
 def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
@@ -214,15 +208,8 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
             psi = random_fock_vector(sector, rng, cap - 2, (count,))
             kernel = _form(frequency_kernel, cf, ch)
             created = create(ch, phi)
-            for i in range(count):
-                # the dense second route; rank cap of phi is zero, and
-                # passing it on would build a rank cap + 1 tensor
-                direct = _dense_create(sector.to_krein @ ch[i],
-                                       _entry(phi, i)[:cap])
-                worst["symmetry"] = _worst(worst["symmetry"], *(
-                    np.max(np.abs(x - y))
-                    for x, y in zip(direct, _entry(created, i)[1:])))
-
+            worst["symmetry"] = _worst(worst["symmetry"],
+                                       _product_residual(sector, cf, ch))
             comm = _diff_norm(annihilate(cf, created),
                               create(ch, annihilate(cf, phi)), kernel, phi)
             worst["ccr"] = _worst(worst["ccr"],
@@ -279,8 +266,7 @@ def metric_suite(sectors: Mapping[int, Sector],
 
         # <c+(f)^r vac, c+(h)^r vac> = r! <f, h>^r; powers span each
         # symmetric rank, so a form that agrees on random ones agrees on all
-        f = cf / np.sqrt(_form(sector.gram, cf, cf).real)[:, None]
-        h = ch / np.sqrt(_form(sector.gram, ch, ch).real)[:, None]
+        f, h = _unit(sector, cf), _unit(sector, ch)
         phi = psi = FockVector.vacuum(sector)
         for r in range(1, sector.particle_cap + 1):
             phi, psi = create(f, phi), create(h, psi)
@@ -339,7 +325,10 @@ def fock_wick_suite(sectors: Mapping[int, Sector],
 def run_representation_checks(*, sector_max: int, basis_size: int,
                               particle_cap: int, seed: int, pairs: int,
                               fault_injection: str | None = None) -> dict:
-    """Run all suites and report residuals against the fixed thresholds."""
+    """Run all suites and report residuals against the fixed thresholds;
+    ValueError for fewer than one pair, which would check nothing."""
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = np.random.default_rng(seed)
     sectors = build_check_sectors(sector_max, basis_size, particle_cap)
     if fault_injection == "transpose_pairing":

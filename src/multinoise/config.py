@@ -14,10 +14,9 @@ from .gamma import MAX_ORDER
 
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
-# largest dense top Fock component, basis_size ** particle_cap entries
-# (64 MiB): rep-check draws packed, but each ccr pair's dense create builds
-# rank-cap dense tensors, and no array of one of its batches of pairs holds
-# more entries
+# bound on basis_size ** particle_cap, the truncations rep-check has been
+# run at (no array holds that many entries: Fock vectors are packed), and on
+# the entries of any array of one of its batches of pairs
 MAX_FOCK_ENTRIES = 2 ** 22
 # default_basis(16) has gram condition >= 3.2e10 > fock.COND_LIMIT at every
 # order; each smaller basis passes rep-check but 15 at sector_max 6 (1.03e10)

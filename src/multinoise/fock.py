@@ -11,9 +11,9 @@ A vector holds, per particle number k up to the cap, a symmetric tensor in
 Krein coordinates stored once per sorted multi-index alpha, C(m+k-1, k)
 entries for m basis functions instead of m**k, after any leading batch axes;
 the operators broadcast those against the batch axes of the coefficients c,
-so one call serves one vector or a stack.  The dense operators are the ccr
-suite's second route, in ``checks``.  Index tables, built with numpy per
-(basis size, cap) with the first sector of that size, give
+so one call serves one vector or a stack; no array holds a dense m**k
+tensor.  Index tables, built with numpy per (basis size, cap) with the first
+sector of that size, give
 
 * create: rank k+1 at alpha is sum_p phi_k[alpha without slot p] c'[alpha_p]
   / sqrt(k+1), which is sqrt(k+1) Sym(phi_k (x) c');
@@ -48,7 +48,6 @@ class IndexTables(NamedTuple):  # per rank k = 0..cap, for m basis functions
     mult: tuple[np.ndarray, ...]    # (N_k,) multiplicities k!/prod n_i!
     remove: tuple[np.ndarray, ...]  # (N_k, k) rank-(k-1) index without slot p
     add: tuple[np.ndarray, ...]     # (N_k, m) rank-(k+1) index with j added
-    flat: tuple[np.ndarray, ...]    # (m**k,) packed index of each dense index
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,13 +67,13 @@ def index_tables(m: int, cap: int) -> IndexTables:
                                range(k)]) if k else a for k, a in enumerate(multi)]
     add = [lookup(np.sort(np.column_stack([np.repeat(a, m, axis=0), np.tile(
         np.arange(m), len(a))]), axis=1)).reshape(-1, m) for a in multi[:-1]]
-    flat = [np.zeros(1, dtype=np.intp)]  # dense index d*m + j: add[flat[d], j]
+    # dense entries per orbit: a rank-(k+1) dense index is a rank-k one and j
+    mult = [np.ones(1)]
     for table in add:
-        flat.append(table[flat[-1]].reshape(-1))
-    mult = [np.bincount(f).astype(float) for f in flat]  # dense entries per orbit
-    for array in (*multi, *mult, *remove, *add, *flat):
+        mult.append(np.bincount(table.ravel(), weights=np.repeat(mult[-1], m)))
+    for array in (*multi, *mult, *remove, *add):
         array.setflags(write=False)
-    return IndexTables(*map(tuple, (multi, mult, remove, add, flat)))
+    return IndexTables(*map(tuple, (multi, mult, remove, add)))
 
 
 @dataclass(frozen=True, eq=False)

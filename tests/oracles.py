@@ -6,8 +6,10 @@ forms, the gamma moments or the reservoir kernel shows up as a disagreement.
 ``i_sigma_on_rule`` sums I(sigma) on gamma's momentum rule node by node, and
 ``gamma_by_sigma_panels`` integrates it over sigma panels: the package
 integrates the other way round, sigma first, in closed form.
-``symmetrize_by_permutations`` is the k!-term average the slot-by-slot
-symmetrizer must reproduce, and ``max_symmetry_defect`` measures how far a
+``unpack`` expands a packed Fock vector into dense tensors through an
+itertools map from sorted multi-index to position, not the package's index
+tables; ``symmetrize_by_permutations`` is the k!-term average a packed
+creation must reproduce, and ``max_symmetry_defect`` measures how far a
 dense tensor is from symmetric.
 """
 
@@ -70,6 +72,22 @@ def i_sigma_on_rule(blocks, sigmas) -> np.ndarray:
         # lets conjugate pairs cancel exactly
         acc = acc + np.exp(1j * np.outer(sigmas, omega_nodes)) * density
     return acc.sum(axis=1)
+
+
+def unpack(phi) -> tuple[np.ndarray, ...]:
+    """The dense symmetric tensors of a packed Fock vector, batch axes first:
+    dense entry (i_1, ..., i_k) is the packed entry of sorted(i_1, ..., i_k),
+    the packed entries of rank k in the order of
+    combinations_with_replacement."""
+    m = phi.sector.size
+    dense = []
+    for k, comp in enumerate(phi.components):
+        position = {alpha: i for i, alpha in enumerate(
+            itertools.combinations_with_replacement(range(m), k))}
+        index = [position[tuple(sorted(d))]
+                 for d in itertools.product(range(m), repeat=k)]
+        dense.append(comp[..., index].reshape(comp.shape[:-1] + (m,) * k))
+    return tuple(dense)
 
 
 def symmetrize_by_permutations(tensor: np.ndarray) -> np.ndarray:

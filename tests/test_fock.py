@@ -9,14 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import multinoise as mn
-from multinoise import checks
+from multinoise import checks, fock
 from multinoise.checks import (default_basis, random_coefficients,
-                               random_fock_vector, run_representation_checks,
-                               unpack)
+                               random_fock_vector, run_representation_checks)
 from multinoise.errors import (CapacityExceeded, IllConditionedBasis,
                                NotInSpan, SectorMismatch, ZeroGamma)
 from multinoise.fock import FockVector
-from oracles import max_symmetry_defect, symmetrize_by_permutations
+from oracles import max_symmetry_defect, symmetrize_by_permutations, unpack
 
 
 @pytest.fixture(scope="module")
@@ -74,22 +73,6 @@ def test_operators_take_coefficient_vectors_only(small_sectors):
             op(np.ones(sector.size + 1), vac)
 
 
-@pytest.mark.parametrize("k", range(6))
-def test_symmetrize_matches_permutation_average(k, rng):
-    """The dense second route's creation on symmetric tensors of ranks 0..k,
-    symmetrized one slot at a time, is sqrt(k+1) times the permutation
-    average of the outer product at every rank."""
-    dense = [symmetrize_by_permutations(rng.standard_normal((3,) * j)
-                                        + 1j * rng.standard_normal((3,) * j))
-             for j in range(k + 1)]
-    c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    out = checks._dense_create(c, dense)
-    for j, (got, T) in enumerate(zip(out, dense)):
-        want = math.sqrt(j + 1) * symmetrize_by_permutations(
-            np.multiply.outer(T, c))
-        assert np.max(np.abs(got - want)) <= 1e-13 * (1 + np.max(np.abs(want)))
-
-
 def test_create_is_weighted_symmetric_product(rng):
     """Rank k+1 of c+(c) phi is sqrt(k+1) Sym(phi_k (x) c'), at every rank,
     with phi and c' = to_krein c in Krein coordinates."""
@@ -118,6 +101,15 @@ def test_representation_checks_pass_at_particle_cap_6():
     report = run_representation_checks(sector_max=1, basis_size=6,
                                        particle_cap=6, seed=1, pairs=2)
     assert report["failures"] == [] and report["passes"]
+
+
+@pytest.mark.parametrize("pairs", [0, -3])
+def test_representation_checks_refuse_fewer_than_one_pair(pairs):
+    """Without a pair no ccr, adjoint or symmetry residual is computed, so a
+    report would read 0.0 for each and pass."""
+    with pytest.raises(ValueError, match=f"pairs must be at least 1, got {pairs}$"):
+        run_representation_checks(sector_max=0, basis_size=3, particle_cap=3,
+                                  seed=1, pairs=pairs)
 
 
 def test_zero_grid_node_fails_metric_involution(monkeypatch):
@@ -466,6 +458,21 @@ def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
         <= checks.THRESHOLDS["metric_consistency"]
     assert checks.metric_suite({1: flipped}, rng)["metric_consistency"] \
         > checks.THRESHOLDS["metric_consistency"]
+
+
+def test_ccr_suite_builds_no_dense_tensors():
+    """At basis 3, cap 13 a dense rank-13 tensor holds 1.6 million entries;
+    the symmetry residual's closed form on product vectors stays packed
+    (160.5 MB traced peak when each pair was unpacked and created densely)."""
+    fock.index_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        sectors = checks.build_check_sectors(0, 3, 13)
+        checks.ccr_suite(sectors, np.random.default_rng(1), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_metric_suite_builds_no_dense_tensors():

@@ -30,9 +30,6 @@ def test_index_tables_match_their_definitions(m, cap):
         multi = tables.multi[k]
         assert np.array_equal(multi, np.array(combos).reshape(len(combos), k))
         assert multi.shape[0] == math.comb(m + k - 1, k)
-        dense = np.array(list(itertools.product(range(m), repeat=k)))
-        assert np.array_equal(multi[tables.flat[k]],
-                              np.sort(dense.reshape(m ** k, k), axis=1))
         counts = [np.bincount(row, minlength=m) for row in multi]
         assert_allclose(tables.mult[k], [math.factorial(k) / math.prod(
             math.factorial(c) for c in n) for n in counts], rtol=0, atol=0)
@@ -212,12 +209,18 @@ def test_wrong_multiplicity_fails(monkeypatch):
 
 
 def test_wrong_removal_entry_fails(monkeypatch):
-    def edit(tables):
-        remove = [array.copy() for array in tables.remove]
-        remove[3][4, 1] = remove[3][5, 1]
-        return {"remove": tuple(remove)}
-    report = _run_with_tables(monkeypatch, edit)
-    assert {"ccr", "ccr_creators", "symmetry"} <= set(report["failures"])
+    """create gathers through the removal table and the symmetry residual's
+    closed form does not, so a wrong entry at any rank from 2 to the cap
+    fails it; rows 4 and 5 are (0, ..., 0, 4) and (0, ..., 0, 5), which stay
+    distinct without slot 0."""
+    for rank in range(2, ACCEPTANCE["particle_cap"] + 1):
+        def edit(tables):
+            remove = [array.copy() for array in tables.remove]
+            remove[rank][4, 0] = remove[rank][5, 0]
+            return {"remove": tuple(remove)}
+        with monkeypatch.context() as patch:
+            report = _run_with_tables(patch, edit)
+        assert {"ccr", "ccr_creators", "symmetry"} <= set(report["failures"]), rank
 
 
 def _wrong_addition_entry(tables):
@@ -229,6 +232,23 @@ def _wrong_addition_entry(tables):
 def test_wrong_addition_entry_fails(monkeypatch):
     report = _run_with_tables(monkeypatch, _wrong_addition_entry)
     assert {"ccr", "ccr_annihilators", "adjoint"} <= set(report["failures"])
+
+
+def test_create_off_by_1e7_relative_fails(monkeypatch):
+    """A creation whose rank-k output is 1e-7 too large, k = 1..cap, fails
+    every residual that compares create with a route of its own (at rank 1
+    the witness's squared norm -5 also moves by just over its 1e-6 bound)."""
+    for rank in range(1, ACCEPTANCE["particle_cap"] + 1):
+        def scaled(coeffs, phi):
+            comps = list(fock.create(coeffs, phi).components)
+            if rank < len(comps):  # the witness sector has cap 2
+                comps[rank] = comps[rank] * (1 + 1e-7)
+            return FockVector(phi.sector, tuple(comps))
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "create", scaled)
+            report = run_representation_checks(**ACCEPTANCE)
+        assert {"adjoint", "ccr", "metric_consistency", "symmetry"} <= set(
+            report["failures"]), rank
 
 
 def test_one_pair_batches_pass_clean_and_fail_the_same_faults(monkeypatch):
