@@ -10,17 +10,16 @@ correlation functions.
 
 from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination, zero
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
-from .errors import (BelowFloor, CapacityExceeded, ConfigError, DegenerateRoot,
+from .errors import (CapacityExceeded, ConfigError, DegenerateRoot,
                      FloatingPointFault, IllConditionedBasis, MultinoiseError,
                      NotInSpan, OracleMismatch, QuadratureFailure,
                      SectorMismatch, SlowDecay, SupportConditionFailed,
                      ZeroGamma)
-from .expansion import ExpansionPoint, RateReport, correlation_error, fit_rate
+from .expansion import ExpansionPoint, correlation_error, fit_rate
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
                    fock_inner, project_coefficients, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
-                    indefinite_inner_frequency, l2_inner, metric_sign,
-                    weighted_inner)
+                    indefinite_inner_frequency, metric_sign, weighted_inner)
 from .gamma import (GammaRow, GammaTable, SupportReport, check_support,
                     gamma_osc, gamma_shell, gamma_table)
 from .wick import correlation, enumerate_matchings, reservoir_pair

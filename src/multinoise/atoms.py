@@ -189,14 +189,22 @@ class TestFunction:
     def from_json_dict(cls, data: list[dict]) -> "TestFunction":
         atoms = []
         for d in data:
-            coeff = complex(d["coefficient_re"], d["coefficient_im"])
+            coeff = complex(_number(d["coefficient_re"]),
+                            _number(d["coefficient_im"]))
             center, width, modulation = (
-                float(d[key]) for key in ("center", "width", "modulation"))
-            poly = tuple(complex(re, im) for re, im in d["poly"])
+                _number(d[key]) for key in ("center", "width", "modulation"))
+            poly = tuple(complex(_number(re), _number(im)) for re, im in d["poly"])
             if not np.all(np.isfinite([coeff, center, width, modulation, *poly])):
                 raise ValueError("atom fields must be finite numbers")
             atoms.append((coeff, Atom(center, width, modulation, poly)))
         return cls(tuple(atoms))
+
+
+def _number(value) -> float:
+    # a JSON number only: float() would take a bool, or parse "1_0" as 10.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"atom fields must be numbers, got {value!r}")
+    return float(value)
 
 
 def gaussian(center: float = 0.0, width: float = 1.0, modulation: float = 0.0) -> TestFunction:

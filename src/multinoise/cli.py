@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import StudyConfig, load_config
-from .errors import (BelowFloor, ConfigError, FloatingPointFault,
-                     SupportConditionFailed)
+from .errors import ConfigError, FloatingPointFault, SupportConditionFailed
 from .expansion import correlation_error, fit_rate
 from .gamma import GammaTable, check_support, gamma_table
 
@@ -80,25 +79,6 @@ def _expansion_csv(points) -> str:
             f"{p.lam:.17g},{p.order},{p.lhs.real:.17g},{p.lhs.imag:.17g},"
             f"{p.rhs.real:.17g},{p.rhs.imag:.17g},{p.abs_error:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def _fit_reports(points_by_order) -> tuple[list[dict], bool]:
-    reports, all_pass = [], True
-    for order in sorted(points_by_order):
-        pts = points_by_order[order]
-        entry: dict = {"order": order}
-        try:
-            report = fit_rate(pts)
-        except BelowFloor:
-            entry.update({"below_floor": True, "passes": True,
-                          "grading": "lambda^(2n)"})
-        else:
-            entry.update(report.to_json_dict())
-            entry["below_floor"] = False
-            entry["passes"] = report.fitted_slope >= entry["slope_threshold"]
-        reports.append(entry)
-        all_pass = all_pass and entry["passes"]
-    return reports, all_pass
 
 
 def _oracle_agrees(table: GammaTable, assert_rel: float) -> bool:
@@ -158,7 +138,7 @@ def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
     by_order = correlation_error(signs, cfg.smears[:len(signs)], cfg.orders,
                                  cfg.lambda_grid, cfg.dispersion,
                                  cfg.form_factor, table.gammas())
-    reports, all_pass = _fit_reports(by_order)
+    reports = [fit_rate(by_order[n]) for n in sorted(by_order)]
 
     out = Path(cfg.out_dir)
     points = [p for pts in by_order.values() for p in pts]
@@ -169,7 +149,7 @@ def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
                       else f"slope {entry['slope']:.3f}")
         print(f"{stem} N={entry['order']}: {slope_text} "
               f"({'pass' if entry['passes'] else 'FAIL'})")
-    return EXIT_OK if all_pass else EXIT_RATE
+    return EXIT_OK if all(e["passes"] for e in reports) else EXIT_RATE
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -102,13 +102,11 @@ def _order(value) -> int:
 
 
 def _finite(value, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    _require(not isinstance(value, bool) and math.isfinite(x),
+    # as in _integer: float() would take a bool, or parse "1_0" as 10.0
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value),
              f"{what} must be a finite number, got {value!r}")
-    return x
+    return float(value)
 
 
 def _parse_dispersion(d: dict) -> Dispersion:

@@ -37,10 +37,6 @@ class DegenerateRoot(MultinoiseError):
     """The dispersion has a near-critical root on the energy shell."""
 
 
-class BelowFloor(MultinoiseError):
-    """Errors sit at the quadrature noise floor; no rate can be fitted."""
-
-
 class SupportConditionFailed(MultinoiseError):
     """A stationary point of the dispersion lies inside the form-factor support."""
 

@@ -1,6 +1,5 @@
 """The sesquilinear forms on test functions, plus the grid-side metric.
 
-* ``l2_inner``          -- plain L2 pairing  integral conj(f) h dt
 * ``weighted_inner``    -- positive form     integral |x|^n conj(f_F) h_F dx
 * ``indefinite_inner``  -- commutator kernel i^n gamma integral conj(f^(n)) h dt
 
@@ -47,7 +46,6 @@ __all__ = [
     "QUAD_REL",
     "ENVELOPE_TOL",
     "METRIC_ORIENTATION",
-    "l2_inner",
     "weighted_inner",
     "indefinite_inner",
     "indefinite_inner_frequency",
@@ -281,11 +279,6 @@ def _check_gamma(gamma: float) -> None:
 # Each form takes two test functions and returns a complex number, or takes
 # sequences of test functions (a single function counts as a sequence of one)
 # and returns the matrix of the form over all pairs, in one batched call.
-
-
-def l2_inner(f: Functions, h: Functions) -> complex | np.ndarray:
-    """(f, h)_{L2} = integral conj(f(t)) h(t) dt."""
-    return _shaped(_form_matrix(_listed(f), _listed(h), 0), f, h)
 
 
 def weighted_inner(n: int, f: Functions, h: Functions) -> complex | np.ndarray:

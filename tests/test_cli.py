@@ -203,6 +203,40 @@ def test_malformed_config_values_exit_2(tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
+def _float_leaves(node, path=()):
+    """Paths to every float of a JSON tree."""
+    if isinstance(node, float):
+        yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield from _float_leaves(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem
+                                        for p in CONFIG_DIR.glob("*.json")))
+def test_float_fields_take_only_json_numbers(tmp_path, capsys, name):
+    """A bool or a numeric string in any float field of a shipped config is
+    refused, not converted: float() would read "1_0" as 10.0 and true as 1."""
+    base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    leaves = list(_float_leaves(base))
+    assert leaves
+    for path, value in itertools.product(leaves, (True, "1.0", "1_0")):
+        raw = json.loads(json.dumps(base))
+        parent = raw
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli.main(["gamma", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2, (path, value, code)
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_test_function_size_limits_are_inclusive(tmp_path):
     """MAX_ATOMS atoms and MAX_POLY_TERMS terms per atom still parse."""
     atoms = atom_with(poly=[[1.0, 0.0]] * config.MAX_POLY_TERMS)

@@ -1,4 +1,4 @@
-"""The three inner products, their cross-route identities, and the grid metric."""
+"""The inner products, their cross-route identities, and the grid metric."""
 
 import math
 
@@ -35,21 +35,22 @@ def quad_oracle(weight, f, h):
 
 def test_gaussian_unit_norm():
     phi = mn.gaussian()
-    assert_allclose(mn.l2_inner(phi, phi), 1.0, rtol=1e-12)
+    assert_allclose(mn.indefinite_inner(0, 1.0, phi, phi), 1.0, rtol=1e-12)
 
 
 def test_hermite_orthogonality():
-    assert abs(mn.l2_inner(mn.gaussian(), mn.hermite_fn(1))) < 1e-12
-    assert_allclose(mn.l2_inner(mn.hermite_fn(2), mn.hermite_fn(2)), 1.0,
-                    rtol=1e-12)
+    assert abs(mn.indefinite_inner(0, 1.0, mn.gaussian(),
+                                   mn.hermite_fn(1))) < 1e-12
+    assert_allclose(mn.indefinite_inner(0, 1.0, mn.hermite_fn(2),
+                                        mn.hermite_fn(2)), 1.0, rtol=1e-12)
 
 
 def test_parseval(rng):
     for _ in range(5):
         f = random_test_function(rng)
         h = random_test_function(rng)
-        time_side = mn.l2_inner(f, h)
-        freq_side = mn.l2_inner(f.fourier(), h.fourier())
+        time_side = mn.indefinite_inner(0, 1.0, f, h)
+        freq_side = mn.indefinite_inner(0, 1.0, f.fourier(), h.fourier())
         assert abs(time_side - freq_side) <= 1e-10 * (1 + abs(time_side))
 
 
@@ -88,7 +89,7 @@ def test_order_zero_reduces_to_weighted_l2(rng):
     gamma0 = 2.3
     f, h = random_test_function(rng), random_test_function(rng)
     lhs = mn.indefinite_inner(0, gamma0, f, h)
-    rhs = gamma0 * mn.l2_inner(f, h)
+    rhs = gamma0 * mn.indefinite_inner(0, 1.0, f, h)
     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
@@ -142,7 +143,8 @@ def test_exact_forms_match_quadrature(n):
         fF, hF = f.fourier(), h.fourier()
         fd = f.derivative(n)
         cases = [
-            (mn.l2_inner(f, h), quad_oracle(lambda t: 1.0, f, h)),
+            (mn.indefinite_inner(0, 1.0, f, h),
+             quad_oracle(lambda t: 1.0, f, h)),
             (mn.weighted_inner(n, f, h),
              quad_oracle(lambda x: np.abs(x) ** n, fF, hF)),
             (mn.indefinite_inner(n, 0.7, f, h),
@@ -158,7 +160,7 @@ def test_batched_forms_match_pairwise_calls(rng):
     fs = [random_test_function(rng) for _ in range(3)]
     hs = [random_test_function(rng, n_atoms=1) for _ in range(2)]
     for n in (0, 1, 2, 3):
-        forms = (lambda f, h: mn.l2_inner(f, h),
+        forms = (lambda f, h: mn.indefinite_inner(0, 1.0, f, h),
                  lambda f, h: mn.weighted_inner(n, f, h),
                  lambda f, h: mn.indefinite_inner(n, 1.3, f, h),
                  lambda f, h: mn.indefinite_inner_frequency(n, 1.3, f, h))

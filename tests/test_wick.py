@@ -78,8 +78,8 @@ def test_correlation_two_point_examples(rng):
         return mn.correlation((-1, +1), (n, n), (f_minus, f_plus), {n: gamma})
 
     gamma0 = 1.7
-    assert_allclose(two_point(0, gamma0, f, h), gamma0 * mn.l2_inner(f, h),
-                    rtol=1e-10)
+    assert_allclose(two_point(0, gamma0, f, h),
+                    gamma0 * mn.indefinite_inner(0, 1.0, f, h), rtol=1e-10)
     phi = mn.gaussian()
     assert abs(two_point(1, 1.0, phi, phi)) < 1e-12
     with pytest.raises(ZeroGamma):
@@ -250,7 +250,7 @@ def test_reservoir_pair_small_lambda_approaches_white_noise(quadratic_catalog):
     f_plus = mn.gaussian(width=2.5, modulation=-0.4)
     lam = 0.1
     val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
-    white = gammas[0] * mn.l2_inner(f_minus, f_plus)
+    white = gammas[0] * mn.indefinite_inner(0, 1.0, f_minus, f_plus)
     budget = 1.5 * sum(lam ** (2 * n) * abs(mn.indefinite_inner(
         n, gammas[n], f_minus, f_plus)) for n in (1, 2))
     assert abs(val - white) <= budget
@@ -264,7 +264,7 @@ def test_reservoir_pair_radial_reduction_matches_its_gamma():
     f = mn.gaussian(width=2.5)
     h = mn.gaussian(width=2.5, modulation=-0.4)
     val = mn.reservoir_pair(disp, g, 0.1, f, h)
-    white = gammas[0] * mn.l2_inner(f, h)
+    white = gammas[0] * mn.indefinite_inner(0, 1.0, f, h)
     assert abs(val - white) <= 0.05 * abs(white)
 
 
