@@ -6,7 +6,15 @@ functions, truncated indefinite-metric Fock sectors, a Wick pair-partition
 engine, the weak-coupling coefficients with an energy-shell oracle, and a
 numerical certification of the small-coupling expansion of reservoir
 correlation functions.
+
+Importing the package sets OPENBLAS_NUM_THREADS=1 unless it is already set.
 """
+
+import os
+
+# numpy's OpenBLAS starts its worker pool as numpy loads, and no array here is
+# big enough for threaded BLAS to pay for it; this must run before numpy loads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination, zero
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion

@@ -23,6 +23,7 @@ the width, multiplying each Hermite coefficient by i^k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,10 +202,11 @@ class TestFunction:
 
 
 def _number(value) -> float:
-    # a JSON number only: float() would take a bool, or parse "1_0" as 10.0
+    # a JSON number only: float() would take a bool, parse "1_0" as 10.0, and
+    # raise OverflowError on an int past the float range (inf is refused below)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"atom fields must be numbers, got {value!r}")
-    return float(value)
+    return float(value) if abs(value) <= sys.float_info.max else math.inf
 
 
 def gaussian(center: float = 0.0, width: float = 1.0, modulation: float = 0.0) -> TestFunction:

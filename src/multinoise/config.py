@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -102,9 +102,10 @@ def _order(value) -> int:
 
 
 def _finite(value, what: str) -> float:
-    # as in _integer: float() would take a bool, or parse "1_0" as 10.0
+    # as in _integer: float() would take a bool, or parse "1_0" as 10.0; and
+    # math.isfinite raises OverflowError on an int past the float range
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value),
+             and abs(value) <= sys.float_info.max,
              f"{what} must be a finite number, got {value!r}")
     return float(value)
 
@@ -231,8 +232,8 @@ def load_config(path: str | Path) -> StudyConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
+        raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
     return parse_config(raw)

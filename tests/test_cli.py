@@ -51,10 +51,14 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert cli.main(["gamma", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_invalid_json_is_config_error(tmp_path):
+def test_invalid_json_is_config_error(tmp_path, capsys):
+    """Bad syntax, or an integer longer than Python reads (4,300 digits)."""
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert cli.main(["gamma", "--config", str(bad)]) == 2
+    for text in ("{not json", '{"seed": 1' + "0" * 5000 + "}"):
+        bad.write_text(text)
+        assert cli.main(["gamma", "--config", str(bad),
+                         "--out", str(tmp_path / "out")]) == 2
+        _assert_one_line_refusal(capsys, tmp_path, ["bad.json"])
 
 
 def _assert_one_line_refusal(capsys, tmp_path, keep):
@@ -216,12 +220,14 @@ def _float_leaves(node, path=()):
 @pytest.mark.parametrize("name", sorted(p.stem
                                         for p in CONFIG_DIR.glob("*.json")))
 def test_float_fields_take_only_json_numbers(tmp_path, capsys, name):
-    """A bool or a numeric string in any float field of a shipped config is
-    refused, not converted: float() would read "1_0" as 10.0 and true as 1."""
+    """A bool, a numeric string or an integer past the float range in any
+    float field of a shipped config is refused, not converted: float() would
+    read "1_0" as 10.0 and true as 1, and raise OverflowError on 10**400."""
     base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     leaves = list(_float_leaves(base))
     assert leaves
-    for path, value in itertools.product(leaves, (True, "1.0", "1_0")):
+    for path, value in itertools.product(leaves,
+                                         (True, "1.0", "1_0", 10**400)):
         raw = json.loads(json.dumps(base))
         parent = raw
         for step in path[:-1]:
@@ -276,19 +282,52 @@ print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this multinoise.
+
+    Drops OPENBLAS_NUM_THREADS, which importing multinoise has set here.
+    """
+    package_root = str(Path(multinoise.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(env, **extra)
+
+
 def test_cli_commands_run_without_scipy(tmp_path):
     """No command imports scipy; only the tests' oracles use it.
 
     Runs in a fresh interpreter, since this one has scipy loaded already.
     """
-    package_root = str(Path(multinoise.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD, str(CONFIG_DIR), str(tmp_path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=fresh_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+PIN_PROBE = """
+import os
+import multinoise
+status = open("/proc/self/status").read()
+print(os.environ["OPENBLAS_NUM_THREADS"], status.split("Threads:")[1].split()[0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts threads in /proc/self/status")
+def test_import_pins_openblas_to_one_thread_unless_set():
+    """Importing multinoise loads numpy with one OpenBLAS thread, so the
+    process has no BLAS worker pool, and leaves a user's own value alone."""
+    def probe(**extra):
+        done = subprocess.run([sys.executable, "-c", PIN_PROBE],
+                              capture_output=True, text=True,
+                              env=fresh_env(**extra))
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert probe() == ["1", "1"]
+    assert probe(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
 
 def test_gamma_writes_table_and_succeeds(tmp_path):
