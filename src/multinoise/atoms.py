@@ -190,23 +190,27 @@ class TestFunction:
     def from_json_dict(cls, data: list[dict]) -> "TestFunction":
         atoms = []
         for d in data:
-            coeff = complex(_number(d["coefficient_re"]),
-                            _number(d["coefficient_im"]))
+            coeff = complex(*(_number(d[key], key) for key in
+                              ("coefficient_re", "coefficient_im")))
             center, width, modulation = (
-                _number(d[key]) for key in ("center", "width", "modulation"))
-            poly = tuple(complex(_number(re), _number(im)) for re, im in d["poly"])
+                _number(d[key], key) for key in ("center", "width", "modulation"))
+            poly = tuple(complex(_number(re, "poly"), _number(im, "poly"))
+                         for re, im in d["poly"])
             if not np.all(np.isfinite([coeff, center, width, modulation, *poly])):
                 raise ValueError("atom fields must be finite numbers")
             atoms.append((coeff, Atom(center, width, modulation, poly)))
         return cls(tuple(atoms))
 
 
-def _number(value) -> float:
+def _number(value, field: str) -> float:
     # a JSON number only: float() would take a bool, parse "1_0" as 10.0, and
     # raise OverflowError on an int past the float range (inf is refused below)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"atom fields must be numbers, got {value!r}")
-    return float(value) if abs(value) <= sys.float_info.max else math.inf
+        raise TypeError(f"atom field {field} must be a number, "
+                        f"got a {type(value).__name__}")
+    if abs(value) > sys.float_info.max and isinstance(value, int):
+        raise ValueError(f"atom field {field} is an integer past the float range")
+    return float(value)
 
 
 def gaussian(center: float = 0.0, width: float = 1.0, modulation: float = 0.0) -> TestFunction:

@@ -25,17 +25,19 @@ pair (f, h) with coefficients (cf, ch) has the kernel conj(cf) @ M @ ch.
                   partition sum (exact kernels on the smears) and the
                   explicit Fock representation.
 
-Randomness comes from a caller-seeded numpy PCG64 generator, so reports are
-reproducible bit for bit per (configuration, seed).  Fock vectors are drawn
-straight into packed storage, C(m+k-1, k) complex normals per rank k, and
-scaled to unit positive norm; no suite builds a dense tensor.  ccr, adjoint
-and metric draw each quantity of a batch of pairs as one array and run the
-packed operators once over it: metric its METRIC_PAIRS pairs per sector,
-ccr and adjoint batches split so that none of their arrays holds more than
-MAX_FOCK_ENTRIES entries, so the generator's stream, and with it the
-residuals, depends on that split, which the basis size, the particle cap
-and MAX_FOCK_ENTRIES fix.  Commutator residuals are norms
-relative to (1 + |state|); scalar identities are relative to (1 + |value|).
+Randomness comes from counter-based SplitMix64 streams (``Stream``), one
+per (seed, suite, sector, quantity), so reports are reproducible bit for bit
+per (configuration, seed).  A stream's draws are counted pair-major: pair i
+of a quantity reads the same words whether it is drawn alone or in a batch,
+so the residuals do not depend on how the pairs are split into batches.
+Fock vectors are drawn straight into packed storage, C(m+k-1, k) complex
+normals per rank k, and scaled to unit positive norm; no suite builds a
+dense tensor.  ccr, adjoint and metric draw each quantity of a batch of
+pairs as one array and run the packed operators once over it: metric its
+METRIC_PAIRS pairs per sector, ccr and adjoint batches split so that none of
+their arrays holds more than MAX_FOCK_ENTRIES entries.  Commutator residuals
+are norms relative to (1 + |state|); scalar identities are relative to
+(1 + |value|).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
 from .wick import correlation
 
 __all__ = [
+    "Stream",
     "default_basis",
     "build_check_sectors",
     "random_fock_vector",
@@ -77,8 +80,69 @@ THRESHOLDS = {
 WITNESS_MODULATION = -5.0
 WITNESS_VALUE = -5.0
 METRIC_PAIRS = 10  # random (f, h) pairs per sector in the metric suite
-FOCK_WICK_MAX_ORDER = 2  # highest sector order the Fock-Wick words use
 FOCK_WICK_WORDS_PER_PATTERN = 2  # random words per sign pattern
+
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# and the two multipliers of its output mix
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_LIMB = 2 ** 64
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of a uint64 array.  Array arithmetic wraps
+    modulo 2**64 silently; a numpy scalar's would raise under errstate."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX[0]
+    z = (z ^ (z >> np.uint64(27))) * _MIX[1]
+    return z ^ (z >> np.uint64(31))
+
+
+class Stream:
+    """Counter-based SplitMix64 draws: word i of the stream keyed by labels
+    is the mix of key + (i + 1) * golden, and each call reads the next words,
+    so a quantity drawn in batches reads the words it would read at once.
+
+    The key folds every label in order, each as its count of 64-bit limbs
+    and then the limbs, so a nonnegative integer of any size is a label; a
+    string stands for the integer of its UTF-8 bytes.
+    """
+
+    def __init__(self, *labels: int | str):
+        key = np.zeros(1, dtype=np.uint64)
+        for label in labels:
+            if isinstance(label, str):
+                label = int.from_bytes(label.encode(), "big")
+            if label < 0:
+                raise ValueError(f"stream labels must be nonnegative, got {label}")
+            limbs = [label % _LIMB]
+            while label >= _LIMB:
+                label //= _LIMB
+                limbs.append(label % _LIMB)
+            for word in (len(limbs), *limbs):
+                key = _splitmix(key + _GOLDEN + np.uint64(word))
+        self.key, self.drawn = key, 0
+
+    def words(self, count: int) -> np.ndarray:
+        """The next count words of the stream, as uint64."""
+        counter = np.arange(self.drawn + 1, self.drawn + count + 1,
+                            dtype=np.uint64)
+        self.drawn += count
+        return _splitmix(self.key + counter * _GOLDEN)
+
+    def complex_normals(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Complex numbers with independent standard normal real and
+        imaginary parts, in C order of shape: Box-Muller on two words each,
+        read as uniforms in (0, 1] on their top 53 bits."""
+        count = math.prod(shape)
+        u = ((self.words(2 * count) >> np.uint64(11)) + np.uint64(1)).astype(
+            float).reshape(count, 2) * 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.log(u[:, 0]))
+        return (radius * np.exp(2j * np.pi * u[:, 1])).reshape(shape)
+
+    def index(self, n: int) -> int:
+        """An index in 0..n-1 from the next word (bias below n / 2**64)."""
+        return int(self.words(1)[0]) % n
 
 
 def default_basis(size: int) -> tuple[TestFunction, ...]:
@@ -110,28 +174,23 @@ def build_check_sectors(sector_max: int, basis_size: int,
             for n in range(sector_max + 1)}
 
 
-def random_coefficients(rng: np.random.Generator, size: int,
+def random_coefficients(stream: Stream, size: int,
                         batch: tuple[int, ...] = ()) -> np.ndarray:
     """Unit complex normal coefficient vectors of the given size, after the
-    batch axes: all real parts, then all imaginary parts."""
-    real, imag = rng.standard_normal((2, *batch, size))
-    c = real + 1j * imag
+    batch axes, one vector's entries after another."""
+    c = stream.complex_normals((*batch, size))
     return c / np.linalg.norm(c, axis=-1, keepdims=True)
 
 
-def random_fock_vector(sector: Sector, rng: np.random.Generator,
-                       max_rank: int, batch: tuple[int, ...] = ()) -> FockVector:
+def random_fock_vector(sector: Sector, stream: Stream, max_rank: int,
+                       batch: tuple[int, ...] = ()) -> FockVector:
     """Vectors of positive norm 1 per batch entry with ranks 0..max_rank
-    occupied: per rank, complex normals straight into the packed entries,
-    all real parts, then all imaginary parts; higher ranks are zero."""
-    comps = []
-    for k, rows in enumerate(sector.tables.multi):
-        shape = (*batch, len(rows))
-        if k <= max_rank:
-            real, imag = rng.standard_normal((2, *shape))
-            comps.append(real + 1j * imag)
-        else:
-            comps.append(np.zeros(shape, dtype=complex))
+    occupied by complex normals straight into the packed entries, one
+    vector's ranks 0..max_rank after another; higher ranks are zero."""
+    sizes = [len(rows) for rows in sector.tables.multi]
+    drawn = stream.complex_normals((*batch, sum(sizes[:max_rank + 1])))
+    comps = np.split(drawn, np.cumsum(sizes[:max_rank]), axis=-1)
+    comps += [np.zeros((*batch, n), dtype=complex) for n in sizes[max_rank + 1:]]
     norm = FockVector(sector, tuple(comps)).positive_norm()
     norm = np.where(norm > 0, norm, 1.0)  # a zero vector stays zero
     return FockVector(sector, tuple(c / norm[..., None] for c in comps))
@@ -170,6 +229,17 @@ def _diff_norm(a: FockVector, b: FockVector, kernel=None, c=None) -> np.ndarray:
     return FockVector(a.sector, tuple(diff)).positive_norm()
 
 
+def _slot_product(fk: np.ndarray, rows: np.ndarray,
+                  skip: int | None = None) -> np.ndarray:
+    """prod_q fk[:, rows[:, q]] over the slots q != skip, one multiply at a
+    time: a prod reduction may round a row by the rows beside it."""
+    out = np.ones((len(fk), len(rows)), dtype=complex)
+    for q in range(rows.shape[1]):
+        if q != skip:
+            out = out * fk[:, rows[:, q]]
+    return out
+
+
 def _product_residual(sector: Sector, cf: np.ndarray,
                       ch: np.ndarray) -> np.ndarray:
     """Worst entry difference per rank k+1 = 1..cap between c^+(h) on the
@@ -179,21 +249,20 @@ def _product_residual(sector: Sector, cf: np.ndarray,
     removal or addition tables or an operator."""
     multi, cap = sector.tables.multi, sector.particle_cap
     f, h = _unit(sector, cf), _unit(sector, ch)
-    fk, hk = f @ sector.to_krein.T, h @ sector.to_krein.T
-    powers = [fk[:, rows].prod(axis=-1) for rows in multi[:cap]]
+    # einsum, not @: BLAS may round a row by the rows beside it
+    fk, hk = np.einsum("kbj,ij->kbi", np.array([f, h]), sector.to_krein)
+    powers = [_slot_product(fk, rows) for rows in multi[:cap]]
     powers.append(np.zeros((len(f), len(multi[cap])), dtype=complex))
     created = create(h, FockVector(sector, tuple(powers))).components
     worst = []
     for k, rows in enumerate(multi[1:], 1):
-        factors = fk[:, rows]
-        want = sum(hk[:, rows[:, p]]
-                   * np.delete(factors, p, axis=-1).prod(axis=-1)
+        want = sum(hk[:, rows[:, p]] * _slot_product(fk, rows, p)
                    for p in range(k)) / math.sqrt(k)
         worst.append(np.max(np.abs(created[k] - want)))
     return np.array(worst)
 
 
-def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
+def ccr_suite(sectors: Mapping[int, Sector], seed: int,
               pairs: int) -> dict[str, float]:
     worst = {"ccr": 0.0, "ccr_creators": 0.0, "ccr_annihilators": 0.0,
              "symmetry": 0.0}
@@ -201,11 +270,13 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
         m, cap = sector.size, sector.particle_cap
         frequency_kernel = indefinite_inner_frequency(
             sector.n, sector.gamma, sector.basis, sector.basis)
+        draw_f, draw_h, draw_phi, draw_psi = (
+            Stream(seed, "ccr", sector.n, name) for name in ("f", "h", "phi", "psi"))
         for count in _batch_sizes(sector, pairs):
-            cf = random_coefficients(rng, m, (count,))
-            ch = random_coefficients(rng, m, (count,))
-            phi = random_fock_vector(sector, rng, cap - 1, (count,))
-            psi = random_fock_vector(sector, rng, cap - 2, (count,))
+            cf = random_coefficients(draw_f, m, (count,))
+            ch = random_coefficients(draw_h, m, (count,))
+            phi = random_fock_vector(sector, draw_phi, cap - 1, (count,))
+            psi = random_fock_vector(sector, draw_psi, cap - 2, (count,))
             kernel = _form(frequency_kernel, cf, ch)
             created = create(ch, phi)
             worst["symmetry"] = _worst(worst["symmetry"],
@@ -225,15 +296,17 @@ def ccr_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
     return worst
 
 
-def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
+def adjoint_suite(sectors: Mapping[int, Sector], seed: int,
                   pairs: int) -> dict[str, float]:
     worst = 0.0
     for sector in sectors.values():
         m, cap = sector.size, sector.particle_cap
+        draw_f, draw_phi, draw_psi = (
+            Stream(seed, "adjoint", sector.n, name) for name in ("f", "phi", "psi"))
         for count in _batch_sizes(sector, pairs):
-            cf = random_coefficients(rng, m, (count,))
-            phi = random_fock_vector(sector, rng, cap, (count,))
-            psi = random_fock_vector(sector, rng, cap - 1, (count,))
+            cf = random_coefficients(draw_f, m, (count,))
+            phi = random_fock_vector(sector, draw_phi, cap, (count,))
+            psi = random_fock_vector(sector, draw_psi, cap - 1, (count,))
             left = fock_inner(annihilate(cf, phi), psi)
             right = fock_inner(phi, create(cf, psi))
             worst = _worst(worst, np.abs(left - right)
@@ -241,8 +314,7 @@ def adjoint_suite(sectors: Mapping[int, Sector], rng: np.random.Generator,
     return {"adjoint": worst}
 
 
-def metric_suite(sectors: Mapping[int, Sector],
-                 rng: np.random.Generator) -> dict[str, float]:
+def metric_suite(sectors: Mapping[int, Sector], seed: int) -> dict[str, float]:
     report = {"metric_involution": 0.0, "metric_two_route": 0.0,
               "metric_witness": 0.0, "metric_consistency": 0.0}
     for sector in sectors.values():
@@ -251,8 +323,9 @@ def metric_suite(sectors: Mapping[int, Sector],
         samples = np.array([b.fourier()(nodes) for b in sector.basis])
         # recomputed, not sector.pairing, so a fault there cannot leak in
         pairing = indefinite_inner(sector.n, 1.0, sector.basis, sector.basis)
-        cf = random_coefficients(rng, sector.size, (METRIC_PAIRS,))
-        ch = random_coefficients(rng, sector.size, (METRIC_PAIRS,))
+        cf, ch = (random_coefficients(Stream(seed, "metric", sector.n, name),
+                                      sector.size, (METRIC_PAIRS,))
+                  for name in ("f", "h"))
         # einsum, not @, which hands this small product to threaded BLAS
         uf, uh = np.einsum("kbi,ij->kbj", np.array([cf, ch]), samples)
         report["metric_involution"] = _worst(
@@ -299,20 +372,20 @@ _WORD_PATTERNS = (
 )
 
 
-def fock_wick_suite(sectors: Mapping[int, Sector],
-                    rng: np.random.Generator) -> dict[str, float]:
-    orders_avail = [n for n in sorted(sectors) if n <= FOCK_WICK_MAX_ORDER]
+def fock_wick_suite(sectors: Mapping[int, Sector], seed: int) -> dict[str, float]:
+    orders_avail = sorted(sectors)
     gammas = {n: sectors[n].gamma for n in orders_avail}
+    stream = Stream(seed, "fock_wick")
     worst = 0.0
     for signs in _WORD_PATTERNS:
         for rep in range(FOCK_WICK_WORDS_PER_PATTERN):
             if rep == 0:
                 # all letters in one sector: nonzero matchings guaranteed
-                orders = [orders_avail[int(rng.integers(len(orders_avail)))]] * len(signs)
+                orders = [orders_avail[stream.index(len(orders_avail))]] * len(signs)
             else:
-                orders = [orders_avail[int(rng.integers(len(orders_avail)))]
+                orders = [orders_avail[stream.index(len(orders_avail))]
                           for _ in signs]
-            coeff_vectors = [random_coefficients(rng, sectors[n].size)
+            coeff_vectors = [random_coefficients(stream, sectors[n].size)
                              for n in orders]
             smears = [linear_combination(c, sectors[n].basis)
                       for c, n in zip(coeff_vectors, orders)]
@@ -326,10 +399,12 @@ def run_representation_checks(*, sector_max: int, basis_size: int,
                               particle_cap: int, seed: int, pairs: int,
                               fault_injection: str | None = None) -> dict:
     """Run all suites and report residuals against the fixed thresholds;
-    ValueError for fewer than one pair, which would check nothing."""
+    ValueError for fewer than one pair, which would check nothing, or for a
+    negative seed."""
     if pairs < 1:
         raise ValueError(f"pairs must be at least 1, got {pairs}")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     sectors = build_check_sectors(sector_max, basis_size, particle_cap)
     if fault_injection == "transpose_pairing":
         sectors = {n: Sector.from_matrices(s.n, s.gamma, s.basis, s.gram,
@@ -339,10 +414,10 @@ def run_representation_checks(*, sector_max: int, basis_size: int,
         raise ValueError(f"unknown fault injection mode {fault_injection!r}")
 
     residuals: dict[str, float] = {}
-    residuals.update(ccr_suite(sectors, rng, pairs))
-    residuals.update(adjoint_suite(sectors, rng, pairs))
-    residuals.update(metric_suite(sectors, rng))
-    residuals.update(fock_wick_suite(sectors, rng))
+    residuals.update(ccr_suite(sectors, seed, pairs))
+    residuals.update(adjoint_suite(sectors, seed, pairs))
+    residuals.update(metric_suite(sectors, seed))
+    residuals.update(fock_wick_suite(sectors, seed))
     failures = sorted(name for name, value in residuals.items()
                       if not value <= THRESHOLDS[name])
     return {
@@ -351,7 +426,7 @@ def run_representation_checks(*, sector_max: int, basis_size: int,
         "basis_size": basis_size,
         "particle_cap": particle_cap,
         "pairs": pairs,
-        "prng": "numpy PCG64",
+        "prng": "SplitMix64 counter streams, Box-Muller",
         "residuals": residuals,
         "thresholds": dict(THRESHOLDS),
         "failures": failures,

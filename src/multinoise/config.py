@@ -71,6 +71,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _shown(value) -> str:
+    """value for a one-line refusal: its repr, cut short if long."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "an integer past the float range"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _integer(value, what: str) -> int:
     # bool is an int subclass and int() truncates floats and parses strings;
     # each would slip through a bare int() as a different value than written
@@ -78,7 +86,7 @@ def _integer(value, what: str) -> int:
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
+    raise ConfigError(f"{what} must be an integer, got {_shown(value)}")
 
 
 def _closed(obj: dict, keys, where: str) -> None:
@@ -106,7 +114,7 @@ def _finite(value, what: str) -> float:
     # math.isfinite raises OverflowError on an int past the float range
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
              and abs(value) <= sys.float_info.max,
-             f"{what} must be a finite number, got {value!r}")
+             f"{what} must be a finite number, got {_shown(value)}")
     return float(value)
 
 

@@ -16,8 +16,9 @@ tensor.  Index tables, built with numpy per (basis size, cap) with the first
 sector of that size, give
 
 * create: rank k+1 at alpha is sum_p phi_k[alpha without slot p] c'[alpha_p]
-  / sqrt(k+1), which is sqrt(k+1) Sym(phi_k (x) c');
+  / sqrt(k+1), which is sqrt(k+1) Sym(phi_k (x) c'), summed slot by slot;
 * annihilate: rank k-1 at beta is sqrt(k) sum_j phi_k[beta + j] conj(c'_j) lam_j;
+  both map an all-zero rank to zeros without gathering it;
 * the inner products weight each entry by its multiplicity k!/prod n_i!, the
   metric one also by prod_p lam[alpha_p].
 """
@@ -200,8 +201,10 @@ def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
 
 def _krein_coefficients(sector: Sector, coeffs) -> np.ndarray:
     """Krein coordinates of coefficient vectors (last axis); numpy refuses a
-    wrong length (ValueError) or a TestFunction (TypeError)."""
-    return np.asarray(coeffs, dtype=complex) @ sector.to_krein.T
+    wrong length (ValueError) or a TestFunction (TypeError).  einsum, not @,
+    whose BLAS may round a row by the rows beside it."""
+    return np.einsum("...j,ij->...i", np.asarray(coeffs, dtype=complex),
+                     sector.to_krein)
 
 
 def create(coeffs, phi: FockVector) -> FockVector:
@@ -211,21 +214,27 @@ def create(coeffs, phi: FockVector) -> FockVector:
     if np.any(phi.components[cap] != 0):
         raise CapacityExceeded(
             f"top component at particle number {cap} is occupied")
-    out = [np.einsum("...ap,...ap->...a", comp[..., tables.remove[k + 1]],
-                     krein[..., tables.multi[k + 1]]) / math.sqrt(k + 1)
-           for k, comp in enumerate(phi.components[:cap])]
-    return FockVector(sector, (np.zeros_like(out[0][..., :1]), *out))
+    batch = np.broadcast_shapes(phi.components[0].shape[:-1], krein.shape[:-1])
+    out = [np.zeros((*batch, 1), complex)]
+    for k, comp in enumerate(phi.components[:cap]):
+        remove, multi = tables.remove[k + 1], tables.multi[k + 1]
+        out.append(sum(np.take(comp, remove[:, p], axis=-1)
+                       * np.take(krein, multi[:, p], axis=-1)
+                       for p in range(k + 1)) / math.sqrt(k + 1)
+                   if np.any(comp) else np.zeros((*batch, len(multi)), complex))
+    return FockVector(sector, tuple(out))
 
 
 def annihilate(coeffs, phi: FockVector) -> FockVector:
     """Annihilation operator for coeffs on phi; the vacuum maps to zero."""
     sector, tables = phi.sector, phi.sector.tables
     v = np.conj(_krein_coefficients(sector, coeffs)) * sector.krein_metric
-    out = [math.sqrt(k) * np.einsum("...aj,...j->...a",
-                                    comp[..., tables.add[k - 1]], v)
-           for k, comp in enumerate(phi.components[1:], 1)]
-    top = np.zeros((*out[0].shape[:-1], len(tables.multi[-1])), dtype=complex)
-    return FockVector(sector, (*out, top))
+    batch = np.broadcast_shapes(phi.components[0].shape[:-1], v.shape[:-1])
+    out = [math.sqrt(k) * np.einsum("...aj,...j->...a", comp[..., add], v)
+           if np.any(comp) else np.zeros((*batch, len(add)), complex)
+           for k, (comp, add) in enumerate(zip(phi.components[1:], tables.add), 1)]
+    out.append(np.zeros((*batch, len(tables.multi[-1])), complex))
+    return FockVector(sector, tuple(out))
 
 
 def fock_inner(phi: FockVector, psi: FockVector, use_metric: bool = True):

@@ -163,10 +163,13 @@ def _weideman_coefficients() -> tuple[float, np.ndarray]:
     N = 40  # terms; relative error about 3e-14 for Re z >= 0
     M = 2 * N
     L = math.sqrt(N / math.sqrt(2.0))
-    t = L * np.tan(np.arange(-M + 1, M) * np.pi / (2 * M))
-    f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
-    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2 * M)
-    return L, a[N:0:-1]
+    j = np.arange(M)
+    t = L * np.tan(j * np.pi / (2 * M))
+    f = np.exp(-t * t) * (L * L + t * t)
+    # the 2M-point DFT of f, even in j with f_-M = 0, as a cosine sum
+    k = np.arange(N, 0, -1)
+    cosines = np.cos(np.outer(k, j) % (2 * M) * (np.pi / M))
+    return L, cosines @ (np.where(j > 0, 2.0, 1.0) * f) / (2 * M)
 
 
 def _erfcx(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import multinoise as mn
-from multinoise.checks import default_basis
+from multinoise.checks import Stream, default_basis
 
 
 @pytest.fixture(scope="session")
@@ -39,6 +39,12 @@ def small_sectors():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240711)
+
+
+@pytest.fixture()
+def stream():
+    """The draws of checks.random_coefficients and random_fock_vector."""
+    return Stream(20240711)
 
 
 def random_test_function(rng, n_atoms=2, max_poly=3, max_modulation=3.0):

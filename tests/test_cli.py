@@ -222,12 +222,14 @@ def _float_leaves(node, path=()):
 def test_float_fields_take_only_json_numbers(tmp_path, capsys, name):
     """A bool, a numeric string or an integer past the float range in any
     float field of a shipped config is refused, not converted: float() would
-    read "1_0" as 10.0 and true as 1, and raise OverflowError on 10**400."""
+    read "1_0" as 10.0 and true as 1, and raise OverflowError on 10**400.
+    The refusal is one short line, however long the refused value."""
     base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     leaves = list(_float_leaves(base))
     assert leaves
     for path, value in itertools.product(leaves,
-                                         (True, "1.0", "1_0", 10**400)):
+                                         (True, "1.0", "1_0", 10**400,
+                                          10**4000, "1" * 4000)):
         raw = json.loads(json.dumps(base))
         parent = raw
         for step in path[:-1]:
@@ -240,6 +242,7 @@ def test_float_fields_take_only_json_numbers(tmp_path, capsys, name):
         err = capsys.readouterr().err.strip().splitlines()
         assert code == 2, (path, value, code)
         assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert len(err[0]) <= 200, (path, err[0][:200])
     assert not (tmp_path / "out").exists()
 
 
@@ -278,6 +281,9 @@ for command, name in (("gamma", "catalog_linear"),
     code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
                      "--out", f"{sys.argv[2]}/{command}-{name}"])
     assert code == 0, (command, code)
+# checks draws from its own counter streams and forms sums erfcx's
+# coefficients directly, so no command loads numpy's generator or FFT
+assert not [m for m in sys.modules if m.startswith(("numpy.random", "numpy.fft"))]
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
@@ -295,7 +301,8 @@ def fresh_env(**extra) -> dict:
 
 
 def test_cli_commands_run_without_scipy(tmp_path):
-    """No command imports scipy; only the tests' oracles use it.
+    """No command imports scipy, numpy.random or numpy.fft; only the tests'
+    oracles use them.
 
     Runs in a fresh interpreter, since this one has scipy loaded already.
     """

@@ -73,12 +73,12 @@ def test_operators_take_coefficient_vectors_only(small_sectors):
             op(np.ones(sector.size + 1), vac)
 
 
-def test_create_is_weighted_symmetric_product(rng):
+def test_create_is_weighted_symmetric_product(stream):
     """Rank k+1 of c+(c) phi is sqrt(k+1) Sym(phi_k (x) c'), at every rank,
     with phi and c' = to_krein c in Krein coordinates."""
     sector = mn.build_sector(1, 1.0, default_basis(3), particle_cap=5)
-    phi = random_fock_vector(sector, rng, max_rank=sector.particle_cap - 1)
-    c = random_coefficients(rng, sector.size)
+    phi = random_fock_vector(sector, stream, max_rank=sector.particle_cap - 1)
+    c = random_coefficients(stream, sector.size)
     out = unpack(mn.create(c, phi))
     assert out[0] == 0
     krein = sector.to_krein @ c
@@ -128,22 +128,22 @@ def test_zero_grid_node_fails_metric_involution(monkeypatch):
     assert "metric_involution" in report["failures"]
 
 
-def test_creators_commute(small_sectors, rng):
+def test_creators_commute(small_sectors, stream):
     sector = small_sectors[2]
-    cf = random_coefficients(rng, sector.size)
-    ch = random_coefficients(rng, sector.size)
-    phi = random_fock_vector(sector, rng, max_rank=1)
+    cf = random_coefficients(stream, sector.size)
+    ch = random_coefficients(stream, sector.size)
+    phi = random_fock_vector(sector, stream, max_rank=1)
     ab = mn.create(cf, mn.create(ch, phi))
     ba = mn.create(ch, mn.create(cf, phi))
     for x, y in zip(unpack(ab), unpack(ba)):
         assert_allclose(x, y, atol=1e-12)
 
 
-def test_two_particle_symmetrized_product(small_sectors, rng):
+def test_two_particle_symmetrized_product(small_sectors, rng, stream):
     """c+(f) c+(h) vacuum reconstructs (f(t1)h(t2) + f(t2)h(t1)) / sqrt(2)."""
     sector = small_sectors[0]
-    cf = random_coefficients(rng, sector.size)
-    ch = random_coefficients(rng, sector.size)
+    cf = random_coefficients(stream, sector.size)
+    ch = random_coefficients(stream, sector.size)
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     two = mn.create(cf, mn.create(ch, FockVector.vacuum(sector)))
@@ -164,10 +164,10 @@ def test_annihilate_vacuum_is_zero(small_sectors):
     assert all(np.all(c == 0) for c in unpack(out))
 
 
-def test_annihilate_create_vacuum_gives_kernel(small_sectors, rng):
+def test_annihilate_create_vacuum_gives_kernel(small_sectors, stream):
     sector = small_sectors[1]
-    cf = random_coefficients(rng, sector.size)
-    ch = random_coefficients(rng, sector.size)
+    cf = random_coefficients(stream, sector.size)
+    ch = random_coefficients(stream, sector.size)
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     out = mn.annihilate(cf, mn.create(ch, FockVector.vacuum(sector)))
@@ -175,11 +175,11 @@ def test_annihilate_create_vacuum_gives_kernel(small_sectors, rng):
     assert abs(complex(unpack(out)[0]) - kernel) <= 1e-10 * (1 + abs(kernel))
 
 
-def test_annihilator_through_two_creators(small_sectors, rng):
+def test_annihilator_through_two_creators(small_sectors, stream):
     """c-(f) c+(h) c+(g) vac = <f,h> c+(g) vac + <f,g> c+(h) vac."""
     sector = small_sectors[2]
     vac = FockVector.vacuum(sector)
-    cf, ch, cg = (random_coefficients(rng, sector.size) for _ in range(3))
+    cf, ch, cg = (random_coefficients(stream, sector.size) for _ in range(3))
     lhs = mn.annihilate(cf,
                         mn.create(ch, mn.create(cg, vac)))
     pair = sector.pairing
@@ -204,25 +204,25 @@ def test_fock_inner_negative_square_norm_witness():
     assert_allclose(mn.fock_inner(one, one), -5.0, rtol=1e-6)
 
 
-def test_pseudo_adjointness(small_sectors, rng):
+def test_pseudo_adjointness(small_sectors, stream):
     for sector in small_sectors.values():
         for _ in range(10):
-            cf = random_coefficients(rng, sector.size)
-            phi = random_fock_vector(sector, rng, max_rank=sector.particle_cap)
-            psi = random_fock_vector(sector, rng, max_rank=sector.particle_cap - 1)
+            cf = random_coefficients(stream, sector.size)
+            phi = random_fock_vector(sector, stream, max_rank=sector.particle_cap)
+            psi = random_fock_vector(sector, stream, max_rank=sector.particle_cap - 1)
             left = mn.fock_inner(mn.annihilate(cf, phi), psi)
             right = mn.fock_inner(phi, mn.create(cf, psi))
             assert abs(left - right) <= 1e-10 * (1 + max(abs(left), abs(right)))
 
 
-def test_ccr_on_random_vectors(small_sectors, rng):
+def test_ccr_on_random_vectors(small_sectors, stream):
     for sector in small_sectors.values():
-        cf = random_coefficients(rng, sector.size)
-        ch = random_coefficients(rng, sector.size)
+        cf = random_coefficients(stream, sector.size)
+        ch = random_coefficients(stream, sector.size)
         f = mn.linear_combination(cf, sector.basis)
         h = mn.linear_combination(ch, sector.basis)
         kernel = mn.indefinite_inner(sector.n, sector.gamma, f, h)
-        phi = random_fock_vector(sector, rng, max_rank=sector.particle_cap - 1)
+        phi = random_fock_vector(sector, stream, max_rank=sector.particle_cap - 1)
         ac = mn.annihilate(cf, mn.create(ch, phi))
         ca = mn.create(ch, mn.annihilate(cf, phi))
         comm = FockVector(sector, tuple(
@@ -231,21 +231,21 @@ def test_ccr_on_random_vectors(small_sectors, rng):
         assert comm.positive_norm() <= 1e-10 * (1 + phi.positive_norm())
 
 
-def test_outputs_stay_symmetric(small_sectors, rng):
+def test_outputs_stay_symmetric(small_sectors, stream):
     sector = small_sectors[0]
-    phi = random_fock_vector(sector, rng, max_rank=2)
-    cf = random_coefficients(rng, sector.size)
+    phi = random_fock_vector(sector, stream, max_rank=2)
+    cf = random_coefficients(stream, sector.size)
     for vec in (mn.create(cf, phi), mn.annihilate(cf, phi)):
         assert all(max_symmetry_defect(c) <= 1e-12 for c in unpack(vec))
 
 
-def test_metric_consistency_through_sector_matrix(small_sectors, rng):
+def test_metric_consistency_through_sector_matrix(small_sectors, stream):
     """Both Fock products of two-particle product vectors that are not
     powers: <c+(f1) c+(f2) vac, c+(h1) c+(h2) vac> = K11 K22 + K12 K21, with
     K_ij = conj(f_i) @ M @ h_j for M the pairing or the gram matrix."""
     for sector in small_sectors.values():
-        f = random_coefficients(rng, sector.size, (2,))
-        h = random_coefficients(rng, sector.size, (2,))
+        f = random_coefficients(stream, sector.size, (2,))
+        h = random_coefficients(stream, sector.size, (2,))
         vac = FockVector.vacuum(sector)
         phi = mn.create(f[0], mn.create(f[1], vac))
         psi = mn.create(h[0], mn.create(h[1], vac))
@@ -256,10 +256,10 @@ def test_metric_consistency_through_sector_matrix(small_sectors, rng):
             assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
 
 
-def test_capacity_is_enforced(small_sectors, rng):
+def test_capacity_is_enforced(small_sectors, stream):
     sector = small_sectors[0]
-    cf = random_coefficients(rng, sector.size)
-    full = random_fock_vector(sector, rng, max_rank=sector.particle_cap)
+    cf = random_coefficients(stream, sector.size)
+    full = random_fock_vector(sector, stream, max_rank=sector.particle_cap)
     with pytest.raises(CapacityExceeded):
         mn.create(cf, full)
 
@@ -291,10 +291,10 @@ def test_sector_mismatch(small_sectors):
         mn.fock_inner(vac0, vac1)
 
 
-def test_vacuum_expectation_of_no_sectors_and_factorization(small_sectors, rng):
+def test_vacuum_expectation_of_no_sectors_and_factorization(small_sectors, stream):
     """No sector touched gives 1; a word over two sectors factorizes."""
     assert mn.vacuum_expectation([], [], [], {}) == 1.0
-    c = [random_coefficients(rng, 4) for _ in range(4)]
+    c = [random_coefficients(stream, 4) for _ in range(4)]
     in_0 = [(-1, 0, c[0]), (+1, 0, c[1])]
     in_2 = [(-1, 2, c[2]), (-1, 2, c[3]), (+1, 2, c[0]), (+1, 2, c[1])]
 
@@ -312,10 +312,10 @@ def test_vacuum_expectation_of_empty_word_is_one(small_sectors):
     assert type(val) is complex and val == 1.0
 
 
-def test_vacuum_expectation_of_pair_is_kernel(small_sectors, rng):
+def test_vacuum_expectation_of_pair_is_kernel(small_sectors, stream):
     sector = small_sectors[1]
-    cf = random_coefficients(rng, sector.size)
-    ch = random_coefficients(rng, sector.size)
+    cf = random_coefficients(stream, sector.size)
+    ch = random_coefficients(stream, sector.size)
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     val = mn.vacuum_expectation((-1, +1), (1, 1), (cf, ch), small_sectors)
@@ -329,9 +329,9 @@ def test_vacuum_expectation_refuses_signs_other_than_one(small_sectors, sign):
         mn.vacuum_expectation((sign,), (0,), (np.ones(4),), small_sectors)
 
 
-def test_vacuum_expectation_across_sectors_vanishes(small_sectors, rng):
-    cf = random_coefficients(rng, 4)
-    ch = random_coefficients(rng, 4)
+def test_vacuum_expectation_across_sectors_vanishes(small_sectors, stream):
+    cf = random_coefficients(stream, 4)
+    ch = random_coefficients(stream, 4)
     assert mn.vacuum_expectation((-1, +1), (1, 2), (cf, ch),
                                  small_sectors) == 0
 
@@ -372,9 +372,8 @@ def test_second_routes_are_built_once_per_sector(monkeypatch):
     assert counts["indefinite_inner_frequency"] == 2
     counts["linear_combination"] = 0
     sectors = checks.build_check_sectors(1, 4, 3)
-    rng = np.random.default_rng(0)
-    checks.ccr_suite(sectors, rng, 3)
-    checks.metric_suite(sectors, rng)
+    checks.ccr_suite(sectors, 0, 3)
+    checks.metric_suite(sectors, 0)
     assert counts["linear_combination"] == 0
 
 
@@ -446,7 +445,7 @@ def test_krein_metric_signs(acceptance_sectors):
     assert lam.min() < 0 < lam.max()
 
 
-def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
+def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors):
     """metric_consistency takes its reference values from the pairing and
     gram matrices, so it sees a sign error in the Krein weights that the
     Krein-side products share."""
@@ -454,9 +453,9 @@ def test_flipped_krein_sign_fails_metric_consistency(acceptance_sectors, rng):
     lam = sector.krein_metric.copy()
     lam[0] = -lam[0]
     flipped = dataclasses.replace(sector, krein_metric=lam)
-    assert checks.metric_suite({1: sector}, rng)["metric_consistency"] \
+    assert checks.metric_suite({1: sector}, 1)["metric_consistency"] \
         <= checks.THRESHOLDS["metric_consistency"]
-    assert checks.metric_suite({1: flipped}, rng)["metric_consistency"] \
+    assert checks.metric_suite({1: flipped}, 1)["metric_consistency"] \
         > checks.THRESHOLDS["metric_consistency"]
 
 
@@ -468,7 +467,7 @@ def test_ccr_suite_builds_no_dense_tensors():
     tracemalloc.start()
     try:
         sectors = checks.build_check_sectors(0, 3, 13)
-        checks.ccr_suite(sectors, np.random.default_rng(1), 5)
+        checks.ccr_suite(sectors, 1, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -482,7 +481,7 @@ def test_metric_suite_builds_no_dense_tensors():
     sectors = checks.build_check_sectors(0, 10, 6)
     tracemalloc.start()
     try:
-        checks.metric_suite(sectors, np.random.default_rng(1))
+        checks.metric_suite(sectors, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

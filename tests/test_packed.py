@@ -67,22 +67,22 @@ def test_random_fock_vector_draws_packed_normals(small_sectors, batch):
     sector = small_sectors[1]
     m = sector.size
     for max_rank in range(sector.particle_cap + 1):
-        ours, twin = np.random.default_rng(5), np.random.default_rng(5)
+        ours, twin = checks.Stream(5), checks.Stream(5)
         phi = random_fock_vector(sector, ours, max_rank, batch)
-        twin.standard_normal(2 * math.prod(batch) * sum(
-            math.comb(m + k - 1, k) for k in range(max_rank + 1)))
-        assert ours.standard_normal() == twin.standard_normal()
+        twin.complex_normals((math.prod(batch) * sum(
+            math.comb(m + k - 1, k) for k in range(max_rank + 1)),))
+        assert ours.complex_normals((1,)) == twin.complex_normals((1,))
         for k, comp in enumerate(phi.components):
             assert comp.shape == (*batch, math.comb(m + k - 1, k))
             assert np.all(comp == 0) == (k > max_rank)
         assert_allclose(phi.positive_norm(), np.ones(batch), rtol=0, atol=1e-15)
 
 
-def test_batched_operators_equal_one_vector_at_a_time(small_sectors, rng):
+def test_batched_operators_equal_one_vector_at_a_time(small_sectors, stream):
     sector = small_sectors[1]
     cap = sector.particle_cap
-    vectors = [random_fock_vector(sector, rng, cap - 1) for _ in range(5)]
-    coeffs = np.array([random_coefficients(rng, sector.size) for _ in range(5)])
+    vectors = [random_fock_vector(sector, stream, cap - 1) for _ in range(5)]
+    coeffs = np.array([random_coefficients(stream, sector.size) for _ in range(5)])
     batch = FockVector(sector, tuple(np.stack(ranks) for ranks in
                                      zip(*(v.components for v in vectors))))
     for op in (mn.create, mn.annihilate):
@@ -129,32 +129,17 @@ def test_batch_sizes_are_yielded_lazily():
     assert peak <= 100_000
 
 
-class _CountingGenerator:
-    """A generator that counts the normals it hands out."""
-
-    def __init__(self, rng):
-        self.rng, self.normals = rng, 0
-
-    def standard_normal(self, *args, **kwargs):
-        out = self.rng.standard_normal(*args, **kwargs)
-        self.normals += np.size(out)
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
 def test_rep_check_draws_packed_normals_only(monkeypatch):
     """Per vector, 2 C(m+k-1, k) normals per occupied rank k, never the 2 m**k
     of a dense draw; per coefficient vector 2 m."""
-    generators = []
-    default_rng = np.random.default_rng
+    normals = []
+    complex_normals = checks.Stream.complex_normals
 
-    def counting(seed):
-        generators.append(_CountingGenerator(default_rng(seed)))
-        return generators[-1]
+    def counting(self, shape):
+        normals.append(2 * math.prod(shape))
+        return complex_normals(self, shape)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(checks.Stream, "complex_normals", counting)
     size = dict(sector_max=1, basis_size=4, particle_cap=3)
     pairs = 3
     run_representation_checks(**size, seed=2, pairs=pairs)
@@ -170,7 +155,7 @@ def test_rep_check_draws_packed_normals_only(monkeypatch):
         expected += pairs * (2 * m + vector(cap) + vector(cap - 1))
         # metric: cf and ch, no vectors
         expected += checks.METRIC_PAIRS * 2 * 2 * m
-    assert [g.normals for g in generators] == [expected]
+    assert sum(normals) == expected
 
 
 # -- faults the checks must catch ----------------------------------------------
@@ -251,9 +236,20 @@ def test_create_off_by_1e7_relative_fails(monkeypatch):
             report["failures"]), rank
 
 
+def test_residuals_do_not_depend_on_the_batch_split(monkeypatch):
+    """Each quantity's draws are counted pair-major, so batches of one pair
+    give the residuals of one full batch bit for bit."""
+    size = dict(ACCEPTANCE, pairs=10)
+    full = run_representation_checks(**size)["residuals"]
+    monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", 1)
+    assert list(checks._batch_sizes(checks.build_check_sectors(0, 6, 4)[0],
+                                    size["pairs"])) == [1] * 10
+    assert run_representation_checks(**size)["residuals"] == full
+
+
 def test_one_pair_batches_pass_clean_and_fail_the_same_faults(monkeypatch):
-    """Batches of one pair read other draws than full batches do; a clean run
-    still passes, and a table fault still fails the same residuals."""
+    """Batches of one pair pass a clean run, and a table fault fails the
+    same residuals as in full batches."""
     full_batches = checks.MAX_FOCK_ENTRIES
     monkeypatch.setattr(checks, "MAX_FOCK_ENTRIES", 1)
     assert list(checks._batch_sizes(checks.build_check_sectors(0, 6, 4)[0],

@@ -325,11 +325,11 @@ def test_correlation_cross_channel_is_exact_zero(rng):
     assert mn.correlation((-1, +1), (1, 2), (f, h), {1: 1.0, 2: 1.0}) == 0
 
 
-def test_four_letter_word_against_fock_oracle(small_sectors, rng):
+def test_four_letter_word_against_fock_oracle(small_sectors, stream):
     gammas = {n: s.gamma for n, s in small_sectors.items()}
     orders = [1, 0, 0, 1]
     signs = [-1, -1, +1, +1]
-    coeffs = [random_coefficients(rng, 4) for _ in orders]
+    coeffs = [random_coefficients(stream, 4) for _ in orders]
     smears = [mn.linear_combination(c, small_sectors[n].basis)
               for c, n in zip(coeffs, orders)]
     wick_val = mn.correlation(signs, orders, smears, gammas)
