@@ -23,7 +23,6 @@ the width, multiplying each Hermite coefficient by i^k.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,47 +169,6 @@ class TestFunction:
         if lo > hi:
             return (0.0, 0.0)
         return (lo, hi)
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> list[dict]:
-        return [
-            {
-                "coefficient_re": float(c.real),
-                "coefficient_im": float(c.imag),
-                "center": a.center,
-                "width": a.width,
-                "modulation": a.modulation,
-                "poly": [[float(p.real), float(p.imag)] for p in a.poly],
-            }
-            for c, a in self.atoms
-        ]
-
-    @classmethod
-    def from_json_dict(cls, data: list[dict]) -> "TestFunction":
-        atoms = []
-        for d in data:
-            coeff = complex(*(_number(d[key], key) for key in
-                              ("coefficient_re", "coefficient_im")))
-            center, width, modulation = (
-                _number(d[key], key) for key in ("center", "width", "modulation"))
-            poly = tuple(complex(_number(re, "poly"), _number(im, "poly"))
-                         for re, im in d["poly"])
-            if not np.all(np.isfinite([coeff, center, width, modulation, *poly])):
-                raise ValueError("atom fields must be finite numbers")
-            atoms.append((coeff, Atom(center, width, modulation, poly)))
-        return cls(tuple(atoms))
-
-
-def _number(value, field: str) -> float:
-    # a JSON number only: float() would take a bool, parse "1_0" as 10.0, and
-    # raise OverflowError on an int past the float range (inf is refused below)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"atom field {field} must be a number, "
-                        f"got a {type(value).__name__}")
-    if abs(value) > sys.float_info.max and isinstance(value, int):
-        raise ValueError(f"atom field {field} is an integer past the float range")
-    return float(value)
 
 
 def gaussian(center: float = 0.0, width: float = 1.0, modulation: float = 0.0) -> TestFunction:

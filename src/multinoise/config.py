@@ -1,4 +1,4 @@
-"""Study configuration: JSON schema, validation, and catalog defaults."""
+"""Study configuration: JSON schema and atom lists, validation, defaults."""
 
 from __future__ import annotations
 
@@ -7,12 +7,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atoms import TestFunction, gaussian
+from .atoms import Atom, TestFunction, gaussian
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
 from .gamma import MAX_ORDER
 
-__all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
+__all__ = ["StudyConfig", "load_config", "parse_config", "atom_json",
+           "DEFAULT_WORD_SMEARS"]
 
 # bound on basis_size ** particle_cap, the truncations rep-check has been
 # run at (no array holds that many entries: Fock vectors are packed), and on
@@ -35,7 +36,8 @@ MAX_REP_PAIRS = 10_000
 ROOT_KEYS = ("dispersion", "form_factor", "orders", "lambda_grid", "truncation",
              "tolerances", "seed", "rep_pairs", "output", "smears",
              "fault_injection")
-ATOM_KEYS = tuple(gaussian().to_json_dict()[0])
+ATOM_KEYS = ("coefficient_re", "coefficient_im", "center", "width",
+             "modulation", "poly")
 
 # Smears used by kernel-check (first two) and corr-check (all four) when the
 # config does not supply its own.  Broad in time so their frequency content
@@ -92,7 +94,7 @@ def _integer(value, what: str) -> int:
 def _closed(obj: dict, keys, where: str) -> None:
     """Refuse any key of obj that the parser does not read."""
     for key in obj:
-        _require(key in keys, f"unknown key {key!r} in {where}")
+        _require(key in keys, f"unknown key {_shown(key)} in {where}")
 
 
 def _object(raw: dict, key: str, keys) -> dict:
@@ -105,7 +107,7 @@ def _object(raw: dict, key: str, keys) -> dict:
 def _order(value) -> int:
     n = _integer(value, "orders entry")
     _require(0 <= n <= MAX_ORDER,
-             f"orders entries must lie in 0..{MAX_ORDER}, got {n}")
+             f"orders entries must lie in 0..{MAX_ORDER}, got {_shown(n)}")
     return n
 
 
@@ -122,7 +124,7 @@ def _parse_dispersion(d: dict) -> Dispersion:
     _require(isinstance(d, dict) and "kind" in d,
              "dispersion must be a JSON object with a 'kind'")
     kind = d["kind"]
-    _require(kind in ("linear", "quadratic"), f"unknown dispersion kind {kind!r}")
+    _require(kind in ("linear", "quadratic"), f"unknown dispersion kind {_shown(kind)}")
     scale = "slope" if kind == "linear" else "mass"
     _closed(d, ("kind", "dimension", "offset", scale), "dispersion")
     dim = _integer(d.get("dimension", 1), "dispersion.dimension")
@@ -139,17 +141,39 @@ def _parse_dispersion(d: dict) -> Dispersion:
         raise ConfigError(f"bad dispersion parameters: {exc}") from exc
 
 
-def _parse_test_function(data, what: str) -> TestFunction:
-    for atom in data if isinstance(data, list) else ():
-        _closed(atom if isinstance(atom, dict) else {}, ATOM_KEYS, f"{what} atom")
-    try:
-        f = TestFunction.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
-    _require(len(f.atoms) <= MAX_ATOMS,
-             f"{what} has {len(f.atoms)} atoms, more than {MAX_ATOMS}")
-    _require(all(len(a.poly) <= MAX_POLY_TERMS for _, a in f.atoms),
-             f"{what} has an atom with more than {MAX_POLY_TERMS} poly terms")
+def atom_json(f: TestFunction) -> list[dict]:
+    """f as the atom list that form_factor and each smears entry hold."""
+    return [{"coefficient_re": float(c.real), "coefficient_im": float(c.imag),
+             "center": a.center, "width": a.width, "modulation": a.modulation,
+             "poly": [[float(p.real), float(p.imag)] for p in a.poly]}
+            for c, a in f.atoms]
+
+
+def _test_function(data, what: str) -> TestFunction:
+    """Read a nonzero atom list, bounding its length before any atom is read."""
+    _require(isinstance(data, list) and len(data) <= MAX_ATOMS,
+             f"{what} must be a list of at most {MAX_ATOMS} atoms")
+    atoms = []
+    for i, d in enumerate(data):
+        where = f"{what}[{i}]"
+        _require(isinstance(d, dict), f"{where} must be a JSON object")
+        _closed(d, ATOM_KEYS, where)
+        for key in ATOM_KEYS:
+            _require(key in d, f"{where} is missing {key!r}")
+        re, im, center, width, modulation = (
+            _finite(d[key], f"{where}.{key}") for key in ATOM_KEYS[:5])
+        poly = d["poly"]
+        _require(isinstance(poly, list) and len(poly) <= MAX_POLY_TERMS
+                 and all(isinstance(p, list) and len(p) == 2 for p in poly),
+                 f"{where}.poly must be a list of at most {MAX_POLY_TERMS} [re, im] pairs")
+        terms = tuple(complex(*(_finite(x, f"{where}.poly entry") for x in p))
+                      for p in poly)
+        try:
+            atoms.append((complex(re, im), Atom(center, width, modulation, terms)))
+        except ValueError as exc:  # Atom's own checks: width > 0, nonempty poly
+            raise ConfigError(f"bad {where}: {exc}") from exc
+    f = TestFunction(tuple(atoms))
+    _require(not f.is_zero(), f"{what} must be nonzero")
     return f
 
 
@@ -160,13 +184,12 @@ def parse_config(raw: dict) -> StudyConfig:
         _require(key in raw, f"config is missing {key!r}")
 
     dispersion = _parse_dispersion(raw["dispersion"])
-    form_factor = _parse_test_function(raw["form_factor"], "form_factor")
-    _require(not form_factor.is_zero(), "form_factor must be nonzero")
+    form_factor = _test_function(raw["form_factor"], "form_factor")
 
     _require(isinstance(raw["orders"], list), "orders must be a list")
     orders = tuple(_order(n) for n in raw["orders"])
     _require(len(set(orders)) == len(orders),
-             f"orders must not repeat, got {list(orders)}")
+             f"orders must not repeat, got {_shown(list(orders))}")
 
     _require(isinstance(raw["lambda_grid"], list), "lambda_grid must be a list")
     grid = tuple(_finite(x, "lambda_grid entry") for x in raw["lambda_grid"])
@@ -183,15 +206,15 @@ def parse_config(raw: dict) -> StudyConfig:
     particle_cap = _integer(trunc.get("particle_cap", 4), "particle_cap")
     sector_max = _integer(trunc.get("sector_max", 3), "sector_max")
     _require(2 <= basis_size <= MAX_BASIS_SIZE,
-             f"basis_size must lie in 2..{MAX_BASIS_SIZE}, got {basis_size}")
+             f"basis_size must lie in 2..{MAX_BASIS_SIZE}, got {_shown(basis_size)}")
     _require(particle_cap >= MIN_PARTICLE_CAP,
              f"particle_cap must be at least {MIN_PARTICLE_CAP}")
     # min() keeps the power cheap; basis_size >= 2 already fails at cap 64
     _require(basis_size ** min(particle_cap, 64) <= MAX_FOCK_ENTRIES,
-             f"basis_size ** particle_cap = {basis_size} ** {particle_cap} "
+             f"basis_size ** particle_cap = {basis_size} ** {_shown(particle_cap)} "
              f"exceeds {MAX_FOCK_ENTRIES} Fock tensor entries")
     _require(0 <= sector_max <= MAX_ORDER,
-             f"sector_max must lie in 0..{MAX_ORDER}, got {sector_max}")
+             f"sector_max must lie in 0..{MAX_ORDER}, got {_shown(sector_max)}")
 
     tols = _object(raw, "tolerances", ("assert_rel",))
     assert_rel = _finite(tols.get("assert_rel", 1e-6), "tolerances.assert_rel")
@@ -201,7 +224,7 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(seed >= 0, "seed must be nonnegative")
     rep_pairs = _integer(raw.get("rep_pairs", 50), "rep_pairs")
     _require(1 <= rep_pairs <= MAX_REP_PAIRS,
-             f"rep_pairs must lie in 1..{MAX_REP_PAIRS}, got {rep_pairs}")
+             f"rep_pairs must lie in 1..{MAX_REP_PAIRS}, got {_shown(rep_pairs)}")
 
     output = _object(raw, "output", ("directory",))
 
@@ -209,13 +232,12 @@ def parse_config(raw: dict) -> StudyConfig:
     if "smears" in raw:
         _require(isinstance(raw["smears"], list) and raw["smears"],
                  "smears must be a nonempty list")
-        smears = tuple(_parse_test_function(s, "smear") for s in raw["smears"])
-        _require(not any(s.is_zero() for s in smears),
-                 "smears entries must be nonzero")
+        smears = tuple(_test_function(s, f"smears[{i}]")
+                       for i, s in enumerate(raw["smears"]))
 
     fault = raw.get("fault_injection")
     _require(fault in (None, "transpose_pairing"),
-             f"unknown fault_injection {fault!r}")
+             f"unknown fault_injection {_shown(fault)}")
 
     return StudyConfig(
         dispersion=dispersion,

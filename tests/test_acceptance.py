@@ -14,7 +14,7 @@ import pytest
 
 import multinoise as mn
 from multinoise.checks import run_representation_checks
-from multinoise.config import DEFAULT_WORD_SMEARS
+from multinoise.config import DEFAULT_WORD_SMEARS, atom_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LAMBDA_GRID = (0.5, 0.35, 0.25, 0.15)
@@ -139,7 +139,7 @@ def _run_subprocess(args) -> int:
 def test_criterion_7_cli_determinism(tmp_path):
     rep_cfg = {
         "dispersion": {"kind": "linear", "slope": 1.0, "offset": 0.0},
-        "form_factor": mn.gaussian().to_json_dict(),
+        "form_factor": atom_json(mn.gaussian()),
         "orders": [0, 1],
         "lambda_grid": [0.5, 0.35, 0.25],
         "truncation": {"basis_size": 4, "particle_cap": 3, "sector_max": 1},

@@ -17,22 +17,22 @@ import multinoise
 from multinoise import checks, cli, config, expansion, gamma
 from multinoise.atoms import gaussian
 from multinoise.gamma import GammaRow, GammaTable
-from multinoise.config import load_config
+from multinoise.config import atom_json, load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # a nonempty atom list whose every coefficient is zero
-ZERO_SMEAR = [dict(gaussian().to_json_dict()[0], coefficient_re=0.0)]
+ZERO_SMEAR = [dict(atom_json(gaussian())[0], coefficient_re=0.0)]
 
 
 def atom_with(**fields):
     """One-atom test function: the unit Gaussian with some fields replaced."""
-    return [dict(gaussian().to_json_dict()[0], **fields)]
+    return [dict(atom_json(gaussian())[0], **fields)]
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
     base = {
         "dispersion": {"kind": "linear", "slope": 1.0, "offset": 0.0},
-        "form_factor": gaussian().to_json_dict(),
+        "form_factor": atom_json(gaussian()),
         "orders": [0, 1],
         "lambda_grid": [0.5, 0.35, 0.25, 0.15],
         "truncation": {"basis_size": 4, "particle_cap": 3, "sector_max": 1},
@@ -108,73 +108,109 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
     assert cli.main(["kernel-check", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("command, overrides", [
-    ("gamma", {"orders": [7]}),
-    ("kernel-check", {"orders": [7]}),
-    ("gamma", {"orders": ["a"]}),
-    ("gamma", {"orders": [True]}),
-    ("gamma", {"orders": [1.5]}),
-    ("kernel-check", {"lambda_grid": [math.inf, 0.35, 0.25, 0.15]}),
-    ("kernel-check", {"lambda_grid": [0.5, 0.25, 1e-200]}),
-    ("gamma", {"eps_supp": 0}),
-    ("gamma", {"eps_supp": 2.0}),
-    ("gamma", {"eps_supp": 1e-10}),
-    ("gamma", {"output": {"directory": "out", "format": "csv"}}),
-    ("rep-check", {"rep_pair": 2}),
-    ("gamma", {"dispersion": {"kind": "linear", "mass": 1.0}}),
-    ("gamma", {"dispersion": {"kind": "quadratic", "slope": 1.0}}),
-    ("rep-check", {"truncation": {"basis_size": 4, "particle_caps": 3}}),
-    ("gamma", {"form_factor": atom_with(phase=0.0)}),
-    ("kernel-check", {"smears": [gaussian().to_json_dict(),
-                                 atom_with(centre=0.0)]}),
+@pytest.mark.parametrize("command, overrides, field", [
+    ("gamma", {"orders": [7]}, "orders"),
+    ("kernel-check", {"orders": [7]}, "orders"),
+    ("gamma", {"orders": ["a"]}, "orders"),
+    ("gamma", {"orders": [True]}, "orders"),
+    ("gamma", {"orders": [1.5]}, "orders"),
+    ("kernel-check", {"lambda_grid": [math.inf, 0.35, 0.25, 0.15]},
+     "lambda_grid"),
+    ("kernel-check", {"lambda_grid": [0.5, 0.25, 1e-200]}, "lambda_grid"),
+    ("gamma", {"eps_supp": 0}, "'eps_supp'"),
+    ("gamma", {"eps_supp": 2.0}, "'eps_supp'"),
+    ("gamma", {"eps_supp": 1e-10}, "'eps_supp'"),
+    ("gamma", {"output": {"directory": "out", "format": "csv"}},
+     "'format' in output"),
+    ("rep-check", {"rep_pair": 2}, "'rep_pair'"),
+    ("gamma", {"dispersion": {"kind": "linear", "mass": 1.0}},
+     "'mass' in dispersion"),
+    ("gamma", {"dispersion": {"kind": "quadratic", "slope": 1.0}},
+     "'slope' in dispersion"),
+    ("rep-check", {"truncation": {"basis_size": 4, "particle_caps": 3}},
+     "'particle_caps' in truncation"),
+    ("gamma", {"form_factor": atom_with(phase=0.0)},
+     "'phase' in form_factor[0]"),
+    ("kernel-check", {"smears": [atom_json(gaussian()),
+                                 atom_with(centre=0.0)]},
+     "'centre' in smears[1][0]"),
     ("rep-check", {"truncation": {"basis_size": 16, "particle_cap": 3,
-                                  "sector_max": 1}}),
-    ("gamma", {"truncation": {"basis_size": "x"}}),
-    ("rep-check", {"truncation": {"particle_cap": 2.5}}),
-    ("rep-check", {"truncation": {"sector_max": True}}),
-    ("gamma", {"truncation": [4, 3, 1]}),
-    ("rep-check", {"seed": "x"}),
-    ("rep-check", {"seed": -1}),
-    ("rep-check", {"rep_pairs": 0}),
-    ("rep-check", {"rep_pairs": 10 ** 15}),
-    ("gamma", {"tolerances": {"assert_rel": "x"}}),
-    ("gamma", {"tolerances": {"assert_rel": math.inf}}),
-    ("gamma", {"tolerances": [1e-6]}),
-    ("gamma", {"output": "out"}),
-    ("gamma", {"dispersion": ["linear"]}),
-    ("gamma", {"dispersion": {"kind": "linear", "dimension": "x"}}),
-    ("gamma", {"dispersion": {"kind": "linear", "slope": None}}),
-    ("gamma", {"dispersion": {"kind": "quadratic", "mass": "heavy"}}),
-    ("kernel-check", {"orders": [0, 0]}),
-    ("corr-check", {"orders": [1, 0, 1]}),
-    ("kernel-check", {"smears": [ZERO_SMEAR] * 4}),
-    ("corr-check", {"smears": [ZERO_SMEAR] * 4}),
-    ("gamma", {"form_factor": ZERO_SMEAR}),
-    ("kernel-check", {"form_factor": ZERO_SMEAR}),
-    ("corr-check", {"form_factor": ZERO_SMEAR}),
-    ("kernel-check", {"smears": [gaussian().to_json_dict()]}),
-    ("corr-check", {"smears": [gaussian().to_json_dict()] * 3}),
-    ("gamma", {"form_factor": atom_with(center=math.nan)}),
-    ("kernel-check", {"form_factor": atom_with(center=math.nan)}),
-    ("gamma", {"form_factor": atom_with(width=math.inf)}),
-    ("gamma", {"form_factor": atom_with(modulation=math.nan)}),
-    ("kernel-check", {"smears": [atom_with(coefficient_re=math.nan)] * 2}),
-    ("gamma", {"form_factor": atom_with(coefficient_im=-math.inf)}),
-    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0], [math.nan, 0.0]])}),
-    ("corr-check", {"smears": [atom_with(center=math.inf)] * 4}),
-    ("gamma", {"form_factor": atom_with(poly=[[0.0, 0.0]])}),
+                                  "sector_max": 1}}, "basis_size"),
+    ("gamma", {"truncation": {"basis_size": "x"}}, "basis_size"),
+    ("rep-check", {"truncation": {"particle_cap": 2.5}}, "particle_cap"),
+    ("rep-check", {"truncation": {"sector_max": True}}, "sector_max"),
+    ("gamma", {"truncation": [4, 3, 1]}, "truncation"),
+    ("rep-check", {"seed": "x"}, "seed"),
+    ("rep-check", {"seed": -1}, "seed"),
+    ("rep-check", {"rep_pairs": 0}, "rep_pairs"),
+    ("rep-check", {"rep_pairs": 10 ** 15}, "rep_pairs"),
+    ("gamma", {"tolerances": {"assert_rel": "x"}}, "tolerances.assert_rel"),
+    ("gamma", {"tolerances": {"assert_rel": math.inf}},
+     "tolerances.assert_rel"),
+    ("gamma", {"tolerances": [1e-6]}, "tolerances"),
+    ("gamma", {"output": "out"}, "output"),
+    ("gamma", {"dispersion": ["linear"]}, "dispersion"),
+    ("gamma", {"dispersion": {"kind": "linear", "dimension": "x"}},
+     "dispersion.dimension"),
+    ("gamma", {"dispersion": {"kind": "linear", "slope": None}},
+     "dispersion.slope"),
+    ("gamma", {"dispersion": {"kind": "quadratic", "mass": "heavy"}},
+     "dispersion.mass"),
+    ("kernel-check", {"orders": [0, 0]}, "orders"),
+    ("corr-check", {"orders": [1, 0, 1]}, "orders"),
+    ("kernel-check", {"smears": [ZERO_SMEAR] * 4}, "smears[0]"),
+    ("corr-check", {"smears": [ZERO_SMEAR] * 4}, "smears[0]"),
+    ("gamma", {"form_factor": ZERO_SMEAR}, "form_factor"),
+    ("kernel-check", {"form_factor": ZERO_SMEAR}, "form_factor"),
+    ("corr-check", {"form_factor": ZERO_SMEAR}, "form_factor"),
+    ("kernel-check", {"smears": [atom_json(gaussian())]}, "smears"),
+    ("corr-check", {"smears": [atom_json(gaussian())] * 3}, "smears"),
+    ("gamma", {"form_factor": atom_with(center=math.nan)},
+     "form_factor[0].center"),
+    ("kernel-check", {"form_factor": atom_with(center=math.nan)},
+     "form_factor[0].center"),
+    ("gamma", {"form_factor": atom_with(width=math.inf)},
+     "form_factor[0].width"),
+    ("gamma", {"form_factor": atom_with(modulation=math.nan)},
+     "form_factor[0].modulation"),
+    ("kernel-check", {"smears": [atom_with(coefficient_re=math.nan)] * 2},
+     "smears[0][0].coefficient_re"),
+    ("gamma", {"form_factor": atom_with(coefficient_im=-math.inf)},
+     "form_factor[0].coefficient_im"),
+    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0], [math.nan, 0.0]])},
+     "form_factor[0].poly"),
+    ("corr-check", {"smears": [atom_with(center=math.inf)] * 4},
+     "smears[0][0].center"),
+    ("gamma", {"form_factor": atom_with(poly=[[0.0, 0.0]])}, "form_factor"),
     ("kernel-check", {"smears": [atom_with(poly=[[0.0, 0.0]]),
-                                 gaussian().to_json_dict()]}),
-    ("rep-check", {"truncation": {"basis_size": 15, "particle_cap": 6}}),
+                                 atom_json(gaussian())]}, "smears[0]"),
+    ("rep-check", {"truncation": {"basis_size": 15, "particle_cap": 6}},
+     "basis_size ** particle_cap"),
     ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 2,
-                                  "sector_max": 1}}),
+                                  "sector_max": 1}}, "particle_cap"),
     ("rep-check", {"truncation": {"basis_size": 4, "particle_cap": 3,
-                                  "sector_max": 7}}),
-    ("gamma", {"form_factor": atom_with() * 257}),
-    ("kernel-check", {"smears": [gaussian().to_json_dict(),
-                                 atom_with() * 257]}),
-    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0]] * 65)}),
-    ("corr-check", {"smears": [atom_with(poly=[[1.0, 0.0]] * 65)] * 4}),
+                                  "sector_max": 7}}, "sector_max"),
+    ("gamma", {"form_factor": atom_with() * 257}, "form_factor"),
+    ("kernel-check", {"smears": [atom_json(gaussian()),
+                                 atom_with() * 257]}, "smears[1]"),
+    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0]] * 65)},
+     "form_factor[0].poly"),
+    ("corr-check", {"smears": [atom_with(poly=[[1.0, 0.0]] * 65)] * 4},
+     "smears[0][0].poly"),
+    ("gamma", {"form_factor": {}}, "form_factor must be a list"),
+    ("gamma", {"form_factor": {"center": 1.0}}, "form_factor must be a list"),
+    ("gamma", {"form_factor": atom_with(poly="ab")}, "form_factor[0].poly"),
+    ("gamma", {"form_factor": atom_with(poly=[[1.0, 0.0, "x"]])},
+     "form_factor[0].poly"),
+    ("gamma", {"form_factor": [[1.0]]}, "form_factor[0]"),
+    ("gamma", {"form_factor": [{key: value for key, value
+                                in atom_with()[0].items() if key != "width"}]},
+     "form_factor[0] is missing 'width'"),
+    ("kernel-check", {"smears": ["x"]}, "smears[0]"),
+    ("gamma", {"form_factor": atom_with(width=-1.0)},
+     "form_factor[0]: atom width"),
+    ("corr-check", {"smears": [atom_with(poly=[])] * 4},
+     "smears[0][0]: atom polynomial"),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "lambda-square-underflows",
         "unknown-key-eps-supp-0", "unknown-key-eps-supp-2",
@@ -197,13 +233,19 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "center-infinite-corr", "zero-poly-form-factor", "zero-poly-smear",
         "fock-component-too-large", "particle-cap-2", "sector-max-7",
         "atoms-257-form-factor", "atoms-257-smear", "poly-65-form-factor",
-        "poly-65-smear"])
+        "poly-65-smear", "form-factor-object", "form-factor-atom-object",
+        "poly-string", "poly-triple", "atom-list", "atom-without-width",
+        "smear-string", "width-negative", "poly-empty-smear"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
-                                        overrides):
+                                        overrides, field):
+    """One config error line that names the field, in the program's words
+    rather than a Python exception's."""
     cfg = write_config(tmp_path, **overrides)
     assert cli.main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+    assert field in err[0], err[0]
+    assert "indices" not in err[0] and "unpack" not in err[0], err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -244,6 +286,52 @@ def test_float_fields_take_only_json_numbers(tmp_path, capsys, name):
         assert len(err) == 1 and err[0].startswith("config error: "), err
         assert len(err[0]) <= 200, (path, err[0][:200])
     assert not (tmp_path / "out").exists()
+
+
+LONG = "k" * 3000
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda raw: raw.update({LONG: 1}), "in config"),
+    (lambda raw: raw["form_factor"][0].update({LONG: 1}), "in form_factor[0]"),
+    (lambda raw: raw.update(fault_injection=LONG), "unknown fault_injection"),
+    (lambda raw: raw["dispersion"].update(kind=LONG), "unknown dispersion kind"),
+    (lambda raw: raw.update(orders=[10 ** 4000]), "orders entries"),
+    (lambda raw: raw.update(orders=[0] * 100_000), "orders must not repeat"),
+    (lambda raw: raw["truncation"].update(basis_size=10 ** 4000), "basis_size"),
+    (lambda raw: raw["truncation"].update(particle_cap=10 ** 4000),
+     "particle_cap"),
+    (lambda raw: raw["truncation"].update(sector_max=10 ** 4000), "sector_max"),
+    (lambda raw: raw.update(rep_pairs=10 ** 4000), "rep_pairs"),
+], ids=["root-key", "atom-key", "fault-injection", "dispersion-kind",
+        "order", "orders-repeat", "basis-size", "particle-cap", "sector-max",
+        "rep-pairs"])
+def test_long_values_give_short_refusals(tmp_path, capsys, edit, where):
+    """A refused 3,000-character string, integer or list is cut short in
+    the one refusal line, which still says where the problem is."""
+    raw = json.loads((CONFIG_DIR / "catalog_linear.json").read_text())
+    edit(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["gamma", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: "), err
+    assert len(err[0]) <= 200 and where in err[0], err[0][:300]
+    assert not (tmp_path / "out").exists()
+
+
+def test_atom_count_is_checked_before_any_atom(tmp_path, capsys, monkeypatch):
+    """100,000 valid atoms are refused at once, with no atom built."""
+    def no_atoms(*args):
+        raise AssertionError("an atom was built")
+
+    monkeypatch.setattr(config, "Atom", no_atoms)
+    cfg = write_config(tmp_path, form_factor=atom_with() * 100_000)
+    assert cli.main(["gamma", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: form_factor must be a list of at most "
+                   f"{config.MAX_ATOMS} atoms"]
 
 
 def test_test_function_size_limits_are_inclusive(tmp_path):
@@ -354,7 +442,7 @@ def test_support_failure_exits_3_without_force(tmp_path):
     cfg = write_config(
         tmp_path,
         dispersion={"kind": "quadratic", "mass": 1.0, "offset": 2.0},
-        form_factor=gaussian(width=1.0).to_json_dict())
+        form_factor=atom_json(gaussian(width=1.0)))
     assert cli.main(["gamma", "--config", str(cfg)]) == 3
     # --force pushes past the gate; the computation then fails loudly
     # (stationary phase point), mapped to the oracle exit code
@@ -424,7 +512,7 @@ def test_kernel_check_rate_failure_exits_6(tmp_path):
     cfg = write_config(
         tmp_path,
         dispersion={"kind": "quadratic", "mass": 1.0, "offset": 2.0},
-        form_factor=gaussian(center=2.0, width=0.35).to_json_dict(),
+        form_factor=atom_json(gaussian(center=2.0, width=0.35)),
         orders=[1],
         lambda_grid=[0.95, 0.9, 0.85, 0.8])
     assert cli.main(["kernel-check", "--config", str(cfg)]) == 6
@@ -450,7 +538,7 @@ def test_expansion_study_refuses_disagreeing_gamma_oracles(tmp_path, capsys,
         tmp_path,
         dispersion={"kind": "linear", "slope": 1.0, "offset": 1.5,
                     "dimension": 3},
-        form_factor=gaussian(center=1.5, width=0.4).to_json_dict(),
+        form_factor=atom_json(gaussian(center=1.5, width=0.4)),
         orders=[0, 5])
     assert cli.main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
@@ -529,7 +617,7 @@ def test_no_partial_files_on_support_failure(tmp_path):
     cfg = write_config(
         tmp_path,
         dispersion={"kind": "quadratic", "mass": 1.0, "offset": 2.0},
-        form_factor=gaussian(width=1.0).to_json_dict())
+        form_factor=atom_json(gaussian(width=1.0)))
     assert cli.main(["gamma", "--config", str(cfg)]) == 3
     assert not (tmp_path / "out").exists()
 

@@ -2,8 +2,9 @@
 
 Each mutant replaces or deletes one leaf of the JSON tree, never scaling a
 magnitude, and runs in-process through ``cli.main``.  It must end with a
-documented exit code, at most one stderr line, and, when it exits 4, a line
-naming a package error rather than a builtin exception.
+documented exit code, at most one stderr line of at most 200 characters, and,
+when it exits 4, a line naming a package error rather than a builtin
+exception.
 """
 
 import builtins
@@ -37,6 +38,7 @@ MUTATIONS = (
     lambda v: math.inf,
     lambda v: -v if isinstance(v, (int, float)) else v,
     lambda v: 0,
+    lambda v: "x" * 3000,
 )
 
 
@@ -88,5 +90,6 @@ def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
         context = (i, json.dumps(raw), err)
         assert code in codes, context
         assert len(err) <= 1, context
+        assert all(len(line) <= 200 for line in err), context
         if code == 4:
             assert err[0].split(":")[0] not in BUILTIN_ERRORS, context
