@@ -353,7 +353,7 @@ def metric_suite(sectors: Mapping[int, Sector], seed: int) -> dict[str, float]:
 
     witness = gaussian(modulation=WITNESS_MODULATION)
     partner = gaussian(modulation=-WITNESS_MODULATION)
-    kernel_route = indefinite_inner(1, 1.0, witness, witness)
+    kernel_route = indefinite_inner(1, 1.0, (witness,), (witness,))[0, 0]
     wit_sector = build_sector(1, 1.0, (witness, partner), particle_cap=2)
     one = create(project_coefficients(wit_sector, witness),
                  FockVector.vacuum(wit_sector))

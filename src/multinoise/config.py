@@ -31,6 +31,8 @@ MAX_POLY_TERMS = 64
 # rep_pairs, 200 times the default: rep-check at acceptance size runs for
 # about 16 s at this count and grows linearly, without end for 10**15
 MAX_REP_PAIRS = 10_000
+# smears entries: no command reads more than corr-check's four-letter word
+MAX_SMEARS = 4
 
 # every key parse_config reads; any other key is refused
 ROOT_KEYS = ("dispersion", "form_factor", "orders", "lambda_grid", "truncation",
@@ -226,12 +228,15 @@ def parse_config(raw: dict) -> StudyConfig:
     _require(1 <= rep_pairs <= MAX_REP_PAIRS,
              f"rep_pairs must lie in 1..{MAX_REP_PAIRS}, got {_shown(rep_pairs)}")
 
-    output = _object(raw, "output", ("directory",))
+    out_dir = _object(raw, "output", ("directory",)).get("directory", "out")
+    _require(isinstance(out_dir, str) and out_dir != "",
+             f"output.directory must be a nonempty string, got {_shown(out_dir)}")
 
     smears = DEFAULT_WORD_SMEARS
     if "smears" in raw:
-        _require(isinstance(raw["smears"], list) and raw["smears"],
-                 "smears must be a nonempty list")
+        _require(isinstance(raw["smears"], list)
+                 and 1 <= len(raw["smears"]) <= MAX_SMEARS,
+                 f"smears must be a list of 1..{MAX_SMEARS} entries")
         smears = tuple(_test_function(s, f"smears[{i}]")
                        for i, s in enumerate(raw["smears"]))
 
@@ -249,7 +254,7 @@ def parse_config(raw: dict) -> StudyConfig:
         sector_max=sector_max,
         assert_rel=assert_rel,
         seed=seed,
-        out_dir=str(output.get("directory", "out")),
+        out_dir=out_dir,
         smears=smears,
         rep_pairs=rep_pairs,
         fault_injection=fault,

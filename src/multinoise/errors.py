@@ -26,7 +26,9 @@ class SectorMismatch(MultinoiseError):
 
 
 class QuadratureFailure(MultinoiseError):
-    """An adaptive quadrature did not reach the requested tolerance."""
+    """A panel sum did not converge, a panel rule passed its panel cap, an
+    odd-order weighted form's recurrence passed its error bound, or an atom
+    overlap was not finite."""
 
 
 class SlowDecay(MultinoiseError):

@@ -9,7 +9,7 @@ the error quantifies the remainder order.  The two-point kernel is the word
 study is the only place that grades by lambda.  The noise side's
 pair kernel is the graded sum over n <= N of lambda^(2n) times the order-n
 contraction i^n gamma_n integral conj(f_minus^(n)) f_plus dt, which does not
-depend on lambda, so each contraction is computed once per study.
+depend on lambda, so each order's contractions form one matrix per study.
 
 With the adopted per-pair grading lambda^(2n), a truncation after order N
 leaves an error of order lambda^(2N+2); the fit is also reported against the
@@ -22,7 +22,6 @@ errors lie above ERROR_FLOOR (``below_floor``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,8 +52,8 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
     The reservoir has dispersion ``disp`` and form factor ``g``; letter j has
     sign ``signs[j]`` and smear ``smears[j]``.  Returns, for each N in
     ``orders`` (in that order), one point per lambda of ``lambda_grid``.
-    Each contraction (n, j, k) is evaluated once, and only if a matching
-    uses it; orders with a vanishing coefficient contribute exactly zero.
+    Each order's contractions are one matrix over the letters, computed once;
+    orders with a vanishing coefficient contribute exactly zero.
     """
     signs = list(signs)
     if len(signs) % 2 or signs.count(+1) != signs.count(-1):
@@ -62,26 +61,20 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
     if len(smears) != len(signs) or any(f.is_zero() for f in smears):
         raise ValueError("need one nonzero smear per letter")
 
-    @functools.cache
-    def contraction(n: int, j: int, k: int) -> complex:
-        return indefinite_inner(n, gammas[n], smears[j], smears[k])
-
-    def truncated(lam: float, N: int):
-        def pair(j: int, k: int) -> complex:
-            total = 0j
-            for n in range(N + 1):
-                if gammas[n] != 0:
-                    total += lam ** (2 * n) * contraction(n, j, k)
-            return total
-        return pair
-
+    contractions = {n: indefinite_inner(n, gammas[n], smears, smears)
+                    for n in range(max(orders, default=-1) + 1)
+                    if gammas[n] != 0}
     by_order = {N: [] for N in orders}
     for lam in lambda_grid:
         lhs = wick_sum(signs, lambda j, k: reservoir_pair(
             disp, g, lam, smears[j], smears[k]))
         for N in orders:
-            by_order[N].append(
-                ExpansionPoint(lam, N, lhs, wick_sum(signs, truncated(lam, N))))
+            graded = np.zeros((len(signs), len(signs)), dtype=complex)
+            for n in range(N + 1):
+                if n in contractions:
+                    graded += lam ** (2 * n) * contractions[n]
+            rhs = wick_sum(signs, lambda j, k: graded[j, k])
+            by_order[N].append(ExpansionPoint(lam, N, lhs, rhs))
     return by_order
 
 

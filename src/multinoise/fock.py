@@ -86,7 +86,7 @@ class Sector:
     gamma: float
     basis: tuple[TestFunction, ...]
     gram: np.ndarray      # (b_a, b_b) under the positive order-n form
-    pairing: np.ndarray   # indefinite_inner(n, gamma, b_a, b_b)
+    pairing: np.ndarray   # indefinite_inner(n, gamma, basis, basis)
     particle_cap: int
     to_krein: np.ndarray      # basis coefficients -> Krein coordinates
     krein_metric: np.ndarray  # lam: the pairing is diag(lam) in Krein coordinates
@@ -188,11 +188,12 @@ def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
     atoms leaves a residual at rounding level instead of the sqrt(eps) floor
     of |f|^2 - v^H gram^-1 v.
     """
-    column = weighted_inner(sector.n, sector.basis + (f,), f)[:, 0]
+    column = weighted_inner(sector.n, sector.basis + (f,), (f,))[:, 0]
     v, norm_sq = column[:-1], column[-1].real
     coeffs = np.linalg.solve(sector.gram, v)
     rest = _merged(f - linear_combination(coeffs, sector.basis))
-    residual = math.sqrt(max(weighted_inner(sector.n, rest, rest).real, 0.0))
+    residual = math.sqrt(max(
+        weighted_inner(sector.n, (rest,), (rest,))[0, 0].real, 0.0))
     if residual > SPAN_RESIDUAL_TOL * max(1.0, math.sqrt(max(norm_sq, 0.0))):
         raise NotInSpan(
             f"projection residual {residual:.3g} exceeds {SPAN_RESIDUAL_TOL:g}")

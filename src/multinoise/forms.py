@@ -7,8 +7,9 @@ The indefinite kernel equals gamma * (-1)^n integral x^n conj(f_F) h_F dx in the
 frequency domain.  ``indefinite_inner_frequency`` computes it that way, through
 ``fourier()`` instead of ``derivative()``, which gives the ccr check a second
 route to the kernel.  For even n both routes reduce to gamma * weighted_inner;
-for odd n the form is genuinely indefinite.  Given sequences of functions,
-each form returns its matrix over all pairs from one batched evaluation.
+for odd n the form is genuinely indefinite.  Each form takes two sequences
+of test functions and returns its matrix over all pairs from one batched
+evaluation; one pair is the 1 x 1 matrix of two one-element sequences.
 
 The forms are exact: no integral is done numerically.  For two atoms,
 conj(a) b t^k is a polynomial P times exp(-A t^2 + B t + C) with A > 0 and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
@@ -57,8 +58,6 @@ __all__ = [
 QUAD_REL = 1e-11     # relative accuracy target of quadrature and exact forms
 ENVELOPE_TOL = 1e-18  # tail truncation threshold for Gaussian envelopes
 GRID_PANELS = 32    # panels on each half of the frequency grid
-
-Functions = Union[TestFunction, Sequence[TestFunction]]
 
 # Orientation of the frequency-domain sign multiplier for odd orders,
 # calibrated so that (f, eta_n h)_{H_n} reproduces the time-domain kernel
@@ -254,17 +253,6 @@ def _form_matrix(fs: Sequence[TestFunction], hs: Sequence[TestFunction],
     return np.conj(fa.to_fn) @ pairs @ fb.to_fn.T
 
 
-def _listed(f: Functions) -> tuple[TestFunction, ...]:
-    return (f,) if isinstance(f, TestFunction) else tuple(f)
-
-
-def _shaped(matrix: np.ndarray, f: Functions, h: Functions):
-    """A scalar for two single functions, else the whole pair matrix."""
-    if isinstance(f, TestFunction) and isinstance(h, TestFunction):
-        return complex(matrix[0, 0])
-    return matrix
-
-
 def _check_order(n: int) -> None:
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -276,39 +264,35 @@ def _check_gamma(gamma: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the forms
+# the forms: M[i, j] is the form of fs[i] and hs[j]
 # ---------------------------------------------------------------------------
-#
-# Each form takes two test functions and returns a complex number, or takes
-# sequences of test functions (a single function counts as a sequence of one)
-# and returns the matrix of the form over all pairs, in one batched call.
 
 
-def weighted_inner(n: int, f: Functions, h: Functions) -> complex | np.ndarray:
+def weighted_inner(n: int, fs: Sequence[TestFunction],
+                   hs: Sequence[TestFunction]) -> np.ndarray:
     """Positive form of order n: integral |x|^n conj(f_F(x)) h_F(x) dx."""
     _check_order(n)
-    fF = [g.fourier() for g in _listed(f)]
-    hF = [g.fourier() for g in _listed(h)]
-    return _shaped(_form_matrix(fF, hF, n, absolute=True), f, h)
+    return _form_matrix([f.fourier() for f in fs], [h.fourier() for h in hs],
+                        n, absolute=True)
 
 
-def indefinite_inner(n: int, gamma: float, f: Functions,
-                     h: Functions) -> complex | np.ndarray:
+def indefinite_inner(n: int, gamma: float, fs: Sequence[TestFunction],
+                     hs: Sequence[TestFunction]) -> np.ndarray:
     """Commutator kernel  i^n gamma integral conj(f^(n)(t)) h(t) dt."""
     _check_order(n)
     _check_gamma(gamma)
-    fd = [g.derivative(n) for g in _listed(f)]
-    return _shaped((1j) ** n * gamma * _form_matrix(fd, _listed(h), 0), f, h)
+    fd = [f.derivative(n) for f in fs]
+    return (1j) ** n * gamma * _form_matrix(fd, hs, 0)
 
 
-def indefinite_inner_frequency(n: int, gamma: float, f: Functions,
-                               h: Functions) -> complex | np.ndarray:
+def indefinite_inner_frequency(n: int, gamma: float, fs: Sequence[TestFunction],
+                               hs: Sequence[TestFunction]) -> np.ndarray:
     """Same kernel through the frequency domain: gamma (-1)^n int x^n conj(f_F) h_F."""
     _check_order(n)
     _check_gamma(gamma)
-    fF = [g.fourier() for g in _listed(f)]
-    hF = [g.fourier() for g in _listed(h)]
-    return _shaped((-1.0) ** n * gamma * _form_matrix(fF, hF, n), f, h)
+    fF = [f.fourier() for f in fs]
+    hF = [h.fourier() for h in hs]
+    return (-1.0) ** n * gamma * _form_matrix(fF, hF, n)
 
 
 # ---------------------------------------------------------------------------

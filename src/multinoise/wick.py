@@ -185,6 +185,6 @@ def correlation(signs: Sequence[int], orders: Sequence[int],
         n = orders[j]
         if n != orders[k]:
             return 0j  # cross-channel Kronecker delta
-        return indefinite_inner(n, gammas[n], smears[j], smears[k])
+        return indefinite_inner(n, gammas[n], (smears[j],), (smears[k],))[0, 0]
 
     return wick_sum(signs, pair)

@@ -211,6 +211,15 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
      "form_factor[0]: atom width"),
     ("corr-check", {"smears": [atom_with(poly=[])] * 4},
      "smears[0][0]: atom polynomial"),
+    ("gamma", {"output": {"directory": None}}, "output.directory"),
+    ("gamma", {"output": {"directory": 5}}, "output.directory"),
+    ("gamma", {"output": {"directory": True}}, "output.directory"),
+    ("gamma", {"output": {"directory": []}}, "output.directory"),
+    ("gamma", {"output": {"directory": {"value": "x"}}}, "output.directory"),
+    ("gamma", {"output": {"directory": ""}}, "output.directory"),
+    ("kernel-check", {"orders": []}, "kernel study"),
+    ("corr-check", {"orders": []}, "corr study"),
+    ("rep-check", {"truncation": {"basis_size": 6.5}}, "basis_size"),
 ], ids=["order-7-gamma", "order-7-kernel", "order-string", "order-bool",
         "order-fraction", "lambda-infinite", "lambda-square-underflows",
         "unknown-key-eps-supp-0", "unknown-key-eps-supp-2",
@@ -235,7 +244,11 @@ def test_short_lambda_grid_rejected_for_rate_studies(tmp_path):
         "atoms-257-form-factor", "atoms-257-smear", "poly-65-form-factor",
         "poly-65-smear", "form-factor-object", "form-factor-atom-object",
         "poly-string", "poly-triple", "atom-list", "atom-without-width",
-        "smear-string", "width-negative", "poly-empty-smear"])
+        "smear-string", "width-negative", "poly-empty-smear",
+        "output-directory-null", "output-directory-int",
+        "output-directory-bool", "output-directory-list",
+        "output-directory-object", "output-directory-empty",
+        "orders-empty-kernel", "orders-empty-corr", "basis-size-fraction"])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command,
                                         overrides, field):
     """One config error line that names the field, in the program's words
@@ -332,6 +345,34 @@ def test_atom_count_is_checked_before_any_atom(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["config error: form_factor must be a list of at most "
                    f"{config.MAX_ATOMS} atoms"]
+
+
+def test_smear_count_is_checked_before_any_smear(tmp_path, capsys,
+                                                 monkeypatch):
+    """One smear past MAX_SMEARS is refused, and 100,000 valid smears are
+    refused with no smear atom built: only the form factor's one atom."""
+    built = []
+    original = config.Atom
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(config, "Atom", counted)
+    for count in (config.MAX_SMEARS + 1, 100_000):
+        built.clear()
+        cfg = write_config(tmp_path, smears=[atom_json(gaussian())] * count)
+        assert cli.main(["corr-check", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["config error: smears must be a list of "
+                       f"1..{config.MAX_SMEARS} entries"]
+        assert len(built) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_float_counts_parse_as_int(tmp_path):
+    cfg = load_config(write_config(tmp_path, truncation={"basis_size": 6.0}))
+    assert cfg.basis_size == 6 and type(cfg.basis_size) is int
 
 
 def test_test_function_size_limits_are_inclusive(tmp_path):
@@ -436,6 +477,30 @@ def test_gamma_writes_table_and_succeeds(tmp_path):
     row0 = lines[1].split(",")
     assert float(row0[1]) == pytest.approx(2 * math.sqrt(math.pi), rel=1e-8)
     assert float(lines[2].split(",")[1]) == 0.0
+
+
+def test_gamma_writes_to_the_default_directory(tmp_path, monkeypatch):
+    """Without --out or output.directory, artifacts go to ./out."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, output={})
+    assert cli.main(["gamma", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "gamma.csv").is_file()
+
+
+def test_negative_gamma_0_exits_4_without_a_table(tmp_path, capsys,
+                                                  monkeypatch):
+    original = gamma.gamma_osc
+
+    def negative_gamma_0(disp, g, n, rule=None):
+        return -1e-9 if n == 0 else original(disp, g, n, rule)
+
+    monkeypatch.setattr(gamma, "gamma_osc", negative_gamma_0)
+    assert cli.main(["gamma", "--config", str(write_config(tmp_path))]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("OracleMismatch: gamma_0 = "), err
+    assert err[0].endswith(" violates nonnegativity"), err
+    assert not (tmp_path / "out" / "gamma.csv").exists()
 
 
 def test_support_failure_exits_3_without_force(tmp_path):
@@ -559,6 +624,29 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.parametrize("command, config_name, written", [
+    ("gamma", "catalog_linear", ["gamma.csv"]),
+    ("kernel-check", "kernel_linear", None),
+])
+def test_oracle_mismatch_at_a_rounding_tolerance_exits_4(
+        tmp_path, capsys, command, config_name, written):
+    """A shipped config with assert_rel 1e-16, below the tables' rounding
+    (kernel_linear's worst rel_diff is 8.8e-16): gamma keeps its table for
+    inspection, an expansion study writes nothing."""
+    raw = json.loads((CONFIG_DIR / f"{config_name}.json").read_text())
+    raw.update(tolerances={"assert_rel": 1e-16},
+               output={"directory": str(tmp_path / "out")})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: "), err
+    if written is None:
+        assert not (tmp_path / "out").exists()
+    else:
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
+
 def test_kernel_check_computes_the_exact_pair_once_per_lambda(tmp_path,
                                                              monkeypatch):
     calls = _counting(monkeypatch, expansion, "reservoir_pair")
@@ -582,18 +670,18 @@ def test_corr_check_computes_the_reservoir_word_once_per_lambda(tmp_path,
 
 
 def test_study_computes_each_noise_contraction_once(tmp_path, monkeypatch):
-    """Each (order, pair) contraction is lambda-free: one call per study.
+    """The contractions are lambda-free: one matrix call per nonzero order
+    per study, over the word's four smears, whatever the grid length.
 
-    The linear catalog's gamma_1 vanishes, so orders (0, 1) need only the
-    order-0 contraction of the word's four pairs, whatever the grid length.
+    The linear catalog's gamma_1 vanishes, so orders (0, 1, 2) need only
+    the order-0 and order-2 matrices.
     """
     calls = _counting(monkeypatch, expansion, "indefinite_inner")
-    cfg = write_config(tmp_path)  # two orders, four lambdas
+    cfg = write_config(tmp_path, orders=[0, 1, 2])  # four lambdas
     assert cli.main(["corr-check", "--config", str(cfg)]) == 0
-    smears = load_config(cfg).smears
-    assert len(calls) == 4
-    assert {(c[0], c[2], c[3]) for c in calls} == {
-        (0, f, h) for f, h in itertools.product(smears[:2], smears[2:4])}
+    smears = load_config(cfg).smears[:4]
+    assert [c[0] for c in calls] == [0, 2]
+    assert all(tuple(c[2]) == tuple(c[3]) == smears for c in calls)
 
 
 def test_quadrature_tolerance_keys_are_refused(tmp_path, capsys):

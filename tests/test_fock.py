@@ -171,7 +171,7 @@ def test_annihilate_create_vacuum_gives_kernel(small_sectors, stream):
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     out = mn.annihilate(cf, mn.create(ch, FockVector.vacuum(sector)))
-    kernel = mn.indefinite_inner(sector.n, sector.gamma, f, h)
+    kernel = mn.indefinite_inner(sector.n, sector.gamma, [f], [h])[0, 0]
     assert abs(complex(unpack(out)[0]) - kernel) <= 1e-10 * (1 + abs(kernel))
 
 
@@ -221,7 +221,7 @@ def test_ccr_on_random_vectors(small_sectors, stream):
         ch = random_coefficients(stream, sector.size)
         f = mn.linear_combination(cf, sector.basis)
         h = mn.linear_combination(ch, sector.basis)
-        kernel = mn.indefinite_inner(sector.n, sector.gamma, f, h)
+        kernel = mn.indefinite_inner(sector.n, sector.gamma, [f], [h])[0, 0]
         phi = random_fock_vector(sector, stream, max_rank=sector.particle_cap - 1)
         ac = mn.annihilate(cf, mn.create(ch, phi))
         ca = mn.create(ch, mn.annihilate(cf, phi))
@@ -319,7 +319,7 @@ def test_vacuum_expectation_of_pair_is_kernel(small_sectors, stream):
     f = mn.linear_combination(cf, sector.basis)
     h = mn.linear_combination(ch, sector.basis)
     val = mn.vacuum_expectation((-1, +1), (1, 1), (cf, ch), small_sectors)
-    kernel = mn.indefinite_inner(1, sector.gamma, f, h)
+    kernel = mn.indefinite_inner(1, sector.gamma, [f], [h])[0, 0]
     assert abs(val - kernel) <= 1e-10 * (1 + abs(kernel))
 
 

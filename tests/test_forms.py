@@ -35,22 +35,25 @@ def quad_oracle(weight, f, h):
 
 def test_gaussian_unit_norm():
     phi = mn.gaussian()
-    assert_allclose(mn.indefinite_inner(0, 1.0, phi, phi), 1.0, rtol=1e-12)
+    assert_allclose(mn.indefinite_inner(0, 1.0, [phi], [phi])[0, 0], 1.0,
+                    rtol=1e-12)
 
 
 def test_hermite_orthogonality():
-    assert abs(mn.indefinite_inner(0, 1.0, mn.gaussian(),
-                                   mn.hermite_fn(1))) < 1e-12
-    assert_allclose(mn.indefinite_inner(0, 1.0, mn.hermite_fn(2),
-                                        mn.hermite_fn(2)), 1.0, rtol=1e-12)
+    assert abs(mn.indefinite_inner(0, 1.0, [mn.gaussian()],
+                                   [mn.hermite_fn(1)])[0, 0]) < 1e-12
+    assert_allclose(mn.indefinite_inner(0, 1.0, [mn.hermite_fn(2)],
+                                        [mn.hermite_fn(2)])[0, 0], 1.0,
+                    rtol=1e-12)
 
 
 def test_parseval(rng):
     for _ in range(5):
         f = random_test_function(rng)
         h = random_test_function(rng)
-        time_side = mn.indefinite_inner(0, 1.0, f, h)
-        freq_side = mn.indefinite_inner(0, 1.0, f.fourier(), h.fourier())
+        time_side = mn.indefinite_inner(0, 1.0, [f], [h])[0, 0]
+        freq_side = mn.indefinite_inner(0, 1.0, [f.fourier()],
+                                        [h.fourier()])[0, 0]
         assert abs(time_side - freq_side) <= 1e-10 * (1 + abs(time_side))
 
 
@@ -59,17 +62,17 @@ def test_parseval(rng):
 
 def test_weighted_inner_examples():
     phi = mn.gaussian()
-    assert_allclose(mn.weighted_inner(0, phi, phi), 1.0, rtol=1e-12)
-    assert_allclose(mn.weighted_inner(1, phi, phi), 1 / math.sqrt(math.pi),
-                    rtol=1e-10)
-    assert_allclose(mn.weighted_inner(2, phi, phi), 0.5, rtol=1e-10)
+    assert_allclose(mn.weighted_inner(0, [phi], [phi])[0, 0], 1.0, rtol=1e-12)
+    assert_allclose(mn.weighted_inner(1, [phi], [phi])[0, 0],
+                    1 / math.sqrt(math.pi), rtol=1e-10)
+    assert_allclose(mn.weighted_inner(2, [phi], [phi])[0, 0], 0.5, rtol=1e-10)
 
 
 def test_weighted_positivity(rng):
     for _ in range(100):
         f = random_test_function(rng, n_atoms=1)
         for n in range(5):
-            assert mn.weighted_inner(n, f, f).real >= -1e-12
+            assert mn.weighted_inner(n, [f], [f])[0, 0].real >= -1e-12
 
 
 # -- indefinite commutator kernel ---------------------------------------------
@@ -77,28 +80,29 @@ def test_weighted_positivity(rng):
 
 def test_real_gaussian_dipole_kernel_vanishes():
     phi = mn.gaussian()
-    assert abs(mn.indefinite_inner(1, 1.0, phi, phi)) < 1e-12
+    assert abs(mn.indefinite_inner(1, 1.0, [phi], [phi])[0, 0]) < 1e-12
 
 
 def test_negative_square_norm_witness():
     f = mn.gaussian(modulation=-5.0)
-    assert_allclose(mn.indefinite_inner(1, 1.0, f, f), -5.0, rtol=1e-9)
+    assert_allclose(mn.indefinite_inner(1, 1.0, [f], [f])[0, 0], -5.0,
+                    rtol=1e-9)
 
 
 def test_order_zero_reduces_to_weighted_l2(rng):
     gamma0 = 2.3
     f, h = random_test_function(rng), random_test_function(rng)
-    lhs = mn.indefinite_inner(0, gamma0, f, h)
-    rhs = gamma0 * mn.indefinite_inner(0, 1.0, f, h)
+    lhs = mn.indefinite_inner(0, gamma0, [f], [h])[0, 0]
+    rhs = gamma0 * mn.indefinite_inner(0, 1.0, [f], [h])[0, 0]
     assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
 def test_zero_gamma_rejected():
     phi = mn.gaussian()
     with pytest.raises(ZeroGamma):
-        mn.indefinite_inner(1, 0.0, phi, phi)
+        mn.indefinite_inner(1, 0.0, [phi], [phi])
     with pytest.raises(ZeroGamma):
-        mn.indefinite_inner_frequency(1, 0.0, phi, phi)
+        mn.indefinite_inner_frequency(1, 0.0, [phi], [phi])
 
 
 def test_conjugate_symmetry(rng):
@@ -106,8 +110,8 @@ def test_conjugate_symmetry(rng):
         for _ in range(3):
             f = random_test_function(rng, n_atoms=1)
             h = random_test_function(rng, n_atoms=1)
-            a = mn.indefinite_inner(n, 0.7, f, h)
-            b = mn.indefinite_inner(n, 0.7, h, f)
+            a = mn.indefinite_inner(n, 0.7, [f], [h])[0, 0]
+            b = mn.indefinite_inner(n, 0.7, [h], [f])[0, 0]
             assert abs(a - np.conj(b)) <= 1e-10 * (1 + abs(a))
 
 
@@ -115,11 +119,11 @@ def test_time_and_frequency_routes_agree(rng):
     for n in range(5):
         f = random_test_function(rng, n_atoms=1)
         h = random_test_function(rng, n_atoms=1)
-        time_route = mn.indefinite_inner(n, 1.0, f, h)
-        freq_route = mn.indefinite_inner_frequency(n, 1.0, f, h)
+        time_route = mn.indefinite_inner(n, 1.0, [f], [h])[0, 0]
+        freq_route = mn.indefinite_inner_frequency(n, 1.0, [f], [h])[0, 0]
         assert abs(time_route - freq_route) <= 1e-8 * (1 + abs(time_route))
         if n % 2 == 0:
-            weighted = mn.weighted_inner(n, f, h)
+            weighted = mn.weighted_inner(n, [f], [h])[0, 0]
             assert abs(time_route - weighted) <= 1e-8 * (1 + abs(weighted))
 
 
@@ -127,8 +131,8 @@ def test_time_and_frequency_routes_agree(rng):
 def test_indefiniteness_witnesses(n):
     plus = mn.gaussian(modulation=5.0)    # frequency content at -5
     minus = mn.gaussian(modulation=-5.0)  # frequency content at +5
-    assert mn.indefinite_inner(n, 1.0, plus, plus).real > 1.0
-    assert mn.indefinite_inner(n, 1.0, minus, minus).real < -1.0
+    assert mn.indefinite_inner(n, 1.0, [plus], [plus])[0, 0].real > 1.0
+    assert mn.indefinite_inner(n, 1.0, [minus], [minus])[0, 0].real < -1.0
 
 
 # -- exact forms against the quadrature oracle ------------------------------------
@@ -143,13 +147,13 @@ def test_exact_forms_match_quadrature(n):
         fF, hF = f.fourier(), h.fourier()
         fd = f.derivative(n)
         cases = [
-            (mn.indefinite_inner(0, 1.0, f, h),
+            (mn.indefinite_inner(0, 1.0, [f], [h])[0, 0],
              quad_oracle(lambda t: 1.0, f, h)),
-            (mn.weighted_inner(n, f, h),
+            (mn.weighted_inner(n, [f], [h])[0, 0],
              quad_oracle(lambda x: np.abs(x) ** n, fF, hF)),
-            (mn.indefinite_inner(n, 0.7, f, h),
+            (mn.indefinite_inner(n, 0.7, [f], [h])[0, 0],
              (1j) ** n * 0.7 * quad_oracle(lambda t: 1.0, fd, h)),
-            (mn.indefinite_inner_frequency(n, 0.7, f, h),
+            (mn.indefinite_inner_frequency(n, 0.7, [f], [h])[0, 0],
              (-1.0) ** n * 0.7 * quad_oracle(lambda x: x ** n, fF, hF)),
         ]
         for exact, oracle in cases:
@@ -169,8 +173,9 @@ def test_batched_forms_match_pairwise_calls(rng):
             assert matrix.shape == (3, 2)
             for i, f in enumerate(fs):
                 for j, h in enumerate(hs):
-                    assert_allclose(matrix[i, j], form(f, h), rtol=1e-13)
-            assert_allclose(form(fs[0], hs), matrix[:1], rtol=1e-13)
+                    assert_allclose(matrix[i, j], form([f], [h])[0, 0],
+                                    rtol=1e-13)
+            assert_allclose(form(fs[:1], hs), matrix[:1], rtol=1e-13)
     zero_row = mn.weighted_inner(1, [mn.zero()], hs)
     assert zero_row.shape == (1, 2) and not np.any(zero_row)
 
@@ -231,9 +236,9 @@ def test_large_modulation_gap_against_high_precision(case):
     for n, (kernel, weighted) in enumerate(rows):
         # the values lie far below the size of their integrands (down to
         # 1e-27 of it); QUAD_REL is the accuracy the forms promise
-        assert abs(mn.indefinite_inner(n, 1.0, f, h) - kernel) \
+        assert abs(mn.indefinite_inner(n, 1.0, [f], [h])[0, 0] - kernel) \
             <= QUAD_REL * abs(kernel)
-        assert abs(mn.weighted_inner(n, f, h) - weighted) \
+        assert abs(mn.weighted_inner(n, [f], [h])[0, 0] - weighted) \
             <= QUAD_REL * abs(weighted)
 
 
@@ -243,15 +248,15 @@ def test_separated_atoms_odd_weighted_form_raises():
     order grows.  It must report that instead of returning the value."""
     f, h = mn.gaussian(center=-5.0), mn.gaussian(center=5.0)
     # mpmath at 60 digits, as above
-    assert_allclose(mn.weighted_inner(1, f, h), -0.012040225606926656,
-                    rtol=QUAD_REL)
-    assert_allclose(mn.weighted_inner(2, f, h), -3.4025462469161855e-10,
-                    rtol=QUAD_REL)
-    assert_allclose(mn.indefinite_inner(5, 1.0, f, h), -3.498025860987813e-08j,
-                    rtol=QUAD_REL)
+    assert_allclose(mn.weighted_inner(1, [f], [h])[0, 0],
+                    -0.012040225606926656, rtol=QUAD_REL)
+    assert_allclose(mn.weighted_inner(2, [f], [h])[0, 0],
+                    -3.4025462469161855e-10, rtol=QUAD_REL)
+    assert_allclose(mn.indefinite_inner(5, 1.0, [f], [h])[0, 0],
+                    -3.498025860987813e-08j, rtol=QUAD_REL)
     for n in (3, 5):
         with pytest.raises(QuadratureFailure):
-            mn.weighted_inner(n, f, h)
+            mn.weighted_inner(n, [f], [h])
 
 
 # -- grids and the metric operator ----------------------------------------------
@@ -287,7 +292,7 @@ def test_grid_inner_matches_weighted(rng):
         nodes, weights = mn.frequency_grid([f, h])
         val = mn.grid_weighted_inner(n, nodes, weights, f.fourier()(nodes),
                                      h.fourier()(nodes))
-        ref = mn.weighted_inner(n, f, h)
+        ref = mn.weighted_inner(n, [f], [h])[0, 0]
         assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
 
 
@@ -341,7 +346,7 @@ def test_metric_orientation(rng):
         h = random_test_function(rng, n_atoms=1)
         nodes, weights = mn.frequency_grid([f, h])
         uf, uh = f.fourier()(nodes), h.fourier()(nodes)
-        kernel = mn.indefinite_inner(n, 1.0, f, h)
+        kernel = mn.indefinite_inner(n, 1.0, [f], [h])[0, 0]
         calibrated = mn.grid_weighted_inner(n, nodes, weights, uf,
                                             mn.metric_sign(n, nodes) * uh)
         flipped = mn.grid_weighted_inner(n, nodes, weights, uf,
@@ -356,7 +361,7 @@ def test_metric_even_orders_reduce_to_weighted(rng):
     nodes, weights = mn.frequency_grid([f, h])
     val = mn.grid_weighted_inner(2, nodes, weights, f.fourier()(nodes),
                                  mn.metric_sign(2, nodes) * h.fourier()(nodes))
-    kernel = mn.indefinite_inner(2, 1.0, f, h)
+    kernel = mn.indefinite_inner(2, 1.0, [f], [h])[0, 0]
     assert abs(val - kernel) <= 1e-12 * (1 + abs(kernel))
 
 

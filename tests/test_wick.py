@@ -79,7 +79,8 @@ def test_correlation_two_point_examples(rng):
 
     gamma0 = 1.7
     assert_allclose(two_point(0, gamma0, f, h),
-                    gamma0 * mn.indefinite_inner(0, 1.0, f, h), rtol=1e-10)
+                    gamma0 * mn.indefinite_inner(0, 1.0, [f], [h])[0, 0],
+                    rtol=1e-10)
     phi = mn.gaussian()
     assert abs(two_point(1, 1.0, phi, phi)) < 1e-12
     with pytest.raises(ZeroGamma):
@@ -250,10 +251,19 @@ def test_reservoir_pair_small_lambda_approaches_white_noise(quadratic_catalog):
     f_plus = mn.gaussian(width=2.5, modulation=-0.4)
     lam = 0.1
     val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
-    white = gammas[0] * mn.indefinite_inner(0, 1.0, f_minus, f_plus)
+    white = gammas[0] * mn.indefinite_inner(0, 1.0, [f_minus], [f_plus])[0, 0]
     budget = 1.5 * sum(lam ** (2 * n) * abs(mn.indefinite_inner(
-        n, gammas[n], f_minus, f_plus)) for n in (1, 2))
+        n, gammas[n], [f_minus], [f_plus])[0, 0]) for n in (1, 2))
     assert abs(val - white) <= budget
+
+
+def test_reservoir_pair_with_an_empty_momentum_range_is_exact_zero():
+    """A form factor wholly at negative momentum leaves the radial
+    reservoir's half line empty: the pair is 0j, with no panel sum."""
+    disp = mn.LinearDispersion(slope=1.0, offset=0.0, dimension=3)
+    g = mn.gaussian(center=-20.0, width=0.5)
+    val = mn.reservoir_pair(disp, g, 0.3, *DEFAULT_WORD_SMEARS[:2])
+    assert type(val) is complex and val == 0j
 
 
 def test_reservoir_pair_radial_reduction_matches_its_gamma():
@@ -264,7 +274,7 @@ def test_reservoir_pair_radial_reduction_matches_its_gamma():
     f = mn.gaussian(width=2.5)
     h = mn.gaussian(width=2.5, modulation=-0.4)
     val = mn.reservoir_pair(disp, g, 0.1, f, h)
-    white = gammas[0] * mn.indefinite_inner(0, 1.0, f, h)
+    white = gammas[0] * mn.indefinite_inner(0, 1.0, [f], [h])[0, 0]
     assert abs(val - white) <= 0.05 * abs(white)
 
 
@@ -316,7 +326,8 @@ def test_correlation_two_point_word_is_kernel(rng):
     f = random_test_function(rng, n_atoms=1)
     h = random_test_function(rng, n_atoms=1)
     val = mn.correlation((-1, +1), (1, 1), (f, h), {1: 0.8})
-    assert_allclose(val, mn.indefinite_inner(1, 0.8, f, h), rtol=1e-12)
+    assert_allclose(val, mn.indefinite_inner(1, 0.8, [f], [h])[0, 0],
+                    rtol=1e-12)
 
 
 def test_correlation_cross_channel_is_exact_zero(rng):
