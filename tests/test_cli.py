@@ -670,18 +670,48 @@ def test_corr_check_computes_the_reservoir_word_once_per_lambda(tmp_path,
 
 
 def test_study_computes_each_noise_contraction_once(tmp_path, monkeypatch):
-    """The contractions are lambda-free: one matrix call per nonzero order
-    per study, over the word's four smears, whatever the grid length.
+    """The contractions are lambda-free: one call per nonzero order and
+    annihilator letter per study, each the row of that letter's smear over
+    the two creator smears, whatever the grid length.
 
     The linear catalog's gamma_1 vanishes, so orders (0, 1, 2) need only
-    the order-0 and order-2 matrices.
+    the order-0 and order-2 rows.
     """
     calls = _counting(monkeypatch, expansion, "indefinite_inner")
     cfg = write_config(tmp_path, orders=[0, 1, 2])  # four lambdas
     assert cli.main(["corr-check", "--config", str(cfg)]) == 0
     smears = load_config(cfg).smears[:4]
-    assert [c[0] for c in calls] == [0, 2]
-    assert all(tuple(c[2]) == tuple(c[3]) == smears for c in calls)
+    assert [c[0] for c in calls] == [0, 0, 2, 2]
+    assert [tuple(c[2]) for c in calls] == [smears[:1], smears[1:2]] * 2
+    assert all(tuple(c[3]) == smears[2:] for c in calls)
+
+
+@pytest.mark.parametrize("command, stem, scales", [
+    ("kernel-check", "kernel", (1e200, 1e-200)),
+    ("corr-check", "corr", (1e200, 1e200, 1e-200, 1e-200)),
+])
+def test_study_forms_only_annihilator_creator_contractions(tmp_path, command,
+                                                            stem, scales):
+    """Annihilator smears scaled by 1e200 and creator smears by 1e-200 leave
+    every contraction the word uses of order one, so the noise side equals
+    the unscaled one.  An annihilator-annihilator product would overflow and
+    exit 4, so the study must not form one."""
+    smears = config.DEFAULT_WORD_SMEARS[:len(scales)]
+    scaled = [[dict(a, coefficient_re=a["coefficient_re"] * s,
+                    coefficient_im=a["coefficient_im"] * s)
+               for a in atom_json(f)] for f, s in zip(smears, scales)]
+    rhs = {}
+    for name, entries in (("plain", [atom_json(f) for f in smears]),
+                          ("scaled", scaled)):
+        out = tmp_path / name
+        cfg = write_config(tmp_path, f"{name}.json", smears=entries,
+                           output={"directory": str(out)})
+        assert cli.main([command, "--config", str(cfg)]) != 4
+        rows = csv.DictReader(
+            (out / f"{stem}_points.csv").read_text().splitlines())
+        rhs[name] = [complex(float(r["rhs_re"]), float(r["rhs_im"]))
+                     for r in rows]
+    np.testing.assert_allclose(rhs["scaled"], rhs["plain"], rtol=1e-12)
 
 
 def test_quadrature_tolerance_keys_are_refused(tmp_path, capsys):

@@ -39,19 +39,20 @@ def _noise_side(signs, smears, N, lam, catalog, gammas):
     return by_order[N][0].rhs
 
 
-def _graded_pair(n, lam, gammas, smears, j, k):
-    """lam^(2n) times the order-n contraction of letters j and k, read from
-    the order's matrix over all the word's smears."""
-    return lam ** (2 * n) * mn.indefinite_inner(n, gammas[n], smears,
-                                                smears)[j, k]
+def _graded_pair(n, lam, gammas, f_minus, creators, k=0):
+    """lam^(2n) times the order-n contraction of f_minus with creators[k],
+    read from the row of f_minus over all the creators.  With one creator
+    this is the one-pair call."""
+    return lam ** (2 * n) * mn.indefinite_inner(n, gammas[n], [f_minus],
+                                                creators)[0, k]
 
 
-def _truncated_pair_by_hand(N, lam, smears, j, k, gammas):
+def _truncated_pair_by_hand(N, lam, f_minus, creators, k, gammas):
     """Graded partial sum over orders 0..N, skipping vanishing coefficients."""
     total = 0j
     for n in range(N + 1):
         if gammas[n] != 0:
-            total += _graded_pair(n, lam, gammas, smears, j, k)
+            total += _graded_pair(n, lam, gammas, f_minus, creators, k)
     return total
 
 
@@ -89,8 +90,7 @@ def test_truncated_pair_is_sum_of_noise_pairs(rng, linear_catalog):
     h = random_test_function(rng, n_atoms=1)
     gammas = {0: 1.1, 1: -0.4, 2: 0.9}
     lam = 0.6
-    by_hand = sum(_graded_pair(n, lam, gammas, (f, h), 0, 1)
-                  for n in range(3))
+    by_hand = sum(_graded_pair(n, lam, gammas, f, [h]) for n in range(3))
     assert_allclose(_noise_side((-1, +1), [f, h], 2, lam, linear_catalog,
                                 gammas),
                     by_hand, rtol=1e-13)
@@ -128,8 +128,8 @@ def test_multi_order_kernel_error_shares_one_exact_value(quadratic_study):
         for lam, p in zip(lams, points):
             assert p.order == N
             assert p.lhs == mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
-            assert p.rhs == _truncated_pair_by_hand(N, lam, (f_minus, f_plus),
-                                                    0, 1, gammas)
+            assert p.rhs == _truncated_pair_by_hand(N, lam, f_minus, [f_plus],
+                                                    0, gammas)
             assert p.abs_error == abs(p.lhs - p.rhs)
 
 
@@ -146,7 +146,7 @@ def test_multi_order_correlation_error_shares_one_exact_value(quadratic_study):
         for N, p in ((0, p0), (1, p1)):
             assert p.lam == lam and p.order == N and p.lhs == lhs
             assert p.rhs == wick_sum(signs, lambda j, k: _truncated_pair_by_hand(
-                N, lam, smears, j, k, gammas))
+                N, lam, smears[j], smears[2:], k - 2, gammas))
 
 
 def test_two_point_correlation_error_matches_kernel_error(quadratic_study):
@@ -154,7 +154,7 @@ def test_two_point_correlation_error_matches_kernel_error(quadratic_study):
     disp, g, gammas, f_minus, f_plus = quadratic_study
     point, = _kernel_study([0], [0.3], *quadratic_study)[0]
     exact = mn.reservoir_pair(disp, g, 0.3, f_minus, f_plus)
-    noise = _graded_pair(0, 0.3, gammas, (f_minus, f_plus), 0, 1)
+    noise = _graded_pair(0, 0.3, gammas, f_minus, [f_plus])
     assert abs(point.lhs - exact) <= 1e-12 * abs(exact)
     assert abs(point.rhs - noise) <= 1e-12 * abs(noise)
 
