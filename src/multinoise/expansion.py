@@ -9,8 +9,7 @@ the error quantifies the remainder order.  The two-point kernel is the word
 study is the only place that grades by lambda.  The noise side's
 pair kernel is the graded sum over n <= N of lambda^(2n) times the order-n
 contraction i^n gamma_n integral conj(f_minus^(n)) f_plus dt, which does not
-depend on lambda, so each order's contractions form one matrix per study,
-annihilators by creators.
+depend on lambda, so each order's contractions form one matrix per study.
 
 With the adopted per-pair grading lambda^(2n), a truncation after order N
 leaves an error of order lambda^(2N+2); the fit is also reported against the
@@ -53,9 +52,8 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
     The reservoir has dispersion ``disp`` and form factor ``g``; letter j has
     sign ``signs[j]`` and smear ``smears[j]``.  Returns, for each N in
     ``orders`` (in that order), one point per lambda of ``lambda_grid``.
-    Each order's contractions are one matrix, annihilator letters by creator
-    letters, computed once a row; orders with a vanishing coefficient
-    contribute exactly zero.
+    Each order's contractions are one matrix, annihilators by creators,
+    computed once; orders with a vanishing coefficient contribute exactly zero.
     """
     signs = list(signs)
     if len(signs) % 2 or signs.count(+1) != signs.count(-1):
@@ -65,14 +63,10 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
 
     minus = [j for j, s in enumerate(signs) if s < 0]
     plus = [k for k, s in enumerate(signs) if s > 0]
-    creators = [smears[k] for k in plus]
-    # one form call per annihilator row: a row keeps the atom sums at
-    # matrix-vector size, where a multi-row complex product would page in
-    # BLAS zgemm (about 0.3 MB of resident memory) for corr-check's 2 x 2
-    contractions = {n: np.vstack([indefinite_inner(n, gammas[n], [smears[j]],
-                                                   creators) for j in minus])
-                    for n in range(max(orders, default=-1) + 1)
-                    if gammas[n] != 0}
+    # a call per annihilator: multi-row complex products page in zgemm, +0.3 MB
+    contractions = {n: np.vstack([indefinite_inner(
+        n, gammas[n], [smears[j]], [smears[k] for k in plus]) for j in minus])
+        for n in range(max(orders, default=-1) + 1) if gammas[n] != 0}
     by_order = {N: [] for N in orders}
     for lam in lambda_grid:
         lhs = wick_sum(signs, lambda j, k: reservoir_pair(
@@ -82,8 +76,7 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
             for n in range(N + 1):
                 if n in contractions:
                     graded += lam ** (2 * n) * contractions[n]
-            rhs = wick_sum(signs, lambda j, k: graded[minus.index(j),
-                                                      plus.index(k)])
+            rhs = wick_sum(signs, lambda j, k: graded[minus.index(j), plus.index(k)])
             by_order[N].append(ExpansionPoint(lam, N, lhs, rhs))
     return by_order
 
