@@ -28,8 +28,8 @@ from .fock import (FockVector, Sector, annihilate, build_sector, create,
                    fock_inner, project_coefficients, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, metric_sign, weighted_inner)
-from .gamma import (GammaRow, GammaTable, SupportReport, check_support,
-                    gamma_osc, gamma_shell, gamma_table)
+from .gamma import (GammaRow, GammaTable, check_support, gamma_osc,
+                    gamma_shell, gamma_table)
 from .wick import correlation, enumerate_matchings, reservoir_pair
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ F = w |g|^2 and S F = (F / omega')'.  F is carried as its Taylor series about
 k0, from the exact derivatives of g; omega' is affine in k, so each division
 by it is a two-term recurrence and S loses nothing but rounding.
 Both routes require the stationary set of omega to avoid the support of g,
-where |g|^2 may reach EPS_SUPP; ``check_support`` reports that condition.
+where |g|^2 may reach EPS_SUPP, and ``check_support`` raises otherwise.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ import numpy as np
 from .atoms import TestFunction
 from .dispersion import (Dispersion, clip_domain, curvature, measure_taylor,
                          measure_weight)
-from .errors import DegenerateRoot, OracleMismatch, SlowDecay
+from .errors import (DegenerateRoot, OracleMismatch, SlowDecay,
+                     SupportConditionFailed)
 from .panels import GL_NODES, GL_WEIGHTS, MOMENTUM_TOL, envelope, panel_rule
 
 __all__ = [
-    "SupportReport",
     "check_support",
     "gamma_osc",
     "gamma_shell",
@@ -62,21 +62,15 @@ MAX_ORDER = 6
 SERIES_FROM = 8.0  # |Sigma omega| from which M_n is summed by parts
 
 
-@dataclass(frozen=True)
-class SupportReport:
-    support: tuple[float, float]
-    stationary_inside: tuple[float, ...]
-
-    @property
-    def passes(self) -> bool:
-        return not self.stationary_inside
-
-
-def check_support(disp: Dispersion, g: TestFunction) -> SupportReport:
-    """Stationary points of omega where |g(k)|^2 may reach EPS_SUPP."""
+def check_support(disp: Dispersion, g: TestFunction) -> tuple[float, float]:
+    """The effective support (lo, hi), where |g(k)|^2 may reach EPS_SUPP;
+    SupportConditionFailed if a stationary point of omega lies inside it."""
     lo, hi = clip_domain(disp, *envelope(g, math.sqrt(EPS_SUPP)))
-    inside = tuple(p for p in disp.stationary_points() if lo <= p <= hi)
-    return SupportReport((lo, hi), inside)
+    inside = [p for p in disp.stationary_points() if lo <= p <= hi]
+    if inside:
+        raise SupportConditionFailed(
+            f"stationary points {inside} inside effective support {(lo, hi)}")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +270,13 @@ class GammaTable:
     def max_rel_diff(self) -> float:
         # np.max keeps a NaN that the builtin max would drop
         return float(np.max([r.rel_diff for r in self.rows], initial=0.0))
+
+    def check(self, assert_rel: float) -> None:
+        """OracleMismatch unless every row's rel_diff is at most assert_rel."""
+        worst = self.max_rel_diff()
+        if not worst <= assert_rel:
+            raise OracleMismatch(f"gamma oracle mismatch: max rel_diff "
+                                 f"{worst:.3g} exceeds {assert_rel:g}")
 
     def gammas(self) -> dict[int, float]:
         return {r.n: r.gamma_osc for r in self.rows}

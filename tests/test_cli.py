@@ -607,7 +607,8 @@ def test_expansion_study_refuses_disagreeing_gamma_oracles(tmp_path, capsys,
         orders=[0, 5])
     assert cli.main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: "), err
+    assert len(err) == 1 and err[0].startswith(
+        "OracleMismatch: gamma oracle mismatch: "), err
     assert not (tmp_path / "out").exists()
 
 
@@ -640,7 +641,8 @@ def test_oracle_mismatch_at_a_rounding_tolerance_exits_4(
     cfg.write_text(json.dumps(raw))
     assert cli.main([command, "--config", str(cfg)]) == 4
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: "), err
+    assert len(err) == 1 and err[0].startswith(
+        "OracleMismatch: gamma oracle mismatch: "), err
     if written is None:
         assert not (tmp_path / "out").exists()
     else:
@@ -804,13 +806,13 @@ def test_unexpected_exception_exits_4_in_one_line(tmp_path, capsys,
     assert err == ["RuntimeError: first line second line"]
 
 
-def test_nan_gamma_row_fails_the_oracle_gate(capsys):
+def test_nan_gamma_row_fails_the_oracle_gate():
     # NaN after a finite row: the builtin max would have kept the 0.0
     table = GammaTable((GammaRow(0, 1.0, 1.0, 0.0),
                         GammaRow(1, math.nan, 0.0, math.nan)))
-    assert not cli._oracle_agrees(table, 1e-6)
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("gamma oracle mismatch: ")
+    with pytest.raises(multinoise.OracleMismatch,
+                       match=r"^gamma oracle mismatch: max rel_diff nan "):
+        table.check(1e-6)
 
 
 def test_nan_suite_residual_fails_rep_check(tmp_path, monkeypatch):

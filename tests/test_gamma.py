@@ -10,7 +10,8 @@ from numpy.testing import assert_allclose
 
 import multinoise as mn
 from multinoise import gamma as gamma_mod
-from multinoise.errors import DegenerateRoot, QuadratureFailure, SlowDecay
+from multinoise.errors import (DegenerateRoot, QuadratureFailure, SlowDecay,
+                               SupportConditionFailed)
 from multinoise.panels import MAX_RULE_PANELS, panel_rule
 from oracles import gamma_by_sigma_panels, i_sigma, i_sigma_on_rule
 
@@ -146,16 +147,17 @@ def test_sigma_decay_ladder(linear_catalog, quadratic_catalog):
 
 def test_check_support_examples():
     quad = mn.QuadraticDispersion(mass=1.0, offset=1.0)
-    report = mn.check_support(quad, mn.gaussian(center=1.5, width=0.3))
-    assert report.passes
-    assert report.support[0] > 0
+    lo, hi = mn.check_support(quad, mn.gaussian(center=1.5, width=0.3))
+    assert 0 < lo < 1.5 < hi
 
-    centered = mn.check_support(quad, mn.gaussian(width=0.3))
-    assert not centered.passes
-    assert 0.0 in centered.stationary_inside
+    with pytest.raises(SupportConditionFailed,
+                       match=r"^stationary points \[0\.0\] inside effective "
+                             r"support \(-\d\.\d+, \d\.\d+\)$"):
+        mn.check_support(quad, mn.gaussian(width=0.3))
 
-    lin = mn.check_support(mn.LinearDispersion(slope=2.0), mn.gaussian())
-    assert lin.passes and lin.stationary_inside == ()
+    # a linear dispersion has no stationary point: any support passes
+    lo, hi = mn.check_support(mn.LinearDispersion(slope=2.0), mn.gaussian())
+    assert lo < 0 < hi
 
 
 def test_degenerate_root_detected():
@@ -181,8 +183,9 @@ def test_slow_decay_raised_for_stationary_point_in_support():
     for disp, g, message in cases:
         with pytest.raises(SlowDecay, match=message):
             mn.gamma_osc(disp, g, 0)
-    assert not mn.check_support(*cases[0][:2]).passes
-    assert mn.check_support(*cases[1][:2]).passes
+    with pytest.raises(SupportConditionFailed, match=r"^stationary points "):
+        mn.check_support(*cases[0][:2])
+    mn.check_support(*cases[1][:2])
 
 
 def test_order_cap():
