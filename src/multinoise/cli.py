@@ -158,14 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            cfg.seed = args.seed
-
+        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.command == "gamma":
                 return cmd_gamma(cfg, args.force)
