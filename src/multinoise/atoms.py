@@ -133,6 +133,11 @@ class TestFunction:
 
     # -- envelope bookkeeping --------------------------------------------------
 
+    def amplitude(self) -> float:
+        """Largest |coeff| * max_k |poly_k| over the atoms; linear in f."""
+        return max((abs(c) * max(map(abs, a.poly)) for c, a in self.atoms),
+                   default=0.0)
+
     def envelope_interval(self, tol: float = 1e-18) -> tuple[float, float]:
         """Interval outside which |f| is provably below ``tol``.
 

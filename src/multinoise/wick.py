@@ -49,7 +49,7 @@ __all__ = [
 
 MAX_WORD_LENGTH = 12  # exhaustive matching enumeration only
 PAIR_ABS, PAIR_REL = 1e-12, 1e-10  # panel-doubling agreement of reservoir_pair
-SPECTRUM_TOL = 1e-12  # |f_F| threshold bounding a smear's spectrum
+SPECTRUM_TOL = 1e-12  # |f_F| bound of a smear's spectrum, per unit amplitude
 
 
 def enumerate_matchings(signs: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
@@ -130,17 +130,17 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
         2 pi * integral dk  lambda^-2 w(k) |g(k)|^2
                             * conj(f_minus_F(u)) f_plus_F(u),   u = omega(k)/lambda^2,
 
-    over the momenta whose u lies where both smears' Fourier transforms
-    exceed SPECTRUM_TOL (outside that window one of the two factors is below
-    it).  For small lambda that window is O(lambda^2) wide, so it resolves
-    the energy shell at every lambda, and the k integrand carries no
-    1/|omega'| Jacobian, so a branch ending at a stationary point stays
-    smooth.  Each window is a Gauss-Legendre panel sum whose panel count
-    doubles until two successive sums agree to max(PAIR_ABS, PAIR_REL |I|);
-    QuadratureFailure if they still differ at MAX_PANELS panels.  The
-    oracles live in the test suite: adaptive quadrature of the u-substituted
-    integral (the Jacobian form), a time-domain tensor rule, and a dense sum
-    for a narrow spectral overlap.
+    over the momenta whose u lies where both smears' Fourier transforms exceed
+    SPECTRUM_TOL times their largest atom amplitude (outside that window one
+    factor is below it, however the smears are normalised).  For small lambda
+    that window is O(lambda^2) wide, so it resolves the energy shell at every
+    lambda, and the k integrand carries no 1/|omega'| Jacobian, so a branch
+    ending at a stationary point stays smooth.  Each window is a
+    Gauss-Legendre panel sum whose panel count doubles until two successive
+    sums agree to max(PAIR_ABS, PAIR_REL |I|); QuadratureFailure if they still
+    differ at MAX_PANELS panels.  The oracles live in the test suite: adaptive
+    quadrature of the u-substituted integral (the Jacobian form), a
+    time-domain tensor rule, and a dense sum for a narrow spectral overlap.
     """
     if not lam > 0:
         raise ValueError("coupling lambda must be positive")
@@ -148,8 +148,8 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     if hi <= lo:
         return 0j
     fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
-    m_lo, m_hi = envelope(fm_hat, SPECTRUM_TOL)
-    p_lo, p_hi = envelope(fp_hat, SPECTRUM_TOL)
+    m_lo, m_hi = envelope(fm_hat, SPECTRUM_TOL * fm_hat.amplitude())
+    p_lo, p_hi = envelope(fp_hat, SPECTRUM_TOL * fp_hat.amplitude())
     u_lo, u_hi = max(m_lo, p_lo), min(m_hi, p_hi)
     lam2 = lam * lam
 

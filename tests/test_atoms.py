@@ -107,6 +107,19 @@ def test_envelope_interval_bounds_the_function(rng):
         assert abs(f(t)) < 1e-12
 
 
+def test_amplitude_scales_with_the_function(rng):
+    """The largest |coeff| max_k |poly_k| over the atoms: linear in f, and 0
+    for the empty sum.  A Gaussian's transform has its width times the
+    coefficient."""
+    g = mn.gaussian(width=4.0)
+    assert g.amplitude() == PHI0_AMP / 2.0
+    assert g.fourier().amplitude() == pytest.approx(2.0 * PHI0_AMP, rel=1e-15)
+    f = random_test_function(rng)
+    assert (-3e200 * f).amplitude() == pytest.approx(3e200 * f.amplitude(),
+                                                    rel=1e-15)
+    assert mn.zero().amplitude() == 0.0
+
+
 def test_json_round_trip(rng):
     """config's atom writer and reader give back the same test function."""
     for _ in range(5):

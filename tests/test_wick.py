@@ -228,6 +228,20 @@ def test_reservoir_pair_finds_narrow_spectral_overlap():
     assert abs(val - dense) <= 1e-9 * abs(dense)
 
 
+@pytest.mark.parametrize("lam", [0.5, 0.12])
+def test_reservoir_pair_does_not_depend_on_smear_normalisation(linear_catalog,
+                                                               lam):
+    """f_minus scaled by s and f_plus by 1/s give the same pair: each
+    spectrum's bound scales with its smear.  A fixed bound on |f_F| left
+    1.1525 of the 2.7403 at lambda = 0.5 for s = 1e200."""
+    disp, g = linear_catalog
+    f_minus, f_plus = DEFAULT_WORD_SMEARS[:2]
+    plain = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
+    for up, down in ((1e200, 1e-200), (1e-6, 1e6)):
+        scaled = mn.reservoir_pair(disp, g, lam, up * f_minus, down * f_plus)
+        assert_allclose(scaled, plain, rtol=1e-12)
+
+
 def test_panel_sum_reports_nonconvergence():
     with pytest.raises(QuadratureFailure):
         panels.panel_sum(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
