@@ -1,6 +1,7 @@
 """Command line front end: exit codes, artifacts, determinism."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -400,6 +401,56 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_empty_out_flag_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                  monkeypatch):
+    """--out "" is refused like output.directory "", rather than writing
+    into the working directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert cli.main(["gamma", "--config", str(cfg), "--out", ""]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: output.directory must be a nonempty "
+                   "string, got ''"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("overrides, flags, field", [
+    ({"seed": "x"}, ["--seed", "5"], "seed"),
+    ({"seed": -1}, ["--seed", "5"], "seed"),
+    ({"output": {"directory": ""}}, ["--out", "elsewhere"], "output.directory"),
+    ({"output": {"directory": None}}, ["--out", "elsewhere"],
+     "output.directory"),
+], ids=["seed-string", "seed-negative", "directory-empty", "directory-null"])
+def test_flags_do_not_hide_a_malformed_file_value(tmp_path, capsys,
+                                                  monkeypatch, overrides,
+                                                  flags, field):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["rep-check", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_seed_flag_gives_the_report_of_that_config_seed(tmp_path):
+    """rep-check --seed 5 on a seed-7 config writes the bytes a seed-5
+    config writes, and the parsed config cannot be changed afterwards."""
+    flagged = write_config(tmp_path, name="seed7.json", seed=7,
+                           output={"directory": str(tmp_path / "a")})
+    assert cli.main(["rep-check", "--config", str(flagged),
+                     "--seed", "5"]) == 0
+    own = write_config(tmp_path, name="seed5.json", seed=5,
+                       output={"directory": str(tmp_path / "b")})
+    assert cli.main(["rep-check", "--config", str(own)]) == 0
+    report = (tmp_path / "a" / "rep_check.json").read_bytes()
+    assert report == (tmp_path / "b" / "rep_check.json").read_bytes()
+    assert json.loads(report)["seed"] == 5
+    cfg = load_config(flagged, seed=5)
+    assert (cfg.seed, load_config(flagged).seed) == (5, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 7
+
+
 IMPORT_GUARD = """
 import sys
 from multinoise import cli
@@ -514,6 +565,32 @@ def test_support_failure_exits_3_without_force(tmp_path):
     assert cli.main(["gamma", "--config", str(cfg), "--force"]) == 4
 
 
+def test_force_past_a_false_support_alarm_succeeds(tmp_path, capsys):
+    """Two cancelling atoms: each atom's envelope reaches k = -0.086, past
+    the stationary point k = 0, so the gate refuses, yet |g(0)|^2 is
+    3.7e-15, far below EPS_SUPP.  Under --force both gamma routes agree to
+    1.0e-10 and gamma succeeds."""
+    g = 1e4 * (gaussian(2.5, 0.4) - gaussian(2.5001, 0.4))
+    assert abs(g(0.0)) ** 2 < 1e-14
+    cfg = write_config(
+        tmp_path, dispersion={"kind": "quadratic", "mass": 1.0, "offset": 2.0},
+        form_factor=atom_json(g), orders=[0, 1, 2, 3])
+    assert cli.main(["gamma", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "support condition failed: stationary points [0.0] inside effective "
+        "support (-0.0858"), err
+    assert not (tmp_path / "out").exists()
+    assert cli.main(["gamma", "--config", str(cfg), "--force"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [err[0] + "; continuing under "
+                                                 "--force"]
+    assert captured.out.strip().endswith("max rel_diff 1.03e-10")
+    rows = list(csv.DictReader(
+        (tmp_path / "out" / "gamma.csv").read_text().splitlines()))
+    assert [int(r["n"]) for r in rows] == [0, 1, 2, 3]
+
+
 def test_rep_check_passes_and_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["rep-check", "--config", str(cfg)]) == 0
@@ -570,6 +647,27 @@ def test_kernel_check_passes_on_linear_catalog(tmp_path):
     rates = json.loads((out / "kernel_rates.json").read_text())
     assert all(r["passes"] for r in rates)
     assert all("alternative_grading" in r for r in rates if not r["below_floor"])
+
+
+def test_kernel_check_verdicts_do_not_depend_on_smear_scale(tmp_path, capsys):
+    """kernel_linear with its two default smears scaled by 1e200 and 1e-200
+    prints the unscaled run's verdicts; a fixed spectral bound on |f_F| made
+    both rates fail with slope 0.005."""
+    def run(name, **extra):
+        raw = json.loads((CONFIG_DIR / "kernel_linear.json").read_text())
+        raw.update(output={"directory": str(tmp_path / name)}, **extra)
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(raw))
+        code = cli.main(["kernel-check", "--config", str(cfg)])
+        return code, capsys.readouterr().out.strip().splitlines()
+
+    plain = run("plain")
+    f_minus, f_plus = config.DEFAULT_WORD_SMEARS[:2]
+    scaled = run("scaled", smears=[atom_json(1e200 * f_minus),
+                                   atom_json(1e-200 * f_plus)])
+    assert plain == (0, ["kernel N=0: slope 3.992 (pass)",
+                         "kernel N=1: slope 3.992 (pass)"])
+    assert scaled == plain
 
 
 def test_kernel_check_rate_failure_exits_6(tmp_path):

@@ -93,3 +93,60 @@ def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
         assert all(len(line) <= 200 for line in err), context
         if code == 4:
             assert err[0].split(":")[0] not in BUILTIN_ERRORS, context
+
+
+LEAF_VALUES = (None, True, "x", "", [], {}, 10 ** 400, -1, 0)
+# every (leaf key, value) of LEAF_VALUES that parse_config may accept: any
+# real offset, centre, modulation or coefficient (but a zero coefficient_re
+# leaves the one-atom form factor zero), a negative slope (omega falls with
+# k), a directory name, order 0 where it does not repeat, sector_max 0 (the
+# vacuum sector alone) and any nonnegative seed
+LEAF_ACCEPTS = {
+    "offset": (-1, 0), "slope": (-1,), "center": (-1, 0),
+    "modulation": (-1, 0), "coefficient_re": (-1,),
+    "coefficient_im": (-1, 0), "poly": (-1, 0), "directory": ("x",),
+    "orders": (0,), "sector_max": (0,), "seed": (0, 10 ** 400),
+}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem
+                                        for p in CONFIG_DIR.glob("*.json")))
+def test_every_config_leaf_is_typed_and_bounded(tmp_path, capsys,
+                                                monkeypatch, name):
+    """Each leaf of a shipped config, list entries included, set in turn to
+    each of LEAF_VALUES: either one config error line of at most 200
+    characters naming the leaf's key (or, for a form factor the value makes
+    zero, the form factor), or a value LEAF_ACCEPTS lists for that key.
+    The command itself is stubbed out: only the parse runs."""
+    monkeypatch.setattr(cli, "cmd_gamma", lambda cfg, force: 0)
+    base = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    accepted = set()
+    for path in _leaves(base):
+        key = [step for step in path if isinstance(step, str)][-1]
+        for value in LEAF_VALUES:
+            raw = json.loads(json.dumps(base))
+            parent = raw
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(raw))
+            code = cli.main(["gamma", "--config", str(cfg)])
+            err = capsys.readouterr().err.strip().splitlines()
+            context = (path, repr(value)[:20], err)
+            if code == 0:
+                assert not err, context
+                assert any(type(v) is type(value) and v == value
+                           for v in LEAF_ACCEPTS.get(key, ())), context
+                accepted.add((key, repr(value)))
+                continue
+            assert code == 2 and len(err) == 1, context
+            assert err[0].startswith("config error: "), context
+            assert len(err[0]) <= 200, context
+            assert key in err[0] or path[0] in err[0], context
+    assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+    # no stale entry: each listed value of a key this config has parses
+    keys = {step for path in _leaves(base) for step in path
+            if isinstance(step, str)}
+    assert accepted == {(key, repr(v)) for key, values in LEAF_ACCEPTS.items()
+                        if key in keys for v in values}
