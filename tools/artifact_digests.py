@@ -14,15 +14,30 @@ the temporary directory lies.  Per run the script prints
     exit <code> <command> <config>
     <sha256> <command> <config> <artifact>
 
-with stdout and stderr counted as artifacts.  Diff the output of two trees
-to see which bytes a change shifted.  Digests can change with the numpy and
-BLAS build, so compare trees on one machine and one environment.
+with stdout and stderr counted as artifacts.
+
+The failure-path runs follow: the support gate without and with --force, a
+form factor of two cancelling atoms that only the gate refuses (with
+--force), assert_rel 1e-16 under gamma and kernel-check, --seed -1,
+--out "", and empty orders under gamma, kernel-check and corr-check.  Each
+runs in a working directory of its own, without --out unless the run is
+about it, so a run that writes into its working directory shows.  Per run
+the script prints the exit line, the stdout digest, every stderr line as
+
+    stderr <command> <config>: <line>
+
+and the digest of every file the run wrote.
+
+Diff the output of two trees to see which bytes a change shifted; run one
+copy of this script from both checkouts.  Digests can change with the numpy
+and BLAS build, so compare trees on one machine and one environment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +69,48 @@ def _runs(config_dir: Path):
                config_dir / "catalog_linear.json", ["--seed", str(seed)])
 
 
+def _gaussian_atom(scale: float, center: float, width: float) -> dict:
+    """scale times the unit-L2-norm Gaussian atom, as config JSON."""
+    return {"coefficient_re": scale * math.pi ** -0.25 / math.sqrt(width),
+            "coefficient_im": 0.0, "center": center, "width": width,
+            "modulation": 0.0, "poly": [[1.0, 0.0]]}
+
+
+def _failure_runs(config_dir: Path):
+    """(command, config label, config path, extra arguments) of every run
+    that a gate or a check refuses, or that --force pushes past the gate."""
+    def variant(base: str, label: str, **changes) -> Path:
+        raw = json.loads((config_dir / f"{base}.json").read_text())
+        raw.update(changes)
+        path = config_dir / f"{label}.json"
+        path.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+        return path
+
+    # a stationary point of omega (k = 0) inside the form factor's support
+    support = variant("catalog_quadratic", "support_gate",
+                      form_factor=[_gaussian_atom(1.0, 0.0, 1.0)])
+    # each atom reaches k = 0, their difference does not: |g(0)|^2 = 3.7e-15
+    alarm = variant("catalog_quadratic", "false_alarm",
+                    form_factor=[_gaussian_atom(1e4, 2.5, 0.4),
+                                 _gaussian_atom(-1e4, 2.5001, 0.4)])
+    linear = config_dir / "catalog_linear.json"
+    yield "gamma", "support_gate", support, []
+    yield "gamma", "support_gate@force", support, ["--force"]
+    yield "gamma", "false_alarm@force", alarm, ["--force"]
+    for command, base in (("gamma", "catalog_linear"),
+                          ("kernel-check", "kernel_linear")):
+        tight = variant(base, f"{base}_tight",
+                        tolerances={"assert_rel": 1e-16})
+        yield command, f"{base}@assert_rel=1e-16", tight, []
+    yield "rep-check", "catalog_linear@seed=-1", linear, ["--seed", "-1"]
+    yield "gamma", 'catalog_linear@out=""', linear, ["--out", ""]
+    for command, base in (("gamma", "catalog_linear"),
+                          ("kernel-check", "kernel_linear"),
+                          ("corr-check", "corr_quadratic")):
+        empty = variant(base, f"{base}_no_orders", orders=[])
+        yield command, f"{base}@orders=[]", empty, []
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -69,18 +126,35 @@ def main() -> int:
             (config_dir / path.name).write_bytes(path.read_bytes())
         for i, (command, label, config, extra) in enumerate(_runs(config_dir)):
             out = Path("out") / str(i)
-            proc = subprocess.run(
-                [sys.executable, "-m", "multinoise.cli", command, "--config",
-                 str(config.relative_to(work)), "--out", str(out), *extra],
-                cwd=work, env=env, capture_output=True)
+            proc = _run(work, command, config, ["--out", str(out), *extra], env)
             print(f"exit {proc.returncode} {command} {label}")
             print(f"{_sha(proc.stdout)} {command} {label} stdout")
             print(f"{_sha(proc.stderr)} {command} {label} stderr")
-            artifacts = sorted(p for p in (work / out).rglob("*") if p.is_file())
-            for path in artifacts:
-                print(f"{_sha(path.read_bytes())} {command} {label} "
-                      f"{path.relative_to(work / out)}")
+            _print_artifacts(work / out, f"{command} {label}")
+        for i, (command, label, config, extra) in enumerate(
+                _failure_runs(config_dir)):
+            cwd = work / "fail" / str(i)
+            cwd.mkdir(parents=True)
+            proc = _run(cwd, command, config, extra, env)
+            print(f"exit {proc.returncode} {command} {label}")
+            print(f"{_sha(proc.stdout)} {command} {label} stdout")
+            for line in proc.stderr.decode().splitlines():
+                print(f"stderr {command} {label}: {line}")
+            _print_artifacts(cwd, f"{command} {label}")
     return 0
+
+
+def _run(cwd: Path, command: str, config: Path, extra: list[str], env):
+    """One CLI process in ``cwd``, given the config by a relative path."""
+    return subprocess.run(
+        [sys.executable, "-m", "multinoise.cli", command, "--config",
+         os.path.relpath(config, cwd), *extra],
+        cwd=cwd, env=env, capture_output=True)
+
+
+def _print_artifacts(root: Path, run: str) -> None:
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        print(f"{_sha(path.read_bytes())} {run} {path.relative_to(root)}")
 
 
 if __name__ == "__main__":
