@@ -158,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
+        overrides = {}
+        if args.out is not None:
+            overrides["output"] = {"directory": args.out}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        cfg = load_config(args.config, overrides)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             if args.command == "gamma":
                 return cmd_gamma(cfg, args.force)

@@ -179,20 +179,7 @@ def _test_function(data, what: str) -> TestFunction:
     return f
 
 
-def _seed(value) -> int:
-    seed = _integer(value, "seed")
-    _require(seed >= 0, "seed must be nonnegative")
-    return seed
-
-
-def _directory(value) -> str:
-    _require(isinstance(value, str) and value != "",
-             f"output.directory must be a nonempty string, got {_shown(value)}")
-    return value
-
-
-def parse_config(raw: dict, *, out_dir: str | None = None,
-                 seed: int | None = None) -> StudyConfig:
+def parse_config(raw: dict) -> StudyConfig:
     _require(isinstance(raw, dict), "config root must be a JSON object")
     _closed(raw, ROOT_KEYS, "config")
     for key in ("dispersion", "form_factor", "orders", "lambda_grid"):
@@ -235,15 +222,15 @@ def parse_config(raw: dict, *, out_dir: str | None = None,
     assert_rel = _finite(tols.get("assert_rel", 1e-6), "tolerances.assert_rel")
     _require(assert_rel > 0, "tolerances.assert_rel must be positive")
 
-    file_seed = _seed(raw.get("seed", 0))
-    seed = file_seed if seed is None else _seed(seed)
+    seed = _integer(raw.get("seed", 0), "seed")
+    _require(seed >= 0, "seed must be nonnegative")
     rep_pairs = _integer(raw.get("rep_pairs", 50), "rep_pairs")
     _require(1 <= rep_pairs <= MAX_REP_PAIRS,
              f"rep_pairs must lie in 1..{MAX_REP_PAIRS}, got {_shown(rep_pairs)}")
 
-    file_dir = _directory(_object(raw, "output", ("directory",))
-                          .get("directory", "out"))
-    out_dir = file_dir if out_dir is None else _directory(out_dir)
+    out_dir = _object(raw, "output", ("directory",)).get("directory", "out")
+    _require(isinstance(out_dir, str) and out_dir != "",
+             f"output.directory must be a nonempty string, got {_shown(out_dir)}")
 
     smears = DEFAULT_WORD_SMEARS
     if "smears" in raw:
@@ -274,7 +261,11 @@ def parse_config(raw: dict, *, out_dir: str | None = None,
     )
 
 
-def load_config(path: str | Path, **flags) -> StudyConfig:
+def load_config(path: str | Path,
+                overrides: dict | None = None) -> StudyConfig:
+    # overrides (the --out and --seed flags) replace root entries of the file
+    # and pass the same checks, once the file parses as it stands: a flag
+    # hides no bad value
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -284,4 +275,5 @@ def load_config(path: str | Path, **flags) -> StudyConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, or an integer past int_max_str_digits
         raise ConfigError(f"cannot parse config as JSON: {exc}") from exc
-    return parse_config(raw, **flags)
+    cfg = parse_config(raw)
+    return parse_config({**raw, **overrides}) if overrides else cfg

@@ -445,7 +445,7 @@ def test_seed_flag_gives_the_report_of_that_config_seed(tmp_path):
     report = (tmp_path / "a" / "rep_check.json").read_bytes()
     assert report == (tmp_path / "b" / "rep_check.json").read_bytes()
     assert json.loads(report)["seed"] == 5
-    cfg = load_config(flagged, seed=5)
+    cfg = load_config(flagged, {"seed": 5})
     assert (cfg.seed, load_config(flagged).seed) == (5, 7)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.seed = 7
