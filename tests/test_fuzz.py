@@ -98,9 +98,9 @@ def test_config_mutants_end_cleanly(tmp_path, capsys, command, name, seed):
 LEAF_VALUES = (None, True, "x", "", [], {}, 10 ** 400, -1, 0)
 # every (leaf key, value) of LEAF_VALUES that parse_config may accept: any
 # real offset, centre, modulation or coefficient (but a zero coefficient_re
-# leaves the one-atom form factor zero), a negative slope (omega falls with
-# k), a directory name, order 0 where it does not repeat, sector_max 0 (the
-# vacuum sector alone) and any nonnegative seed
+# or real poly term leaves the one-atom form factor zero), a negative slope
+# (omega falls with k), a directory name, order 0 where it does not repeat,
+# sector_max 0 (the vacuum sector alone) and any nonnegative seed
 LEAF_ACCEPTS = {
     "offset": (-1, 0), "slope": (-1,), "center": (-1, 0),
     "modulation": (-1, 0), "coefficient_re": (-1,),
@@ -143,7 +143,8 @@ def test_every_config_leaf_is_typed_and_bounded(tmp_path, capsys,
             assert code == 2 and len(err) == 1, context
             assert err[0].startswith("config error: "), context
             assert len(err[0]) <= 200, context
-            assert key in err[0] or path[0] in err[0], context
+            assert key in err[0] or err[0].endswith(
+                f"{path[0]} must be nonzero"), context
     assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
     # no stale entry: each listed value of a key this config has parses
     keys = {step for path in _leaves(base) for step in path
