@@ -16,16 +16,15 @@ import os
 # big enough for threaded BLAS to pay for it; this must run before numpy loads
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination, zero
+from .atoms import Atom, TestFunction, gaussian, hermite_fn, linear_combination
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import (CapacityExceeded, ConfigError, DegenerateRoot,
                      FloatingPointFault, IllConditionedBasis, MultinoiseError,
-                     NotInSpan, OracleMismatch, QuadratureFailure,
-                     SectorMismatch, SlowDecay, SupportConditionFailed,
-                     ZeroGamma)
+                     OracleMismatch, QuadratureFailure, SectorMismatch,
+                     SlowDecay, SupportConditionFailed, ZeroGamma)
 from .expansion import ExpansionPoint, correlation_error, fit_rate
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
-                   fock_inner, project_coefficients, vacuum_expectation)
+                   fock_inner, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, metric_sign, weighted_inner)
 from .gamma import (GammaRow, GammaTable, check_support, gamma_osc,

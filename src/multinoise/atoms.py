@@ -33,7 +33,6 @@ __all__ = [
     "TestFunction",
     "gaussian",
     "hermite_fn",
-    "zero",
     "linear_combination",
 ]
 
@@ -124,9 +123,6 @@ class TestFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "TestFunction":
-        return (-1.0) * self
-
     def is_zero(self) -> bool:
         """True when every atom has a zero coefficient or an all-zero poly."""
         return all(c == 0 or not any(a.poly) for c, a in self.atoms)
@@ -188,10 +184,6 @@ def hermite_fn(k: int, center: float = 0.0, width: float = 1.0,
     amp = 1.0 / math.sqrt(width * (2.0 ** k) * math.factorial(k) * math.sqrt(math.pi))
     poly = tuple(0j if j < k else 1.0 + 0j for j in range(k + 1))
     return TestFunction(((complex(amp), Atom(center, width, modulation, poly)),))
-
-
-def zero() -> TestFunction:
-    return TestFunction(())
 
 
 def linear_combination(coeffs, fns) -> TestFunction:

@@ -50,7 +50,7 @@ import numpy as np
 from .atoms import TestFunction, gaussian, hermite_fn, linear_combination
 from .config import MAX_FOCK_ENTRIES
 from .fock import (FockVector, Sector, annihilate, build_sector, create,
-                   fock_inner, project_coefficients, vacuum_expectation)
+                   fock_inner, vacuum_expectation)
 from .forms import (frequency_grid, grid_weighted_inner, indefinite_inner,
                     indefinite_inner_frequency, metric_sign)
 from .wick import correlation
@@ -355,8 +355,7 @@ def metric_suite(sectors: Mapping[int, Sector], seed: int) -> dict[str, float]:
     partner = gaussian(modulation=-WITNESS_MODULATION)
     kernel_route = indefinite_inner(1, 1.0, (witness,), (witness,))[0, 0]
     wit_sector = build_sector(1, 1.0, (witness, partner), particle_cap=2)
-    one = create(project_coefficients(wit_sector, witness),
-                 FockVector.vacuum(wit_sector))
+    one = create((1.0, 0.0), FockVector.vacuum(wit_sector))  # the witness
     report["metric_witness"] = _worst(abs(kernel_route - WITNESS_VALUE),
                                       abs(fock_inner(one, one) - WITNESS_VALUE))
     return report

@@ -12,8 +12,7 @@ from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
 from .gamma import MAX_ORDER
 
-__all__ = ["StudyConfig", "load_config", "parse_config", "atom_json",
-           "DEFAULT_WORD_SMEARS"]
+__all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 
 # bound on basis_size ** particle_cap, the truncations rep-check has been
 # run at (no array holds that many entries: Fock vectors are packed), and on
@@ -141,14 +140,6 @@ def _parse_dispersion(d: dict) -> Dispersion:
             offset=offset, dimension=dim)
     except ValueError as exc:
         raise ConfigError(f"bad dispersion parameters: {exc}") from exc
-
-
-def atom_json(f: TestFunction) -> list[dict]:
-    """f as the atom list that form_factor and each smears entry hold."""
-    return [{"coefficient_re": float(c.real), "coefficient_im": float(c.imag),
-             "center": a.center, "width": a.width, "modulation": a.modulation,
-             "poly": [[float(p.real), float(p.imag)] for p in a.poly]}
-            for c, a in f.atoms]
 
 
 def _test_function(data, what: str) -> TestFunction:

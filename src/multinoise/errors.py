@@ -17,10 +17,6 @@ class CapacityExceeded(MultinoiseError):
     """A creation operator would push a vector past the particle cap."""
 
 
-class NotInSpan(MultinoiseError):
-    """A smearing function is not representable in the sector basis."""
-
-
 class SectorMismatch(MultinoiseError):
     """Two Fock vectors belong to different sectors."""
 

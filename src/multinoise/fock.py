@@ -32,15 +32,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .atoms import Atom, TestFunction, linear_combination
-from .errors import (CapacityExceeded, IllConditionedBasis, NotInSpan,
-                     SectorMismatch)
+from .atoms import TestFunction
+from .errors import CapacityExceeded, IllConditionedBasis, SectorMismatch
 from .forms import indefinite_inner, weighted_inner
 
-__all__ = ["Sector", "build_sector", "FockVector", "project_coefficients",
-           "create", "annihilate", "fock_inner", "vacuum_expectation"]
+__all__ = ["Sector", "build_sector", "FockVector", "create", "annihilate",
+           "fock_inner", "vacuum_expectation"]
 
-SPAN_RESIDUAL_TOL = 1e-8
 COND_LIMIT = 1e10
 
 
@@ -169,35 +167,6 @@ class FockVector:
     def positive_norm(self):
         """Norm in the positive (gram-kernel) inner product, per batch entry."""
         return np.sqrt(np.real(fock_inner(self, self, use_metric=False)))
-
-
-def _merged(f: TestFunction) -> TestFunction:
-    """f with the coefficients of equal atoms summed and zero terms dropped."""
-    coeffs: dict[Atom, complex] = {}
-    for c, a in f.atoms:
-        coeffs[a] = coeffs.get(a, 0j) + c
-    return TestFunction(tuple((c, a) for a, c in coeffs.items() if c != 0))
-
-
-def project_coefficients(sector: Sector, f: TestFunction) -> np.ndarray:
-    """Least-squares coefficients of f in the sector basis (positive form).
-
-    Raises NotInSpan when the projection residual exceeds the tolerance
-    relative to max(1, |f|).  The residual is the norm of the function
-    f - sum_j c_j b_j with equal atoms merged, so an f built from the basis
-    atoms leaves a residual at rounding level instead of the sqrt(eps) floor
-    of |f|^2 - v^H gram^-1 v.
-    """
-    column = weighted_inner(sector.n, sector.basis + (f,), (f,))[:, 0]
-    v, norm_sq = column[:-1], column[-1].real
-    coeffs = np.linalg.solve(sector.gram, v)
-    rest = _merged(f - linear_combination(coeffs, sector.basis))
-    residual = math.sqrt(max(
-        weighted_inner(sector.n, (rest,), (rest,))[0, 0].real, 0.0))
-    if residual > SPAN_RESIDUAL_TOL * max(1.0, math.sqrt(max(norm_sq, 0.0))):
-        raise NotInSpan(
-            f"projection residual {residual:.3g} exceeds {SPAN_RESIDUAL_TOL:g}")
-    return coeffs
 
 
 def _krein_coefficients(sector: Sector, coeffs) -> np.ndarray:

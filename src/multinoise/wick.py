@@ -48,7 +48,8 @@ __all__ = [
 ]
 
 MAX_WORD_LENGTH = 12  # exhaustive matching enumeration only
-PAIR_ABS, PAIR_REL = 1e-12, 1e-10  # panel-doubling agreement of reservoir_pair
+PAIR_ABS, PAIR_REL = 1e-12, 1e-10  # reservoir_pair's panel-doubling agreement,
+                                   # PAIR_ABS per unit of its amplitude scale
 SPECTRUM_TOL = 1e-12  # |f_F| bound of a smear's spectrum, per unit amplitude
 
 
@@ -137,10 +138,13 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     lambda, and the k integrand carries no 1/|omega'| Jacobian, so a branch
     ending at a stationary point stays smooth.  Each window is a
     Gauss-Legendre panel sum whose panel count doubles until two successive
-    sums agree to max(PAIR_ABS, PAIR_REL |I|); QuadratureFailure if they still
-    differ at MAX_PANELS panels.  The oracles live in the test suite: adaptive
-    quadrature of the u-substituted integral (the Jacobian form), a
-    time-domain tensor rule, and a dense sum for a narrow spectral overlap.
+    sums agree to max(PAIR_ABS A, PAIR_REL |I|), A the product of g's
+    amplitude squared and both spectra's amplitudes, so that the floor
+    scales with the integrand as the spectra's bounds do; QuadratureFailure
+    if they still differ at MAX_PANELS panels.  The oracles live in the test
+    suite: adaptive quadrature of the u-substituted integral (the Jacobian
+    form), a time-domain tensor rule, and a dense sum for a narrow spectral
+    overlap.
     """
     if not lam > 0:
         raise ValueError("coupling lambda must be positive")
@@ -152,6 +156,7 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     p_lo, p_hi = envelope(fp_hat, SPECTRUM_TOL * fp_hat.amplitude())
     u_lo, u_hi = max(m_lo, p_lo), min(m_hi, p_hi)
     lam2 = lam * lam
+    epsabs = PAIR_ABS * g.amplitude() ** 2 * fm_hat.amplitude() * fp_hat.amplitude()
 
     def integrand(k):
         u = disp.omega(k) / lam2
@@ -162,7 +167,7 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     for a, b in monotone_branches(disp, lo, hi):
         window = _k_window(disp, a, b, lam2, u_lo, u_hi)
         if window is not None:
-            total += panel_sum(integrand, *window, epsabs=PAIR_ABS,
+            total += panel_sum(integrand, *window, epsabs=epsabs,
                                epsrel=PAIR_REL)
     return 2.0 * math.pi * total
 

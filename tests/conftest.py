@@ -60,3 +60,11 @@ def random_test_function(rng, n_atoms=2, max_poly=3, max_modulation=3.0):
         coeff = complex(rng.standard_normal(), rng.standard_normal())
         atoms.append((coeff, mn.Atom(center, width, modulation, poly)))
     return mn.TestFunction(tuple(atoms))
+
+
+def atom_json(f):
+    """f as the atom list that a config's form_factor and smears entries hold."""
+    return [{"coefficient_re": float(c.real), "coefficient_im": float(c.imag),
+             "center": a.center, "width": a.width, "modulation": a.modulation,
+             "poly": [[float(p.real), float(p.imag)] for p in a.poly]}
+            for c, a in f.atoms]

@@ -14,7 +14,8 @@ import pytest
 
 import multinoise as mn
 from multinoise.checks import run_representation_checks
-from multinoise.config import DEFAULT_WORD_SMEARS, atom_json
+from multinoise.config import DEFAULT_WORD_SMEARS
+from conftest import atom_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LAMBDA_GRID = (0.5, 0.35, 0.25, 0.15)

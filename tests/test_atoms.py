@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import multinoise as mn
 from multinoise import config
-from conftest import random_test_function
+from conftest import atom_json, random_test_function
 
 PHI0_AMP = math.pi ** -0.25
 
@@ -20,7 +20,7 @@ def test_gaussian_at_origin():
 
 
 def test_zero_function_everywhere():
-    z = mn.zero()
+    z = mn.TestFunction(())
     for t in (-3.0, 0.0, 7.5):
         assert z(t) == 0
 
@@ -98,6 +98,8 @@ def test_linear_combination_and_arithmetic():
     for t in (-0.8, 0.0, 1.1):
         assert_allclose(combo(t), manual(t), rtol=1e-14)
         assert_allclose(combo(t), 2 * f(t) - 1j * h(t), rtol=1e-14)
+    # a zero coefficient drops its function's atoms
+    assert mn.linear_combination([0.0, 3.0], [f, h]) == 3.0 * h
 
 
 def test_envelope_interval_bounds_the_function(rng):
@@ -105,6 +107,19 @@ def test_envelope_interval_bounds_the_function(rng):
     lo, hi = f.envelope_interval(1e-12)
     for t in (lo - 0.5, hi + 0.5, lo - 3.0, hi + 3.0):
         assert abs(f(t)) < 1e-12
+
+
+def test_envelope_interval_skips_zero_atoms_and_caps_its_search():
+    """Atoms that are zero add nothing, an empty sum gives (0, 0), and a
+    tolerance the bound never falls below stops the doubling at its cap,
+    2**20 widths."""
+    f = mn.gaussian(center=1.0, width=0.5)
+    dead = mn.TestFunction(((0j, mn.Atom(9.0, 1.0, 0.0, (1.0,))),
+                            (1.0, mn.Atom(-9.0, 1.0, 0.0, (0.0, 0.0)))))
+    assert (f + dead).envelope_interval(1e-12) == f.envelope_interval(1e-12)
+    assert dead.envelope_interval() == mn.TestFunction(()).envelope_interval()
+    assert mn.TestFunction(()).envelope_interval() == (0.0, 0.0)
+    assert f.envelope_interval(0.0) == (1.0 - 2.0 ** 19, 1.0 + 2.0 ** 19)
 
 
 def test_amplitude_scales_with_the_function(rng):
@@ -117,14 +132,14 @@ def test_amplitude_scales_with_the_function(rng):
     f = random_test_function(rng)
     assert (-3e200 * f).amplitude() == pytest.approx(3e200 * f.amplitude(),
                                                     rel=1e-15)
-    assert mn.zero().amplitude() == 0.0
+    assert mn.TestFunction(()).amplitude() == 0.0
 
 
 def test_json_round_trip(rng):
-    """config's atom writer and reader give back the same test function."""
+    """The tests' atom writer and config's reader give back the same test function."""
     for _ in range(5):
         f = random_test_function(rng, n_atoms=3)
-        text = json.dumps(config.atom_json(f))
+        text = json.dumps(atom_json(f))
         back = config._test_function(json.loads(text), "form_factor")
         assert back == f
         ts = rng.uniform(-2, 2, size=5)

@@ -18,7 +18,8 @@ import multinoise
 from multinoise import checks, cli, config, expansion, gamma
 from multinoise.atoms import gaussian
 from multinoise.gamma import GammaRow, GammaTable
-from multinoise.config import atom_json, load_config
+from multinoise.config import load_config
+from conftest import atom_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # a nonempty atom list whose every coefficient is zero
@@ -92,6 +93,22 @@ def test_output_under_a_regular_file_is_config_error(tmp_path, capsys):
                      "--out", str(blocker / "out")]) == 2
     _assert_one_line_refusal(capsys, tmp_path, ["blocker", "cfg.json"])
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch):
+    """A write that fails once its temporary file exists removes that file:
+    the output directory stays empty."""
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    cfg = write_config(tmp_path)
+    assert cli.main(["gamma", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot write "), err
+    assert err[0].endswith("gamma.csv: Permission denied")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_empty_orders_rejected_for_gamma(tmp_path):

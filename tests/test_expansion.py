@@ -202,7 +202,7 @@ def test_correlation_error_validates_word():
                           ((-1, -1), [f] * 2),         # unbalanced
                           ((-1, 0, 0, +1), [f] * 4),   # a sign that is not +-1
                           ((-1, +1), [f] * 3),         # one smear too many
-                          ((-1, +1), [f, mn.zero()])):  # a zero smear
+                          ((-1, +1), [f, mn.TestFunction(())])):  # a zero smear
         with pytest.raises(ValueError):
             mn.correlation_error(signs, smears, [0], [0.3],
                                  mn.LinearDispersion(), f, {0: 1.0})

@@ -176,7 +176,7 @@ def test_batched_forms_match_pairwise_calls(rng):
                     assert_allclose(matrix[i, j], form([f], [h])[0, 0],
                                     rtol=1e-13)
             assert_allclose(form(fs[:1], hs), matrix[:1], rtol=1e-13)
-    zero_row = mn.weighted_inner(1, [mn.zero()], hs)
+    zero_row = mn.weighted_inner(1, [mn.TestFunction(())], hs)
     assert zero_row.shape == (1, 2) and not np.any(zero_row)
 
 
@@ -259,12 +259,26 @@ def test_separated_atoms_odd_weighted_form_raises():
             mn.weighted_inner(n, [f], [h])
 
 
+def test_negative_order_and_non_finite_overlap_are_refused():
+    """An order below 0 is a ValueError; atom overlaps past the float range
+    (seen once numpy's overflow is ignored) are a QuadratureFailure."""
+    f = mn.gaussian()
+    for form in (lambda n: mn.weighted_inner(n, [f], [f]),
+                 lambda n: mn.indefinite_inner(n, 1.0, [f], [f])):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            form(-1)
+    huge = mn.TestFunction(((1.0, mn.Atom(0.0, 1.0, 0.0, (1e200,))),))
+    with np.errstate(all="ignore"), \
+            pytest.raises(QuadratureFailure, match="non-finite atom overlap"):
+        mn.indefinite_inner(0, 1.0, [huge], [huge])
+
+
 # -- grids and the metric operator ----------------------------------------------
 
 
 def test_grid_of_zero_function():
     nodes, _ = mn.frequency_grid([mn.gaussian()])
-    assert np.all(mn.zero().fourier()(nodes) == 0)
+    assert np.all(mn.TestFunction(()).fourier()(nodes) == 0)
 
 
 def test_grid_nodes_exclude_zero_and_are_symmetric():

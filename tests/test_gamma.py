@@ -95,6 +95,15 @@ def test_gamma_shell_quadratic_root_formula():
     assert_allclose(mn.gamma_shell(disp, g, 0), expected, rtol=1e-12)
 
 
+def test_roots_at_the_domain_edge():
+    """A radial linear dispersion has no root at k <= 0; a 1-D quadratic one
+    touching the energy at k = 0 has the single root 0."""
+    radial = mn.LinearDispersion(slope=1.0, offset=1.0, dimension=3)
+    assert radial.roots(-1.0) == () and radial.roots(-2.0) == ()
+    assert radial.roots(0.0) == (1.0,)
+    assert mn.QuadraticDispersion(mass=1.0, offset=0.0).roots(0.0) == (0.0,)
+
+
 def test_gamma_shell_empty_shell_is_zero():
     disp = mn.QuadraticDispersion(mass=1.0, offset=-1.0)  # omega >= 1
     g = mn.gaussian(center=2.0, width=0.35)
@@ -186,6 +195,16 @@ def test_slow_decay_raised_for_stationary_point_in_support():
     with pytest.raises(SupportConditionFailed, match=r"^stationary points "):
         mn.check_support(*cases[0][:2])
     mn.check_support(*cases[1][:2])
+
+
+def test_slow_decay_without_a_cause_in_the_momentum_range(linear_catalog,
+                                                          monkeypatch):
+    """Past the sigma cap with neither a stationary point nor a radial edge
+    in range, the message says it found neither."""
+    monkeypatch.setattr(gamma_mod, "SIGMA_CAP", 1.0)
+    with pytest.raises(SlowDecay, match="no stationary point or domain edge"
+                                        " in the momentum range$"):
+        mn.gamma_osc(*linear_catalog, 0)
 
 
 def test_order_cap():

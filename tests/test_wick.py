@@ -233,13 +233,17 @@ def test_reservoir_pair_does_not_depend_on_smear_normalisation(linear_catalog,
                                                                lam):
     """f_minus scaled by s and f_plus by 1/s give the same pair: each
     spectrum's bound scales with its smear.  A fixed bound on |f_F| left
-    1.1525 of the 2.7403 at lambda = 0.5 for s = 1e200."""
+    1.1525 of the 2.7403 at lambda = 0.5 for s = 1e200.  Both scaled by
+    1e-5 give 1e-10 times the pair: a fixed panel-sum floor stopped that
+    one 7.6e-10 relative off."""
     disp, g = linear_catalog
     f_minus, f_plus = DEFAULT_WORD_SMEARS[:2]
     plain = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
     for up, down in ((1e200, 1e-200), (1e-6, 1e6)):
         scaled = mn.reservoir_pair(disp, g, lam, up * f_minus, down * f_plus)
         assert_allclose(scaled, plain, rtol=1e-12)
+    small = mn.reservoir_pair(disp, g, lam, 1e-5 * f_minus, 1e-5 * f_plus)
+    assert_allclose(small / 1e-10, plain, rtol=1e-13)
 
 
 def test_panel_sum_reports_nonconvergence():
@@ -380,7 +384,7 @@ def test_letter_validation(rng):
     with pytest.raises(ValueError, match="sign"):
         mn.enumerate_matchings((-1, 2))
     with pytest.raises(ValueError, match="nonzero"):
-        mn.correlation((-1, +1), (1, 1), (mn.zero(), f), {1: 1.0})
+        mn.correlation((-1, +1), (1, 1), (mn.TestFunction(()), f), {1: 1.0})
     with pytest.raises(ValueError, match="equal length"):
         mn.correlation((-1, +1), (1,), (f, f), {1: 1.0})
 
