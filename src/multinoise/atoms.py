@@ -109,20 +109,6 @@ class TestFunction:
             new.append((coeff * scale, Atom(-a.modulation, 1.0 / a.width, a.center, q)))
         return TestFunction(tuple(new))
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        return TestFunction(self.atoms + other.atoms)
-
-    def __sub__(self, other: "TestFunction") -> "TestFunction":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "TestFunction":
-        s = complex(scalar)
-        return TestFunction(tuple((s * c, a) for c, a in self.atoms))
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         """True when every atom has a zero coefficient or an all-zero poly."""
         return all(c == 0 or not any(a.poly) for c, a in self.atoms)

@@ -6,6 +6,10 @@ optional radial reduction of the three-dimensional integral
 
     linear     omega(k) = slope * k - offset
     quadratic  omega(k) = k^2 / (2 mass) - offset
+
+``roots`` is the one inverse of omega.  The gamma shell oracle finds the
+energy shell with it, and ``cut_points`` uses it to cut a momentum interval
+into pieces on which omega is monotone and crosses none of given energies.
 """
 
 from __future__ import annotations
@@ -111,18 +115,13 @@ def clip_domain(disp: Dispersion, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def monotone_branches(disp: Dispersion, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Split [lo, hi] at interior stationary points of omega."""
-    cuts = sorted(p for p in disp.stationary_points() if lo < p < hi)
-    edges = [lo, *cuts, hi]
-    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def cut_points(disp: Dispersion, lo: float, hi: float, energies) -> list[float]:
+    """lo, hi and, strictly between them, the stationary points of omega and
+    the roots of omega = E for each E in ``energies``, sorted and distinct.
 
-
-def branch_inverse(disp: Dispersion, a: float, b: float, energy):
-    """Inverse of omega on the monotone branch [a, b]."""
-    energy = np.asarray(energy, dtype=float)
-    if isinstance(disp, LinearDispersion):
-        return (energy + disp.offset) / disp.slope
-    sign = 1.0 if (a + b) >= 0 else -1.0
-    radicand = 2.0 * disp.mass * (energy + disp.offset)
-    return sign * np.sqrt(np.maximum(radicand, 0.0))
+    omega is monotone between two neighbouring cuts and crosses none of the
+    given energies there; ``roots`` is the one inverse of omega it uses.
+    """
+    inner = {*disp.stationary_points(),
+             *(k for e in energies for k in disp.roots(e))}
+    return [lo, *sorted(p for p in inner if lo < p < hi), hi]

@@ -242,8 +242,6 @@ def _form_matrix(fs: Sequence[TestFunction], hs: Sequence[TestFunction],
                  k: int, absolute: bool = False) -> np.ndarray:
     """M[i, j] = integral conj(fs[i]) hs[j] w(t) dt with w = t^k, or |t|^k."""
     fa, fb = _AtomTable.of(fs), _AtomTable.of(hs)
-    if fa.poly.shape[0] == 0 or fb.poly.shape[0] == 0:
-        return np.zeros((len(fs), len(hs)), dtype=complex)
     if absolute and k % 2:
         pairs = _odd_weighted_pairs(fa, fb, k)
     else:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import TestFunction
-from .dispersion import (Dispersion, clip_domain, curvature, measure_taylor,
-                         measure_weight)
+from .dispersion import (Dispersion, clip_domain, curvature, cut_points,
+                         measure_taylor, measure_weight)
 from .errors import (DegenerateRoot, OracleMismatch, SlowDecay,
                      SupportConditionFailed)
 from .panels import GL_NODES, GL_WEIGHTS, MOMENTUM_TOL, envelope, panel_rule
@@ -91,8 +91,8 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:
         return ()
-    corners = [lo, hi, *(p for p in disp.stationary_points() if lo < p < hi)]
-    dom_max = float(np.max(np.abs(disp.domega(np.array(corners)))))
+    corners = np.array(cut_points(disp, lo, hi, ()))
+    dom_max = float(np.max(np.abs(disp.domega(corners))))
     min_width = min(a.width for _, a in g.atoms)
     width = min(math.pi / max(sigma_max * dom_max, 1e-6),
                 0.5 * min_width, (hi - lo) / 4.0)

@@ -44,9 +44,13 @@ def envelope(f: TestFunction, tol: float) -> tuple[float, float]:
 def panel_rule(lo: float, hi: float, width: float):
     """Equal Gauss-Legendre panels on [lo, hi], none wider than ``width``.
 
-    Returns ``(nodes, weights)``.  More than MAX_RULE_PANELS panels (or a
-    non-finite interval) is QuadratureFailure, raised before allocating.
+    Returns ``(nodes, weights)``.  An empty, reversed or NaN interval, more
+    than MAX_RULE_PANELS panels, or an infinite interval is
+    QuadratureFailure, raised before dividing or allocating.
     """
+    if not hi > lo:
+        raise QuadratureFailure(f"panel rule on [{lo:g}, {hi:g}]: the "
+                                f"interval is empty")
     if not hi - lo <= MAX_RULE_PANELS * width:
         raise QuadratureFailure(f"panel rule on [{lo:g}, {hi:g}] needs more "
                                 f"than {MAX_RULE_PANELS} panels of width {width:g}")

@@ -16,9 +16,10 @@ provided:
   field, the smeared kernel
   (1/lambda^2) integral dk |g(k)|^2 exp(i omega(k) (tau - t) / lambda^2).
   The time integrals are done exactly by the smears' Fourier transforms,
-  leaving one momentum integral.  On each monotone branch of the dispersion
-  it runs over the k-window where u = omega(k)/lambda^2 lies inside both
-  smears' spectra, as a vectorized Gauss-Legendre panel sum
+  leaving one momentum integral.  ``dispersion.cut_points`` cuts the
+  momentum range where omega is stationary or u = omega(k)/lambda^2 reaches
+  an end of both smears' spectra, and the integral runs over the pieces
+  whose u lies inside, each as a vectorized Gauss-Legendre panel sum
   (``panels.panel_sum``, the panel layout of the gamma table) whose panel
   count doubles until two successive sums agree.  Each smear's spectral
   interval, and the form factor's momentum interval, are computed once per
@@ -29,13 +30,13 @@ provided:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .atoms import TestFunction
-from .dispersion import (Dispersion, branch_inverse, clip_domain,
-                         measure_weight, monotone_branches)
+from .dispersion import Dispersion, clip_domain, cut_points, measure_weight
+from .errors import QuadratureFailure
 from .forms import indefinite_inner
 from .panels import MOMENTUM_TOL, envelope, panel_sum
 
@@ -102,31 +103,11 @@ def wick_sum(signs: Sequence[int], pair) -> complex:
     return total
 
 
-def _k_window(disp: Dispersion, a: float, b: float, lam2: float,
-              u_lo: float, u_hi: float) -> Optional[tuple[float, float]]:
-    """Momenta of the branch [a, b] with omega(k)/lambda^2 inside [u_lo, u_hi].
-
-    An end the u-window does not cut stays the branch end exactly: inverting
-    omega there would move a stationary end by the square root of a rounding
-    error.
-    """
-    ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
-    if min(u_hi, max(ua, ub)) <= max(u_lo, min(ua, ub)):
-        return None
-
-    def end(k: float, u: float) -> float:
-        if u_lo <= u <= u_hi:
-            return k
-        return float(branch_inverse(disp, a, b, lam2 * min(max(u, u_lo), u_hi)))
-
-    return end(a, ua), end(b, ub)
-
-
 def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
                    f_minus: TestFunction, f_plus: TestFunction) -> complex:
     """Exact two-point function of the rescaled reservoir field at coupling lam.
 
-    Computed per monotone dispersion branch as
+    Computed as
 
         2 pi * integral dk  lambda^-2 w(k) |g(k)|^2
                             * conj(f_minus_F(u)) f_plus_F(u),   u = omega(k)/lambda^2,
@@ -136,12 +117,16 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     factor is below it, however the smears are normalised).  For small lambda
     that window is O(lambda^2) wide, so it resolves the energy shell at every
     lambda, and the k integrand carries no 1/|omega'| Jacobian, so a branch
-    ending at a stationary point stays smooth.  Each window is a
+    ending at a stationary point stays smooth.  The window is cut at the
+    stationary points of omega and at the roots of omega = lambda^2 u for
+    both ends of the u-window, and each piece inside it is a
     Gauss-Legendre panel sum whose panel count doubles until two successive
     sums agree to max(PAIR_ABS A, PAIR_REL |I|), A the product of g's
     amplitude squared and both spectra's amplitudes, so that the floor
     scales with the integrand as the spectra's bounds do; QuadratureFailure
-    if they still differ at MAX_PANELS panels.  The oracles live in the test
+    if they still differ at MAX_PANELS panels, or if both ends of the
+    u-window give the same root inside the momentum range, so that the
+    window has collapsed in rounding.  The oracles live in the test
     suite: adaptive quadrature of the u-substituted integral (the Jacobian
     form), a time-domain tensor rule, and a dense sum for a narrow spectral
     overlap.
@@ -163,12 +148,18 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
         return (measure_weight(disp, k) * np.abs(g(k)) ** 2
                 * np.conj(fm_hat(u)) * fp_hat(u)) / lam2
 
+    e_lo, e_hi = lam2 * u_lo, lam2 * u_hi
+    collapsed = [k for k in disp.roots(e_lo)
+                 if k in disp.roots(e_hi) and lo < k < hi]
+    if e_lo < e_hi and collapsed:
+        raise QuadratureFailure(
+            f"reservoir window u in [{u_lo:g}, {u_hi:g}] collapses at lambda "
+            f"{lam:g}: both ends give the momentum {collapsed[0]:g}")
+    cuts = cut_points(disp, lo, hi, (e_lo, e_hi))
     total = 0j
-    for a, b in monotone_branches(disp, lo, hi):
-        window = _k_window(disp, a, b, lam2, u_lo, u_hi)
-        if window is not None:
-            total += panel_sum(integrand, *window, epsabs=epsabs,
-                               epsrel=PAIR_REL)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if e_lo <= disp.omega(0.5 * (a + b)) <= e_hi:
+            total += panel_sum(integrand, a, b, epsabs=epsabs, epsrel=PAIR_REL)
     return 2.0 * math.pi * total
 
 

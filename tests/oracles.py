@@ -10,7 +10,9 @@ integrates the other way round, sigma first, in closed form.
 itertools map from sorted multi-index to position, not the package's index
 tables; ``symmetrize_by_permutations`` is the k!-term average a packed
 creation must reproduce, and ``max_symmetry_defect`` measures how far a
-dense tensor is from symmetric.
+dense tensor is from symmetric.  ``branch_inverse`` inverts omega on one
+monotone branch by its own closed form, apart from the package's
+``Dispersion.roots``.
 """
 
 import itertools
@@ -20,7 +22,8 @@ import warnings
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from multinoise.dispersion import clip_domain, measure_weight
+from multinoise.dispersion import (LinearDispersion, clip_domain,
+                                   measure_weight)
 from multinoise.errors import QuadratureFailure
 from multinoise.forms import QUAD_REL
 from multinoise.panels import MOMENTUM_TOL, envelope, panel_rule
@@ -46,6 +49,16 @@ def complex_quad(fun, lo: float, hi: float, *, epsabs: float = QUAD_ABS,
             f"requested {epsabs:g}/{epsrel:g} on [{lo:g}, {hi:g}], "
             f"achieved only {abs(abserr):g}")
     return complex(val)
+
+
+def branch_inverse(disp, a: float, b: float, energy):
+    """Inverse of omega on the monotone branch [a, b]."""
+    energy = np.asarray(energy, dtype=float)
+    if isinstance(disp, LinearDispersion):
+        return (energy + disp.offset) / disp.slope
+    sign = 1.0 if (a + b) >= 0 else -1.0
+    radicand = 2.0 * disp.mass * (energy + disp.offset)
+    return sign * np.sqrt(np.maximum(radicand, 0.0))
 
 
 def i_sigma(disp, g, sigma: float, *, epsabs: float = 1e-13,

@@ -94,12 +94,11 @@ def test_linear_combination_and_arithmetic():
     f = mn.gaussian()
     h = mn.hermite_fn(1)
     combo = mn.linear_combination([2.0, -1.0j], [f, h])
-    manual = 2.0 * f - 1.0j * h
     for t in (-0.8, 0.0, 1.1):
-        assert_allclose(combo(t), manual(t), rtol=1e-14)
         assert_allclose(combo(t), 2 * f(t) - 1j * h(t), rtol=1e-14)
     # a zero coefficient drops its function's atoms
-    assert mn.linear_combination([0.0, 3.0], [f, h]) == 3.0 * h
+    assert mn.linear_combination([0.0, 3.0], [f, h]).atoms == tuple(
+        (3.0 * c, a) for c, a in h.atoms)
 
 
 def test_envelope_interval_bounds_the_function(rng):
@@ -116,7 +115,8 @@ def test_envelope_interval_skips_zero_atoms_and_caps_its_search():
     f = mn.gaussian(center=1.0, width=0.5)
     dead = mn.TestFunction(((0j, mn.Atom(9.0, 1.0, 0.0, (1.0,))),
                             (1.0, mn.Atom(-9.0, 1.0, 0.0, (0.0, 0.0)))))
-    assert (f + dead).envelope_interval(1e-12) == f.envelope_interval(1e-12)
+    both = mn.linear_combination([1.0, 1.0], [f, dead])
+    assert both.envelope_interval(1e-12) == f.envelope_interval(1e-12)
     assert dead.envelope_interval() == mn.TestFunction(()).envelope_interval()
     assert mn.TestFunction(()).envelope_interval() == (0.0, 0.0)
     assert f.envelope_interval(0.0) == (1.0 - 2.0 ** 19, 1.0 + 2.0 ** 19)
@@ -130,8 +130,9 @@ def test_amplitude_scales_with_the_function(rng):
     assert g.amplitude() == PHI0_AMP / 2.0
     assert g.fourier().amplitude() == pytest.approx(2.0 * PHI0_AMP, rel=1e-15)
     f = random_test_function(rng)
-    assert (-3e200 * f).amplitude() == pytest.approx(3e200 * f.amplitude(),
-                                                    rel=1e-15)
+    scaled = mn.linear_combination([-3e200], [f])
+    assert scaled.amplitude() == pytest.approx(3e200 * f.amplitude(),
+                                               rel=1e-15)
     assert mn.TestFunction(()).amplitude() == 0.0
 
 

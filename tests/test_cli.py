@@ -16,7 +16,7 @@ import pytest
 
 import multinoise
 from multinoise import checks, cli, config, expansion, gamma
-from multinoise.atoms import gaussian
+from multinoise.atoms import gaussian, linear_combination
 from multinoise.gamma import GammaRow, GammaTable
 from multinoise.config import load_config
 from conftest import atom_json
@@ -587,7 +587,8 @@ def test_force_past_a_false_support_alarm_succeeds(tmp_path, capsys):
     the stationary point k = 0, so the gate refuses, yet |g(0)|^2 is
     3.7e-15, far below EPS_SUPP.  Under --force both gamma routes agree to
     1.0e-10 and gamma succeeds."""
-    g = 1e4 * (gaussian(2.5, 0.4) - gaussian(2.5001, 0.4))
+    g = linear_combination([1e4, -1e4],
+                           [gaussian(2.5, 0.4), gaussian(2.5001, 0.4)])
     assert abs(g(0.0)) ** 2 < 1e-14
     cfg = write_config(
         tmp_path, dispersion={"kind": "quadratic", "mass": 1.0, "offset": 2.0},
@@ -680,8 +681,9 @@ def test_kernel_check_verdicts_do_not_depend_on_smear_scale(tmp_path, capsys):
 
     plain = run("plain")
     f_minus, f_plus = config.DEFAULT_WORD_SMEARS[:2]
-    scaled = run("scaled", smears=[atom_json(1e200 * f_minus),
-                                   atom_json(1e-200 * f_plus)])
+    scaled = run("scaled", smears=[
+        atom_json(linear_combination([1e200], [f_minus])),
+        atom_json(linear_combination([1e-200], [f_plus]))])
     assert plain == (0, ["kernel N=0: slope 3.992 (pass)",
                          "kernel N=1: slope 3.992 (pass)"])
     assert scaled == plain
@@ -698,6 +700,23 @@ def test_kernel_check_rate_failure_exits_6(tmp_path):
     assert cli.main(["kernel-check", "--config", str(cfg)]) == 6
     rates = json.loads((tmp_path / "out" / "kernel_rates.json").read_text())
     assert rates[0]["passes"] is False
+
+
+def test_collapsed_reservoir_window_exits_4_in_one_line(tmp_path, capsys):
+    """kernel_quadratic with lambda = 1e-9 appended: both ends of the
+    u-window give the shell root k = 2 in rounding, so the window has no
+    width.  Dividing the empty interval by its panels raised
+    ZeroDivisionError, and skipping the window would give wrong points."""
+    raw = json.loads((CONFIG_DIR / "kernel_quadratic.json").read_text())
+    raw["lambda_grid"].append(1e-9)
+    raw["output"] = {"directory": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert cli.main(["kernel-check", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
+    assert "reservoir window" in err[0] and "momentum 2" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_corr_check_passes_on_quadratic_catalog(tmp_path):

@@ -186,7 +186,8 @@ def test_slow_decay_raised_for_stationary_point_in_support():
          r"stationary points 0 of omega inside the momentum range"),
         # the linear catalog made radial, g still 0.033 at k = 0
         (mn.LinearDispersion(slope=1.0, offset=1.5, dimension=3),
-         0.7511255444649425 * mn.gaussian(center=1.5, width=0.6),
+         mn.linear_combination([0.7511255444649425],
+                               [mn.gaussian(center=1.5, width=0.6)]),
          r"\|g\| = 0\.0\d+ at the k = 0 edge of the radial domain$"),
     ]
     for disp, g, message in cases:

@@ -12,11 +12,10 @@ import multinoise as mn
 from multinoise import panels, wick
 from multinoise.checks import random_coefficients
 from multinoise.config import DEFAULT_WORD_SMEARS
-from multinoise.dispersion import (branch_inverse, clip_domain, measure_weight,
-                                   monotone_branches)
+from multinoise.dispersion import clip_domain, cut_points, measure_weight
 from multinoise.errors import QuadratureFailure, ZeroGamma
 from conftest import random_test_function
-from oracles import complex_quad
+from oracles import branch_inverse, complex_quad
 
 
 def brute_force_matchings(signs):
@@ -154,8 +153,9 @@ def _u_substituted_oracle(disp, g, lam, f_minus, f_plus):
     m_lo, m_hi = fm_hat.envelope_interval(1e-12)
     p_lo, p_hi = fp_hat.envelope_interval(1e-12)
     lam2 = lam * lam
+    edges = cut_points(disp, lo, hi, ())  # the monotone branches
     total = 0j
-    for a, b in monotone_branches(disp, lo, hi):
+    for a, b in zip(edges[:-1], edges[1:]):
         ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
         u_lo = max(min(ua, ub), min(m_lo, p_lo))
         u_hi = min(max(ua, ub), max(m_hi, p_hi))
@@ -173,9 +173,23 @@ def _u_substituted_oracle(disp, g, lam, f_minus, f_plus):
     return 2.0 * math.pi * total
 
 
+@pytest.fixture(scope="module")
+def radial_linear_catalog():
+    """d = 3 radial reduction of a linear dispersion, shell at k = 2."""
+    disp = mn.LinearDispersion(slope=1.0, offset=2.0, dimension=3)
+    return disp, mn.gaussian(2.0, 0.35)
+
+
+@pytest.fixture(scope="module")
+def negative_slope_catalog():
+    """A decreasing linear dispersion, shell at k = -2."""
+    return mn.LinearDispersion(slope=-1.5, offset=3.0), mn.gaussian(-2.0, 0.5)
+
+
 @pytest.mark.parametrize("lam", [1.0, 0.5, 0.15, 0.05])
 @pytest.mark.parametrize("catalog", ["linear_catalog", "quadratic_catalog",
-                                     "radial_catalog"])
+                                     "radial_catalog", "radial_linear_catalog",
+                                     "negative_slope_catalog"])
 def test_reservoir_pair_against_adaptive_oracle(request, catalog, lam):
     disp, g = request.getfixturevalue(catalog)
     for f_minus, f_plus in itertools.product(DEFAULT_WORD_SMEARS, repeat=2):
@@ -238,11 +252,17 @@ def test_reservoir_pair_does_not_depend_on_smear_normalisation(linear_catalog,
     one 7.6e-10 relative off."""
     disp, g = linear_catalog
     f_minus, f_plus = DEFAULT_WORD_SMEARS[:2]
+
+    def times(s, f):
+        return mn.linear_combination([s], [f])
+
     plain = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
     for up, down in ((1e200, 1e-200), (1e-6, 1e6)):
-        scaled = mn.reservoir_pair(disp, g, lam, up * f_minus, down * f_plus)
+        scaled = mn.reservoir_pair(disp, g, lam, times(up, f_minus),
+                                   times(down, f_plus))
         assert_allclose(scaled, plain, rtol=1e-12)
-    small = mn.reservoir_pair(disp, g, lam, 1e-5 * f_minus, 1e-5 * f_plus)
+    small = mn.reservoir_pair(disp, g, lam, times(1e-5, f_minus),
+                              times(1e-5, f_plus))
     assert_allclose(small / 1e-10, plain, rtol=1e-13)
 
 
@@ -250,6 +270,29 @@ def test_panel_sum_reports_nonconvergence():
     with pytest.raises(QuadratureFailure):
         panels.panel_sum(lambda t: np.sin(1.0 / t) + 0j, 1e-9, 1.0,
                         epsabs=1e-12, epsrel=1e-10)
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (3.0, 2.0), (math.nan, 2.0)])
+def test_panel_rules_refuse_an_empty_interval(lo, hi):
+    """Refused by name before any division: [2, 2] divided by zero, and
+    [3, 2] asked numpy for a negative number of panels."""
+    with pytest.raises(QuadratureFailure, match=r"^panel rule on \[.*empty"):
+        panels.panel_rule(lo, hi, 1.0)
+    with pytest.raises(QuadratureFailure, match=r"^panel rule on \[.*empty"):
+        panels.panel_sum(np.cos, lo, hi, epsabs=1e-12, epsrel=1e-10)
+
+
+def test_cut_points_split_at_stationary_points_and_energy_roots():
+    """Sorted and distinct, strictly inside (lo, hi), ends kept as given."""
+    disp = mn.QuadraticDispersion(mass=1.0, offset=2.0)
+    r = math.sqrt(6.0)  # omega(r) = 1
+    assert cut_points(disp, -3.0, 3.0, ()) == [-3.0, 0.0, 3.0]
+    assert cut_points(disp, -3.0, 3.0, (0.0, 1.0, 1.0, 5.0)) == [
+        -3.0, -r, -2.0, 0.0, 2.0, r, 3.0]
+    assert cut_points(disp, 2.0, 3.0, (0.0,)) == [2.0, 3.0]
+    radial = mn.LinearDispersion(slope=-1.5, offset=3.0, dimension=3)
+    assert cut_points(radial, 0.0, 4.0, (-4.5, 0.0, -7.5)) == [0.0, 1.0, 3.0,
+                                                                4.0]
 
 
 def test_reservoir_pair_repeats_bitwise(quadratic_catalog):

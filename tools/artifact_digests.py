@@ -6,8 +6,11 @@ Each run is ``python -m multinoise.cli`` on this tree's ``src/``, in a fresh
 process whose working directory is a temporary directory that is removed
 afterwards, so nothing is written into the tree.  The runs are the five
 shipped configs under their own commands, kernel-check and corr-check on
-catalog_linear with orders [0, 1] and a fixed 8-point lambda grid, and
-rep-check on catalog_linear at four seeds.  Every path a run sees is
+catalog_linear with orders [0, 1] and a fixed 8-point lambda grid, the same
+two on that grid for three more dispersions that no shipped config reaches
+(radial linear and radial quadratic with their shell at k = 2, and 1-D
+linear with its shell at k = 3, each under a form factor of width 0.35
+centred on its shell), and rep-check on catalog_linear at four seeds.  Every path a run sees is
 relative to its working directory, so its output does not depend on where
 the temporary directory lies.  Per run the script prints
 
@@ -19,7 +22,9 @@ with stdout and stderr counted as artifacts.
 The failure-path runs follow: the support gate without and with --force, a
 form factor of two cancelling atoms that only the gate refuses (with
 --force), assert_rel 1e-16 under gamma and kernel-check, --seed -1,
---out "", and empty orders under gamma, kernel-check and corr-check.  Each
+--out "", empty orders under gamma, kernel-check and corr-check, and
+kernel_quadratic with lambda = 1e-9 appended, where the reservoir window
+collapses to the shell root in rounding.  Each
 runs in a working directory of its own, without --out unless the run is
 about it, so a run that writes into its working directory shows.  Per run
 the script prints the exit line, the stdout digest, every stderr line as
@@ -52,6 +57,15 @@ SHIPPED = (("gamma", "catalog_linear"), ("gamma", "catalog_quadratic"),
            ("corr-check", "corr_quadratic"))
 LAMBDA_GRID = (0.55, 0.44, 0.36, 0.3, 0.25, 0.2, 0.16, 0.12)
 REP_SEEDS = (20240711, 1, 2, 3)
+# (label, dispersion, form-factor centre) of the extra grid runs
+GRID8_DISPERSIONS = (
+    ("radial_linear", {"kind": "linear", "slope": 1.0, "offset": 2.0,
+                       "dimension": 3}, 2.0),
+    ("radial_quadratic", {"kind": "quadratic", "mass": 1.0, "offset": 2.0,
+                          "dimension": 3}, 2.0),
+    ("linear_shell3", {"kind": "linear", "slope": 1.0, "offset": 3.0,
+                       "dimension": 1}, 3.0),
+)
 
 
 def _runs(config_dir: Path):
@@ -64,6 +78,13 @@ def _runs(config_dir: Path):
     grid.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
     for command in ("kernel-check", "corr-check"):
         yield command, "linear_grid8", grid, []
+    for label, dispersion, center in GRID8_DISPERSIONS:
+        raw.update(dispersion=dispersion,
+                   form_factor=[_gaussian_atom(1.0, center, 0.35)])
+        path = config_dir / f"{label}_grid8.json"
+        path.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
+        for command in ("kernel-check", "corr-check"):
+            yield command, f"{label}_grid8", path, []
     for seed in REP_SEEDS:
         yield ("rep-check", f"catalog_linear@seed={seed}",
                config_dir / "catalog_linear.json", ["--seed", str(seed)])
@@ -109,6 +130,11 @@ def _failure_runs(config_dir: Path):
                           ("corr-check", "corr_quadratic")):
         empty = variant(base, f"{base}_no_orders", orders=[])
         yield command, f"{base}@orders=[]", empty, []
+    # both ends of the u-window give the shell root k = 2 in rounding
+    grid = json.loads((config_dir / "kernel_quadratic.json").read_text())
+    collapsed = variant("kernel_quadratic", "kernel_quadratic_1e-9",
+                        lambda_grid=[*grid["lambda_grid"], 1e-9])
+    yield "kernel-check", "kernel_quadratic@lambda=1e-9", collapsed, []
 
 
 def _sha(data: bytes) -> str:
