@@ -36,6 +36,10 @@ __all__ = [
     "linear_combination",
 ]
 
+# highest multipole order n that a study runs: the coefficients gamma_n and
+# the Fock sectors H_n
+MAX_ORDER = 6
+
 
 @dataclass(frozen=True)
 class Atom:

@@ -26,8 +26,6 @@ import numpy as np
 
 from .config import StudyConfig, load_config
 from .errors import ConfigError, FloatingPointFault, SupportConditionFailed
-from .expansion import correlation_error, fit_rate
-from .gamma import check_support, gamma_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,6 +60,7 @@ def _json_text(obj) -> str:
 
 
 def _gate_on_support(cfg: StudyConfig, force: bool) -> None:
+    from .gamma import check_support
     try:
         check_support(cfg.dispersion, cfg.form_factor)
     except SupportConditionFailed as exc:
@@ -80,7 +79,12 @@ def _expansion_csv(points) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Each command imports the modules it runs in its own body, so a process
+# loads no other command's modules: gamma loads neither the forms nor the
+# Fock layer, rep-check neither gamma nor the expansion study.
+
 def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
+    from .gamma import gamma_table
     if not cfg.orders:
         raise ConfigError("gamma study needs a nonempty orders list")
     _gate_on_support(cfg, force)
@@ -93,7 +97,6 @@ def cmd_gamma(cfg: StudyConfig, force: bool) -> int:
 
 
 def cmd_rep_check(cfg: StudyConfig) -> int:
-    # imported here: the other commands never load the representation suites
     from .checks import run_representation_checks
     report = run_representation_checks(
         sector_max=cfg.sector_max, basis_size=cfg.basis_size,
@@ -110,6 +113,8 @@ def cmd_rep_check(cfg: StudyConfig) -> int:
 
 
 def cmd_expansion(cfg: StudyConfig, force: bool, command: str) -> int:
+    from .expansion import correlation_error, fit_rate
+    from .gamma import gamma_table
     stem, signs = EXPANSION_STUDIES[command]
     if not cfg.orders:
         raise ConfigError(f"{stem} study needs a nonempty orders list")

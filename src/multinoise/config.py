@@ -7,10 +7,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .atoms import Atom, TestFunction, gaussian
+from .atoms import MAX_ORDER, Atom, TestFunction, gaussian
 from .dispersion import Dispersion, LinearDispersion, QuadraticDispersion
 from .errors import ConfigError
-from .gamma import MAX_ORDER
 
 __all__ = ["StudyConfig", "load_config", "parse_config", "DEFAULT_WORD_SMEARS"]
 

@@ -22,8 +22,7 @@ errors lie above ERROR_FLOOR (``below_floor``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,16 +80,22 @@ def correlation_error(signs: Sequence[int], smears, orders: Sequence[int],
     return by_order
 
 
-@dataclass(frozen=True)
-class ExpansionPoint:
+class _Point(NamedTuple):
     lam: float
     order: int
     lhs: complex
     rhs: complex
 
-    def __post_init__(self):
-        if not self.lam > 0:
+
+class ExpansionPoint(_Point):
+    """The reservoir value lhs and order N's expansion rhs at one lambda."""
+
+    __slots__ = ()
+
+    def __new__(cls, lam: float, order: int, lhs: complex, rhs: complex):
+        if not lam > 0:
             raise ValueError("lambda must be positive")
+        return super().__new__(cls, lam, order, lhs, rhs)
 
     @property
     def abs_error(self) -> float:
@@ -101,9 +106,10 @@ def fit_rate(points: Sequence[ExpansionPoint]) -> dict:
     """The rates entry of one order: log-log slope of the error, and verdict.
 
     The slope is the least-squares fit of log(error) against log(lambda)
-    over the points above ERROR_FLOOR; the order N passes when it reaches
-    2N + 1.5.  With fewer than three such points the errors are
-    indistinguishable from noise, and the entry says ``below_floor`` and
+    over the points above ERROR_FLOOR, in closed form: the centred cross sum
+    of x and y over the centred sum of squares of x.  The order N passes
+    when it reaches 2N + 1.5.  With fewer than three such points the errors
+    are indistinguishable from noise, and the entry says ``below_floor`` and
     passes.  A non-finite error raises MultinoiseError.
     """
     points = tuple(points)
@@ -121,9 +127,12 @@ def fit_rate(points: Sequence[ExpansionPoint]) -> dict:
                 "passes": True}
     x = np.log([p.lam for p in usable])
     y = np.log([p.abs_error for p in usable])
-    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    # not np.polyfit: its LAPACK least squares paged in 0.6 MB of
+    # high-water mark on kernel_linear, for a line
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    resid = dy - slope * dx
+    ss_tot = float(np.sum(dy ** 2))
     r2 = 0.0 if ss_tot < 1e-30 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return {
         "order": n,

@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import herm2poly, hermgauss, hermval
@@ -71,8 +70,7 @@ METRIC_ORIENTATION = -1.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _AtomTable:
+class _AtomTable(NamedTuple):
     """The atoms of a list of test functions, stacked for batched pair sums.
 
     ``to_fn[i, a]`` is the coefficient of atom a in function i, so a matrix V

@@ -34,11 +34,11 @@ where |g|^2 may reach EPS_SUPP, and ``check_support`` raises otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .atoms import TestFunction
+from .atoms import MAX_ORDER, TestFunction
 from .dispersion import (Dispersion, clip_domain, curvature, cut_points,
                          measure_taylor, measure_weight)
 from .errors import (DegenerateRoot, OracleMismatch, SlowDecay,
@@ -58,15 +58,20 @@ EPS_SUPP = 1e-10   # threshold on |g|^2 for the effective support
 SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
-MAX_ORDER = 6
 SERIES_FROM = 8.0  # |Sigma omega| from which M_n is summed by parts
+
+
+def _stationary_in_range(disp: Dispersion, g: TestFunction, tol: float):
+    """(lo, hi, inside): the momentum range where |g| may reach ``tol``,
+    clipped to omega's domain, and the stationary points of omega in it."""
+    lo, hi = clip_domain(disp, *envelope(g, tol))
+    return lo, hi, [p for p in disp.stationary_points() if lo <= p <= hi]
 
 
 def check_support(disp: Dispersion, g: TestFunction) -> tuple[float, float]:
     """The effective support (lo, hi), where |g(k)|^2 may reach EPS_SUPP;
     SupportConditionFailed if a stationary point of omega lies inside it."""
-    lo, hi = clip_domain(disp, *envelope(g, math.sqrt(EPS_SUPP)))
-    inside = [p for p in disp.stationary_points() if lo <= p <= hi]
+    lo, hi, inside = _stationary_in_range(disp, g, math.sqrt(EPS_SUPP))
     if inside:
         raise SupportConditionFailed(
             f"stationary points {inside} inside effective support {(lo, hi)}")
@@ -148,11 +153,12 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
     SlowDecay if the cap is reached.
     """
     def probe_mag(sig: float) -> float:
-        probes = np.array([sig, 1.3 * sig, 1.7 * sig])
-        values = np.zeros(probes.size, dtype=complex)
-        for omega_nodes, density in _momentum_rule(disp, g, 1.7 * sig):
-            values += np.exp(1j * np.outer(probes, omega_nodes)) @ density
-        return float(np.max(np.abs(values)))
+        blocks = _momentum_rule(disp, g, 1.7 * sig)
+        # einsum, one probe at a time: the 3-row product through @ paged in
+        # zgemm, 0.7 MB of high-water mark on kernel_quadratic
+        return max(abs(sum(np.einsum("i,i->", np.exp(1j * p * omega), density)
+                           for omega, density in blocks))
+                   for p in (sig, 1.3 * sig, 1.7 * sig))
 
     sigma_end = 1.0
     while probe_mag(sigma_end) >= SIGMA_DECAY_TOL:
@@ -168,8 +174,7 @@ def _slow_decay_cause(disp: Dispersion, g: TestFunction) -> str:
     """The cause of a slow sigma decay that the momentum range shows: a
     stationary point of omega inside it, or else a radial domain's k = 0
     edge that g reaches."""
-    lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
-    inside = [p for p in disp.stationary_points() if lo <= p <= hi]
+    lo, hi, inside = _stationary_in_range(disp, g, MOMENTUM_TOL)
     if inside:
         return (f"stationary points {', '.join(f'{p:g}' for p in inside)} "
                 f"of omega inside the momentum range [{lo:.3g}, {hi:.3g}]")
@@ -255,16 +260,14 @@ def gamma_shell(disp: Dispersion, g: TestFunction, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaRow:
+class GammaRow(NamedTuple):
     n: int
     gamma_osc: float
     gamma_shell: float
     rel_diff: float
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(NamedTuple):
     rows: tuple[GammaRow, ...]
 
     def max_rel_diff(self) -> float:

@@ -510,9 +510,52 @@ def test_cli_commands_run_without_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+LOAD_GUARD = """
+import sys
+import multinoise
+probe, config_path, out = sys.argv[1:]
+if probe == "load_config":
+    from multinoise.config import load_config
+    load_config(config_path)
+elif probe != "import":
+    from multinoise import cli
+    code = cli.main([probe, "--config", config_path, "--out", out])
+    assert code == 0, code
+print(*sorted(m.partition(".")[2] for m in sys.modules
+              if m.startswith("multinoise.")))
+"""
+CONFIG_MODULES = ["atoms", "config", "dispersion", "errors"]
+
+
+@pytest.mark.parametrize("probe, config_name, loaded", [
+    ("import", "catalog_linear", []),
+    ("load_config", "catalog_linear", CONFIG_MODULES),
+    ("gamma", "catalog_linear", CONFIG_MODULES + ["cli", "gamma", "panels"]),
+    ("rep-check", "catalog_linear",
+     CONFIG_MODULES + ["checks", "cli", "fock", "forms", "panels", "wick"]),
+    ("kernel-check", "kernel_linear",
+     CONFIG_MODULES + ["cli", "expansion", "forms", "gamma", "panels", "wick"]),
+    ("corr-check", "corr_quadratic",
+     CONFIG_MODULES + ["cli", "expansion", "forms", "gamma", "panels", "wick"]),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, probe,
+                                                     config_name, loaded):
+    """The multinoise modules a fresh interpreter holds after importing the
+    package, after load_config, and after each command: importing loads
+    none, config not gamma, gamma none of the Fock, forms, Wick, expansion
+    or representation-check layers, rep-check neither gamma nor expansion."""
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_GUARD, probe,
+         str(CONFIG_DIR / f"{config_name}.json"), str(tmp_path)],
+        capture_output=True, text=True, env=fresh_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == sorted(loaded)
+
+
 PIN_PROBE = """
 import os
 import multinoise
+import numpy
 status = open("/proc/self/status").read()
 print(os.environ["OPENBLAS_NUM_THREADS"], status.split("Threads:")[1].split()[0])
 """
@@ -521,8 +564,8 @@ print(os.environ["OPENBLAS_NUM_THREADS"], status.split("Threads:")[1].split()[0]
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts threads in /proc/self/status")
 def test_import_pins_openblas_to_one_thread_unless_set():
-    """Importing multinoise loads numpy with one OpenBLAS thread, so the
-    process has no BLAS worker pool, and leaves a user's own value alone."""
+    """numpy imported after multinoise loads with one OpenBLAS thread, so
+    the process has no BLAS worker pool; a user's own value stays."""
     def probe(**extra):
         done = subprocess.run([sys.executable, "-c", PIN_PROBE],
                               capture_output=True, text=True,

@@ -1,9 +1,7 @@
 """Exported names: every one that a module or the package promises exists."""
 
-import ast
 import importlib
 import pkgutil
-from pathlib import Path
 
 import pytest
 
@@ -21,13 +19,12 @@ def test_module_all_names_exist(name):
 
 
 def test_package_imports_exist():
-    """Each name the package re-exports is defined by its source module."""
-    tree = ast.parse(Path(multinoise.__file__).read_text())
-    imported = [(node.module, alias.name) for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.level == 1
-                for alias in node.names]
-    assert imported
-    for module, name in imported:
+    """Each name the package re-exports is defined by its source module and
+    resolves to that module's object; any other name is an AttributeError."""
+    assert multinoise._EXPORTS
+    for name, module in multinoise._EXPORTS.items():
         source = importlib.import_module(f"multinoise.{module}")
         assert hasattr(source, name), f"multinoise.{module}.{name}"
         assert getattr(multinoise, name) is getattr(source, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        multinoise.no_such_name
