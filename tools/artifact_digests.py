@@ -1,8 +1,9 @@
 """Print the sha256 of every artifact of a fixed set of CLI runs.
 
-    python tools/artifact_digests.py > digests.txt
+    python tools/artifact_digests.py > tests/data/artifact_digests.txt
 
-Each run is ``python -m multinoise.cli`` on this tree's ``src/``, in a fresh
+The first line names the Python and numpy versions the digests were taken
+with, ``# python <version> numpy <version>``.  Each run is ``python -m multinoise.cli`` on this tree's ``src/``, in a fresh
 process whose working directory is a temporary directory that is removed
 afterwards, so nothing is written into the tree.  The runs are the five
 shipped configs under their own commands, kernel-check and corr-check on
@@ -36,14 +37,19 @@ and the digest of every file the run wrote.
 Diff the output of two trees to see which bytes a change shifted; run one
 copy of this script from both checkouts.  Digests can change with the numpy
 and BLAS build, so compare trees on one machine and one environment.
+``tests/test_digests.py`` compares this tree's output with the copy kept in
+``tests/data/artifact_digests.txt``; a change that shifts bytes rewrites
+that file with the command above, and its diff lists the shifted runs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -144,6 +150,8 @@ def _sha(data: bytes) -> str:
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    print(f"# python {platform.python_version()} "
+          f"numpy {importlib.metadata.version('numpy')}")
     with tempfile.TemporaryDirectory(prefix="artifact-digests-") as tmp:
         work = Path(tmp)
         config_dir = work / "configs"
