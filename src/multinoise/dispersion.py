@@ -7,9 +7,9 @@ optional radial reduction of the three-dimensional integral
     linear     omega(k) = slope * k - offset
     quadratic  omega(k) = k^2 / (2 mass) - offset
 
-``roots`` is the one inverse of omega.  The gamma shell oracle finds the
-energy shell with it, and ``cut_points`` uses it to cut a momentum interval
-into pieces on which omega is monotone and crosses none of given energies.
+``roots`` is the one inverse of omega, elementwise in the energy, one array
+per branch whatever the domain.  ``shell_density`` pushes a form factor
+through it, and the gamma shell oracle finds the energy shell with it.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ class LinearDispersion:
     def stationary_points(self) -> tuple[float, ...]:
         return ()
 
-    def roots(self, energy: float) -> tuple[float, ...]:
-        k = (energy + self.offset) / self.slope
-        if self.dimension == 3 and k <= 0:
-            return ()
-        return (k,)
+    def roots(self, energy) -> tuple[np.ndarray, ...]:
+        return ((np.asarray(energy, dtype=float) + self.offset) / self.slope,)
 
 
 @dataclass(frozen=True)
@@ -73,15 +70,10 @@ class QuadraticDispersion:
     def stationary_points(self) -> tuple[float, ...]:
         return (0.0,)
 
-    def roots(self, energy: float) -> tuple[float, ...]:
-        radicand = 2.0 * self.mass * (energy + self.offset)
-        if radicand < 0:
-            return ()
-        r = math.sqrt(radicand)
-        if self.dimension == 3:
-            return (r,) if r > 0 else ()
-        if r == 0:
-            return (0.0,)
+    def roots(self, energy) -> tuple[np.ndarray, ...]:
+        """On the branches k <= 0 and k >= 0; NaN below omega's minimum."""
+        radicand = 2.0 * self.mass * (np.asarray(energy, dtype=float) + self.offset)
+        r = np.sqrt(np.where(radicand >= 0, radicand, np.nan))
         return (-r, r)
 
 
@@ -115,13 +107,22 @@ def clip_domain(disp: Dispersion, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
-def cut_points(disp: Dispersion, lo: float, hi: float, energies) -> list[float]:
-    """lo, hi and, strictly between them, the stationary points of omega and
-    the roots of omega = E for each E in ``energies``, sorted and distinct.
+def cut_points(disp: Dispersion, lo: float, hi: float) -> list[float]:
+    """lo, the stationary points of omega strictly between lo and hi, and hi:
+    omega is monotone between two neighbouring cuts."""
+    return [lo, *(p for p in disp.stationary_points() if lo < p < hi), hi]
 
-    omega is monotone between two neighbouring cuts and crosses none of the
-    given energies there; ``roots`` is the one inverse of omega it uses.
-    """
-    inner = {*disp.stationary_points(),
-             *(k for e in energies for k in disp.roots(e))}
-    return [lo, *sorted(p for p in inner if lo < p < hi), hi]
+
+def shell_density(disp: Dispersion, g, lo: float, hi: float, energy):
+    """rho(E) = sum of w(k) |g(k)|^2 / |omega'(k)| over the roots k of
+    omega = E in (lo, hi), elementwise in E; omega' is evaluated at those
+    roots only.  The ends are left out: the radial lo = 0 is where w and
+    omega' vanish together, and g is negligible at any other."""
+    energy = np.asarray(energy, dtype=float)
+    rho = np.zeros(energy.shape)
+    for k in disp.roots(energy):
+        inside = (lo < k) & (k < hi)
+        k = k[inside]
+        rho[inside] += (measure_weight(disp, k) * np.abs(g(k)) ** 2
+                        / np.abs(disp.domega(k)))
+    return rho

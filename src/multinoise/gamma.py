@@ -96,7 +96,7 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:
         return ()
-    corners = np.array(cut_points(disp, lo, hi, ()))
+    corners = np.array(cut_points(disp, lo, hi))
     dom_max = float(np.max(np.abs(disp.domega(corners))))
     min_width = min(a.width for _, a in g.atoms)
     width = min(math.pi / max(sigma_max * dom_max, 1e-6),
@@ -214,8 +214,13 @@ def gamma_osc(disp: Dispersion, g: TestFunction, n: int, rule=None) -> float:
 
 
 def _shell_roots(disp: Dispersion, energy: float):
-    """Roots of omega = energy with their slopes; DegenerateRoot on a flat one."""
-    for k in disp.roots(energy):
+    """The roots of omega = energy in the domain (k > 0 radially), each once,
+    with their slopes; DegenerateRoot on a flat one."""
+    edge = 0.0 if disp.dimension == 3 else -math.inf  # a NaN root fails k > edge
+    # + 0.0 turns the k <= 0 branch's -0.0, at a root k = 0, into 0.0
+    for k in dict.fromkeys(float(k) + 0.0 for k in disp.roots(energy)):
+        if not k > edge:
+            continue
         slope = float(disp.domega(k))
         if abs(slope) < DEGENERATE_SLOPE:
             raise DegenerateRoot(

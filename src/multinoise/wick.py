@@ -16,15 +16,10 @@ provided:
   field, the smeared kernel
   (1/lambda^2) integral dk |g(k)|^2 exp(i omega(k) (tau - t) / lambda^2).
   The time integrals are done exactly by the smears' Fourier transforms,
-  leaving one momentum integral.  ``dispersion.cut_points`` cuts the
-  momentum range where omega is stationary or u = omega(k)/lambda^2 reaches
-  an end of both smears' spectra, and the integral runs over the pieces
-  whose u lies inside, each as a vectorized Gauss-Legendre panel sum
-  (``panels.panel_sum``, the panel layout of the gamma table) whose panel
-  count doubles until two successive sums agree.  Each smear's spectral
-  interval, and the form factor's momentum interval, are computed once per
-  function (``panels.envelope``).  The test suite checks the kernel against
-  adaptive quadrature in u and against a time-domain tensor rule.
+  and the momentum integral is pushed through omega onto the energy: an
+  integral in u = E/lambda^2 of the shell density rho(E)
+  (``dispersion.shell_density``), whose derivatives at E = 0 are the
+  gamma_n, against the smears' spectra.
 """
 
 from __future__ import annotations
@@ -35,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import TestFunction
-from .dispersion import Dispersion, clip_domain, cut_points, measure_weight
-from .errors import QuadratureFailure
+from .dispersion import Dispersion, clip_domain, cut_points, shell_density
 from .forms import indefinite_inner
 from .panels import MOMENTUM_TOL, envelope, panel_sum
 
@@ -105,31 +99,23 @@ def wick_sum(signs: Sequence[int], pair) -> complex:
 
 def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
                    f_minus: TestFunction, f_plus: TestFunction) -> complex:
-    """Exact two-point function of the rescaled reservoir field at coupling lam.
+    """Exact two-point function of the rescaled reservoir field at coupling lam:
 
-    Computed as
+        2 pi * integral du  rho(lambda^2 u) conj(f_minus_F(u)) f_plus_F(u),
 
-        2 pi * integral dk  lambda^-2 w(k) |g(k)|^2
-                            * conj(f_minus_F(u)) f_plus_F(u),   u = omega(k)/lambda^2,
-
-    over the momenta whose u lies where both smears' Fourier transforms exceed
-    SPECTRUM_TOL times their largest atom amplitude (outside that window one
-    factor is below it, however the smears are normalised).  For small lambda
-    that window is O(lambda^2) wide, so it resolves the energy shell at every
-    lambda, and the k integrand carries no 1/|omega'| Jacobian, so a branch
-    ending at a stationary point stays smooth.  The window is cut at the
-    stationary points of omega and at the roots of omega = lambda^2 u for
-    both ends of the u-window, and each piece inside it is a
-    Gauss-Legendre panel sum whose panel count doubles until two successive
-    sums agree to max(PAIR_ABS A, PAIR_REL |I|), A the product of g's
-    amplitude squared and both spectra's amplitudes, so that the floor
-    scales with the integrand as the spectra's bounds do; QuadratureFailure
-    if they still differ at MAX_PANELS panels, or if both ends of the
-    u-window give the same root inside the momentum range, so that the
-    window has collapsed in rounding.  The oracles live in the test
-    suite: adaptive quadrature of the u-substituted integral (the Jacobian
-    form), a time-domain tensor rule, and a dense sum for a narrow spectral
-    overlap.
+    rho the shell density of g over its momentum range.  u runs where both
+    smears' Fourier transforms exceed SPECTRUM_TOL times their largest atom
+    amplitude (however the smears are normalised), clipped to omega's range
+    over the momentum range: the window does not depend on lambda, and an
+    empty one gives 0j.  It is cut at omega's values at the range's ends and
+    stationary points, over lambda^2.  rho has a 1/sqrt threshold at a
+    stationary value e_s, so the piece starting there runs in t, with
+    u = e_s/lambda^2 + t^2 at the energy e_s + lambda^2 t^2.  Each piece is a
+    Gauss-Legendre panel sum whose panel count doubles until two sums agree
+    to max(PAIR_ABS A, PAIR_REL |I|), A the product of g's amplitude squared
+    and both spectra's amplitudes; QuadratureFailure if they still differ at
+    MAX_PANELS panels.  The test suite checks it by adaptive quadrature in u
+    on its own branch inverse and in k, and by a time-domain tensor rule.
     """
     if not lam > 0:
         raise ValueError("coupling lambda must be positive")
@@ -139,27 +125,32 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
     m_lo, m_hi = envelope(fm_hat, SPECTRUM_TOL * fm_hat.amplitude())
     p_lo, p_hi = envelope(fp_hat, SPECTRUM_TOL * fp_hat.amplitude())
-    u_lo, u_hi = max(m_lo, p_lo), min(m_hi, p_hi)
     lam2 = lam * lam
+    corners = np.array(cut_points(disp, lo, hi))  # omega's range is theirs
+    energies = disp.omega(corners)
+    ends = energies / lam2
+    thresholds = {u: e for u, e, slope in zip(ends, energies, disp.domega(corners))
+                  if slope == 0}
+    u_lo, u_hi = max(m_lo, p_lo, ends.min()), min(m_hi, p_hi, ends.max())
+    if not u_hi > u_lo:
+        return 0j
     epsabs = PAIR_ABS * g.amplitude() ** 2 * fm_hat.amplitude() * fp_hat.amplitude()
 
-    def integrand(k):
-        u = disp.omega(k) / lam2
-        return (measure_weight(disp, k) * np.abs(g(k)) ** 2
-                * np.conj(fm_hat(u)) * fp_hat(u)) / lam2
+    def spectral(u, energy):
+        return (shell_density(disp, g, lo, hi, energy)
+                * np.conj(fm_hat(u)) * fp_hat(u))
 
-    e_lo, e_hi = lam2 * u_lo, lam2 * u_hi
-    collapsed = [k for k in disp.roots(e_lo)
-                 if k in disp.roots(e_hi) and lo < k < hi]
-    if e_lo < e_hi and collapsed:
-        raise QuadratureFailure(
-            f"reservoir window u in [{u_lo:g}, {u_hi:g}] collapses at lambda "
-            f"{lam:g}: both ends give the momentum {collapsed[0]:g}")
-    cuts = cut_points(disp, lo, hi, (e_lo, e_hi))
+    cuts = [u_lo, *sorted({u for u in ends if u_lo < u < u_hi}), u_hi]
     total = 0j
     for a, b in zip(cuts[:-1], cuts[1:]):
-        if e_lo <= disp.omega(0.5 * (a + b)) <= e_hi:
-            total += panel_sum(integrand, a, b, epsabs=epsabs, epsrel=PAIR_REL)
+        if a in thresholds:
+            e_s = thresholds[a]
+            total += panel_sum(
+                lambda t: 2.0 * t * spectral(a + t * t, e_s + lam2 * t * t),
+                0.0, math.sqrt(b - a), epsabs=epsabs, epsrel=PAIR_REL)
+        else:
+            total += panel_sum(lambda u: spectral(u, lam2 * u), a, b,
+                               epsabs=epsabs, epsrel=PAIR_REL)
     return 2.0 * math.pi * total
 
 

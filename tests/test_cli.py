@@ -745,21 +745,83 @@ def test_kernel_check_rate_failure_exits_6(tmp_path):
     assert rates[0]["passes"] is False
 
 
-def test_collapsed_reservoir_window_exits_4_in_one_line(tmp_path, capsys):
-    """kernel_quadratic with lambda = 1e-9 appended: both ends of the
-    u-window give the shell root k = 2 in rounding, so the window has no
-    width.  Dividing the empty interval by its panels raised
-    ZeroDivisionError, and skipping the window would give wrong points."""
-    raw = json.loads((CONFIG_DIR / "kernel_quadratic.json").read_text())
-    raw["lambda_grid"].append(1e-9)
-    raw["output"] = {"directory": str(tmp_path / "out")}
+def _shipped_variant(tmp_path, name, **changes):
+    """A shipped config with some top-level fields replaced, writing to
+    tmp_path/out."""
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw.update(changes, output={"directory": str(tmp_path / "out")})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    assert cli.main(["kernel-check", "--config", str(cfg)]) == 4
+    return cfg, raw
+
+
+def test_kernel_check_at_lambda_1e_9_reads_the_white_noise_limit(tmp_path):
+    """kernel_quadratic with lambda = 1e-9 appended exits 0, and the exact
+    pair there equals the N = 0 rhs within assert_rel.  Integrated in
+    momentum, both ends of the u-window gave the shell root k = 2 in
+    rounding, and the run exited 4."""
+    grid = json.loads((CONFIG_DIR / "kernel_quadratic.json").read_text())[
+        "lambda_grid"]
+    cfg, raw = _shipped_variant(tmp_path, "kernel_quadratic",
+                                lambda_grid=[*grid, 1e-9])
+    assert cli.main(["kernel-check", "--config", str(cfg)]) == 0
+    with open(tmp_path / "out" / "kernel_points.csv") as handle:
+        (row,) = [r for r in csv.DictReader(handle)
+                  if float(r["lambda"]) == 1e-9 and r["N"] == "0"]
+    lhs = complex(float(row["lhs_re"]), float(row["lhs_im"]))
+    rhs = complex(float(row["rhs_re"]), float(row["rhs_im"]))
+    assert abs(lhs - rhs) <= raw["tolerances"]["assert_rel"] * abs(rhs)
+
+
+REPRO_B = {"orders": [0, 1, 2, 3, 4],
+           "lambda_grid": [0.5, 0.35, 0.25, 0.15, 0.1, 0.07, 0.05, 0.03]}
+
+
+@pytest.mark.parametrize("command, name, changes, verdicts", [
+    ("kernel-check", "kernel_quadratic",
+     {"lambda_grid": [0.5, 0.35, 0.25, 0.15, 1e-8]},
+     ["N=0: slope 2.518", "N=1: slope 3.944"]),
+    ("kernel-check", "kernel_quadratic", REPRO_B,
+     ["N=0: slope 2.236", "N=1: slope 3.978", "N=2: slope 6.071",
+      "N=3: slope 7.955", "N=4: slope 10.029"]),
+    ("corr-check", "corr_quadratic", REPRO_B,
+     ["N=0: slope 3.005", "N=1: slope 3.992", "N=2: slope 6.460",
+      "N=3: slope 7.987", "N=4: slope 10.257"]),
+], ids=["kernel_lambda_1e-8", "kernel_orders_0-4", "corr_orders_0-4"])
+def test_quadratic_studies_pass_at_small_lambda(tmp_path, capsys, command,
+                                                name, changes, verdicts):
+    """Shell root k = 2.  Integrated in momentum, u = omega(k)/lambda^2
+    cancelled near it: lambda = 1e-8 read 9.62 for 3.94 and N = 0 failed
+    with slope -0.310, and on the 8-point grid N = 4's errors stalled near
+    3e-13, so kernel N = 4 failed with slope 7.857 and corr N = 3 and 4 with
+    7.490 and 7.010."""
+    cfg, _ = _shipped_variant(tmp_path, name, **changes)
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    stem = command.split("-")[0]
+    assert capsys.readouterr().out.splitlines() == [
+        f"{stem} {verdict} (pass)" for verdict in verdicts]
+
+
+def test_forced_quadratic_run_integrates_the_threshold_piece(tmp_path, capsys,
+                                                             monkeypatch):
+    """kernel_quadratic under --force, with a form factor of two cancelling
+    atoms that each reach omega's minimum at k = 0 (the support gate's
+    false alarm) and smears of width 0.5, whose spectra reach u = -8 =
+    omega(0)/0.5^2.  At lambda = 0.5 the pair integrates the piece that
+    starts at that threshold in t, from t = 0, under the CLI's errstate,
+    and the run exits 0 with the gate's line alone on stderr."""
+    from multinoise import wick
+    pieces = _counting(monkeypatch, wick, "panel_sum")
+    form_factor = linear_combination(
+        [1e4, -1e4], [gaussian(2.5, 0.4), gaussian(2.5001, 0.4)])
+    cfg, _ = _shipped_variant(
+        tmp_path, "kernel_quadratic", form_factor=atom_json(form_factor),
+        smears=[atom_json(gaussian(width=0.5)),
+                atom_json(gaussian(width=0.5, modulation=-0.4))])
+    assert cli.main(["kernel-check", "--config", str(cfg), "--force"]) == 0
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("QuadratureFailure: "), err
-    assert "reservoir window" in err[0] and "momentum 2" in err[0]
-    assert not (tmp_path / "out").exists()
+    assert len(err) == 1 and err[0].startswith("support condition failed: ")
+    assert any(lo == 0.0 for _, lo, _ in pieces)
 
 
 def test_corr_check_passes_on_quadratic_catalog(tmp_path):

@@ -96,12 +96,29 @@ def test_gamma_shell_quadratic_root_formula():
 
 
 def test_roots_at_the_domain_edge():
-    """A radial linear dispersion has no root at k <= 0; a 1-D quadratic one
-    touching the energy at k = 0 has the single root 0."""
+    """``roots`` gives one array per branch whatever the domain, NaN below a
+    quadratic's minimum, without a numpy warning; the shell oracle keeps the
+    roots in the domain, k > 0 radially and a 1-D double root k = 0 once."""
     radial = mn.LinearDispersion(slope=1.0, offset=1.0, dimension=3)
-    assert radial.roots(-1.0) == () and radial.roots(-2.0) == ()
-    assert radial.roots(0.0) == (1.0,)
-    assert mn.QuadraticDispersion(mass=1.0, offset=0.0).roots(0.0) == (0.0,)
+    quadratic = mn.QuadraticDispersion(mass=1.0, offset=0.0)
+    with np.errstate(all="raise"):
+        (line,) = radial.roots(np.array([-2.0, -1.0, 0.0]))
+        left, right = quadratic.roots(np.array([-1.0, 0.0, 2.0]))
+    assert line.tolist() == [-1.0, 0.0, 1.0]
+    assert np.isnan(left[0]) and np.isnan(right[0])
+    assert left[1:].tolist() == [0.0, -2.0] and right[1:].tolist() == [0.0, 2.0]
+
+    def shell(disp, energy):
+        return list(gamma_mod._shell_roots(disp, energy))
+
+    assert shell(radial, -2.0) == [] and shell(radial, -1.0) == []
+    assert shell(radial, 0.0) == [(1.0, 1.0)]
+    assert shell(mn.QuadraticDispersion(offset=2.0), 0.0) == [(-2.0, -2.0),
+                                                             (2.0, 2.0)]
+    assert shell(mn.QuadraticDispersion(offset=0.0, dimension=3), 0.0) == []
+    assert shell(quadratic, -1.0) == []
+    with pytest.raises(DegenerateRoot, match=r"^\|omega'\(0\)\| = 0 below 1e-06$"):
+        shell(quadratic, 0.0)
 
 
 def test_gamma_shell_empty_shell_is_zero():

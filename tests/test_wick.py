@@ -12,7 +12,8 @@ import multinoise as mn
 from multinoise import panels, wick
 from multinoise.checks import random_coefficients
 from multinoise.config import DEFAULT_WORD_SMEARS
-from multinoise.dispersion import clip_domain, cut_points, measure_weight
+from multinoise.dispersion import (clip_domain, cut_points, measure_weight,
+                                   shell_density)
 from multinoise.errors import QuadratureFailure, ZeroGamma
 from conftest import random_test_function
 from oracles import branch_inverse, complex_quad
@@ -144,16 +145,18 @@ def test_reservoir_pair_against_time_domain_oracle(quadratic_catalog):
 def _u_substituted_oracle(disp, g, lam, f_minus, f_plus):
     """Adaptive quadrature of the kernel in u = omega(k)/lambda^2, per branch.
 
-    Independent of the production panel rule: it integrates in u with the
-    1/|omega'| Jacobian, over the union of the smears' spectral envelopes,
-    with QUADPACK choosing the nodes.
+    The package integrates in u too, but this route inverts omega on each
+    monotone branch by its own closed form (``oracles.branch_inverse``, not
+    ``Dispersion.roots``), integrates over the union of the smears'
+    spectral envelopes rather than their overlap, and lets QUADPACK choose
+    the nodes.
     """
     lo, hi = clip_domain(disp, *g.envelope_interval(panels.MOMENTUM_TOL))
     fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
     m_lo, m_hi = fm_hat.envelope_interval(1e-12)
     p_lo, p_hi = fp_hat.envelope_interval(1e-12)
     lam2 = lam * lam
-    edges = cut_points(disp, lo, hi, ())  # the monotone branches
+    edges = cut_points(disp, lo, hi)  # the monotone branches
     total = 0j
     for a, b in zip(edges[:-1], edges[1:]):
         ua, ub = float(disp.omega(a)) / lam2, float(disp.omega(b)) / lam2
@@ -171,6 +174,34 @@ def _u_substituted_oracle(disp, g, lam, f_minus, f_plus):
         total += complex_quad(integrand, u_lo, u_hi, epsabs=1e-12,
                               epsrel=1e-10, limit=400, points=points)
     return 2.0 * math.pi * total
+
+
+def _k_form_oracle(disp, g, lam, f_minus, f_plus):
+    """Adaptive quadrature of the kernel in momentum, as the paper writes it:
+
+        2 pi (1/lambda^2) integral dk w(k) |g(k)|^2 conj(f_minus_F(u)) f_plus_F(u),
+
+    u = omega(k)/lambda^2, over the form factor's whole momentum range, with
+    QUADPACK choosing the nodes and told only where omega is stationary and
+    where the shell lies.  No energy is inverted and no window is cut, so
+    it shares neither the package's variable nor its pieces.
+    """
+    lo, hi = clip_domain(disp, *g.envelope_interval(panels.MOMENTUM_TOL))
+    fm_hat, fp_hat = f_minus.fourier(), f_plus.fourier()
+    lam2 = lam * lam
+
+    def integrand(k):
+        u = disp.omega(k) / lam2
+        return (measure_weight(disp, k) * abs(g(k)) ** 2
+                * np.conj(fm_hat(u)) * fp_hat(u)) / lam2
+
+    edges = cut_points(disp, lo, hi)
+    shell = {float(branch_inverse(disp, a, b, 0.0))
+             for a, b in zip(edges[:-1], edges[1:])}
+    points = sorted(k for k in {*edges[1:-1], *shell} if lo < k < hi)
+    return 2.0 * math.pi * complex_quad(integrand, lo, hi, epsabs=1e-12,
+                                        epsrel=1e-10, limit=400,
+                                        points=points or None)
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +226,18 @@ def test_reservoir_pair_against_adaptive_oracle(request, catalog, lam):
     for f_minus, f_plus in itertools.product(DEFAULT_WORD_SMEARS, repeat=2):
         fast = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
         oracle = _u_substituted_oracle(disp, g, lam, f_minus, f_plus)
+        assert abs(fast - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.5, 0.15])
+@pytest.mark.parametrize("catalog", ["linear_catalog", "quadratic_catalog",
+                                     "radial_catalog", "radial_linear_catalog",
+                                     "negative_slope_catalog"])
+def test_reservoir_pair_against_momentum_oracle(request, catalog, lam):
+    disp, g = request.getfixturevalue(catalog)
+    for f_minus, f_plus in itertools.product(DEFAULT_WORD_SMEARS, repeat=2):
+        fast = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
+        oracle = _k_form_oracle(disp, g, lam, f_minus, f_plus)
         assert abs(fast - oracle) <= 1e-9 * max(1.0, abs(oracle))
 
 
@@ -282,17 +325,91 @@ def test_panel_rules_refuse_an_empty_interval(lo, hi):
         panels.panel_sum(np.cos, lo, hi, epsabs=1e-12, epsrel=1e-10)
 
 
-def test_cut_points_split_at_stationary_points_and_energy_roots():
-    """Sorted and distinct, strictly inside (lo, hi), ends kept as given."""
+def test_cut_points_split_at_stationary_points():
+    """lo, the stationary points strictly inside (lo, hi), hi: an end on a
+    stationary point is kept once."""
     disp = mn.QuadraticDispersion(mass=1.0, offset=2.0)
-    r = math.sqrt(6.0)  # omega(r) = 1
-    assert cut_points(disp, -3.0, 3.0, ()) == [-3.0, 0.0, 3.0]
-    assert cut_points(disp, -3.0, 3.0, (0.0, 1.0, 1.0, 5.0)) == [
-        -3.0, -r, -2.0, 0.0, 2.0, r, 3.0]
-    assert cut_points(disp, 2.0, 3.0, (0.0,)) == [2.0, 3.0]
+    assert cut_points(disp, -3.0, 3.0) == [-3.0, 0.0, 3.0]
+    assert cut_points(disp, 2.0, 3.0) == [2.0, 3.0]
+    assert cut_points(disp, 0.0, 3.0) == [0.0, 3.0]
+    assert cut_points(disp, -3.0, 0.0) == [-3.0, 0.0]
     radial = mn.LinearDispersion(slope=-1.5, offset=3.0, dimension=3)
-    assert cut_points(radial, 0.0, 4.0, (-4.5, 0.0, -7.5)) == [0.0, 1.0, 3.0,
-                                                                4.0]
+    assert cut_points(radial, 0.0, 4.0) == [0.0, 4.0]
+
+
+def test_shell_density_sums_the_in_range_roots():
+    """rho(E) = sum of w |g|^2 / |omega'| over the roots in (lo, hi): both
+    roots +-k of a quadratic shell inside the range, one when the range
+    holds one, none below omega's minimum, all without a numpy warning."""
+    disp = mn.QuadraticDispersion(mass=0.5, offset=2.0)
+    g = mn.gaussian(0.5, 1.5)
+    energy = np.array([-2.0 + 1e-9, -1.0, 0.5, 4.0])
+    k = np.sqrt(energy + 2.0)  # 2 mass (E + offset) = E + 2
+
+    def share(k):
+        return np.abs(g(k)) ** 2 / np.abs(disp.domega(k))
+
+    with np.errstate(all="raise"):
+        both = shell_density(disp, g, -10.0, 10.0, energy)
+        right = shell_density(disp, g, 0.5, 10.0, energy)
+        below = shell_density(disp, g, -10.0, 10.0, np.array([-3.0, -2.5]))
+    assert_allclose(both, share(k) + share(-k), rtol=1e-14)
+    assert_allclose(right, np.where(k >= 0.5, share(k), 0.0), rtol=1e-14)
+    assert below.tolist() == [0.0, 0.0]
+    radial = mn.QuadraticDispersion(mass=1.0, offset=2.0, dimension=3)
+    with np.errstate(all="raise"):
+        got = shell_density(radial, g, 0.0, 10.0, np.array([-2.0, 1.0]))
+    r = math.sqrt(6.0)
+    assert_allclose(got, [0.0, 4.0 * math.pi * r * abs(g(r)) ** 2],
+                    rtol=1e-14)
+
+
+def _white_noise_terms(disp, g, f_minus, f_plus):
+    """The pair's N = 0, 1, 2 terms lambda^(-2n)-free, from gamma_shell."""
+    return [mn.indefinite_inner(n, gamma, [f_minus], [f_plus])[0, 0]
+            if (gamma := mn.gamma_shell(disp, g, n)) else 0j
+            for n in range(3)]
+
+
+@pytest.mark.parametrize("disp, g", [
+    (mn.QuadraticDispersion(mass=1.0, offset=2.0), mn.gaussian(2.0, 0.35)),
+    (mn.LinearDispersion(offset=2.0), mn.gaussian(2.0, 1.0)),
+    (mn.QuadraticDispersion(mass=0.5, offset=2.0),
+     mn.gaussian(math.sqrt(2.0), 0.35)),
+], ids=["quadratic_shell_2", "linear_shifted_2", "narrow_window"])
+def test_reservoir_pair_converges_down_to_lambda_1e_12(disp, g):
+    """The pair tends to its white-noise limit as lambda^2 times its N = 1
+    term.  In momentum, u = omega(k)/lambda^2 cancelled near the shell
+    root: the quadratic shell at k = 2 failed to converge from lambda =
+    1e-4 and read 9.62 at 1e-8, the shifted linear one read 10.10 there, and
+    the narrow window (a shell root at sqrt(2)) read 0."""
+    f_minus, f_plus = DEFAULT_WORD_SMEARS[:2]
+    terms = _white_noise_terms(disp, g, f_minus, f_plus)
+    for lam in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
+        budget = (1.5 * (lam ** 2 * abs(terms[1]) + lam ** 4 * abs(terms[2]))
+                  + 1e-13 * abs(terms[0]))
+        assert abs(val - terms[0]) <= budget, lam
+
+
+@pytest.mark.parametrize("disp, g, lam, f_minus, f_plus", [
+    # the smears' spectra lie near u = +20 and u = -20
+    (mn.LinearDispersion(), mn.gaussian(), 0.3,
+     mn.gaussian(width=2.0, modulation=-20.0),
+     mn.gaussian(width=2.0, modulation=20.0)),
+    # omega >= 1 over the form factor's range, so u >= 100 > the spectra
+    (mn.QuadraticDispersion(offset=-1.0), mn.gaussian(2.0, 0.35), 0.1,
+     *DEFAULT_WORD_SMEARS[:2]),
+], ids=["disjoint_spectra", "above_omega_range"])
+def test_reservoir_pair_with_an_empty_window_is_exact_zero(monkeypatch, disp,
+                                                           g, lam, f_minus,
+                                                           f_plus):
+    def no_panel_sum(*args, **kwargs):
+        raise AssertionError("panel sum over an empty window")
+
+    monkeypatch.setattr(wick, "panel_sum", no_panel_sum)
+    val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
+    assert type(val) is complex and val == 0j
 
 
 def test_reservoir_pair_repeats_bitwise(quadratic_catalog):
