@@ -128,7 +128,8 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     lam2 = lam * lam
     corners = np.array(cut_points(disp, lo, hi))  # omega's range is theirs
     energies = disp.omega(corners)
-    ends = energies / lam2
+    with np.errstate(over="ignore"):  # an infinite end clips and cuts nothing
+        ends = energies / lam2
     thresholds = {u: e for u, e, slope in zip(ends, energies, disp.domega(corners))
                   if slope == 0}
     u_lo, u_hi = max(m_lo, p_lo, ends.min()), min(m_hi, p_hi, ends.max())

@@ -364,13 +364,6 @@ def test_shell_density_sums_the_in_range_roots():
                     rtol=1e-14)
 
 
-def _white_noise_terms(disp, g, f_minus, f_plus):
-    """The pair's N = 0, 1, 2 terms lambda^(-2n)-free, from gamma_shell."""
-    return [mn.indefinite_inner(n, gamma, [f_minus], [f_plus])[0, 0]
-            if (gamma := mn.gamma_shell(disp, g, n)) else 0j
-            for n in range(3)]
-
-
 @pytest.mark.parametrize("disp, g", [
     (mn.QuadraticDispersion(mass=1.0, offset=2.0), mn.gaussian(2.0, 0.35)),
     (mn.LinearDispersion(offset=2.0), mn.gaussian(2.0, 1.0)),
@@ -382,14 +375,24 @@ def test_reservoir_pair_converges_down_to_lambda_1e_12(disp, g):
     term.  In momentum, u = omega(k)/lambda^2 cancelled near the shell
     root: the quadratic shell at k = 2 failed to converge from lambda =
     1e-4 and read 9.62 at 1e-8, the shifted linear one read 10.10 there, and
-    the narrow window (a shell root at sqrt(2)) read 0."""
+    the narrow window (a shell root at sqrt(2)) read 0.  At 1e-161, about
+    the smallest lambda a config accepts, omega's range over lambda^2
+    overflows, without a numpy warning."""
     f_minus, f_plus = DEFAULT_WORD_SMEARS[:2]
-    terms = _white_noise_terms(disp, g, f_minus, f_plus)
-    for lam in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+    # the expansion's order-n terms without their lambda^(2n), from
+    # gamma_shell: gamma_osc does not decay for the narrow window, whose g
+    # reaches k = 0
+    terms = []
+    for n in range(3):
+        gamma = mn.gamma_shell(disp, g, n)
+        terms.append(mn.indefinite_inner(n, gamma, [f_minus], [f_plus])[0, 0]
+                     if gamma else 0j)
+    white, first, second = terms
+    for lam in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-161):
         val = mn.reservoir_pair(disp, g, lam, f_minus, f_plus)
-        budget = (1.5 * (lam ** 2 * abs(terms[1]) + lam ** 4 * abs(terms[2]))
-                  + 1e-13 * abs(terms[0]))
-        assert abs(val - terms[0]) <= budget, lam
+        budget = (1.5 * (lam ** 2 * abs(first) + lam ** 4 * abs(second))
+                  + 1e-13 * abs(white))
+        assert abs(val - white) <= budget, lam
 
 
 @pytest.mark.parametrize("disp, g, lam, f_minus, f_plus", [

@@ -24,8 +24,8 @@ The failure-path runs follow: the support gate without and with --force, a
 form factor of two cancelling atoms that only the gate refuses (with
 --force), assert_rel 1e-16 under gamma and kernel-check, --seed -1,
 --out "", empty orders under gamma, kernel-check and corr-check, and
-kernel_quadratic with lambda = 1e-9 appended, where the reservoir window
-collapses to the shell root in rounding.  Each
+kernel_quadratic with lambda = 1e-9 appended, which integrated in momentum
+exited 4 on a collapsed reservoir window and now exits 0.  Each
 runs in a working directory of its own, without --out unless the run is
 about it, so a run that writes into its working directory shows.  Per run
 the script prints the exit line, the stdout digest, every stderr line as
@@ -105,7 +105,8 @@ def _gaussian_atom(scale: float, center: float, width: float) -> dict:
 
 def _failure_runs(config_dir: Path):
     """(command, config label, config path, extra arguments) of every run
-    that a gate or a check refuses, or that --force pushes past the gate."""
+    that a gate or a check refuses, that --force pushes past the gate, or
+    that an earlier route refused."""
     def variant(base: str, label: str, **changes) -> Path:
         raw = json.loads((config_dir / f"{base}.json").read_text())
         raw.update(changes)
@@ -136,7 +137,8 @@ def _failure_runs(config_dir: Path):
                           ("corr-check", "corr_quadratic")):
         empty = variant(base, f"{base}_no_orders", orders=[])
         yield command, f"{base}@orders=[]", empty, []
-    # both ends of the u-window give the shell root k = 2 in rounding
+    # integrated in momentum, both ends of the u-window gave the shell root
+    # k = 2 in rounding; in energy the run passes at the white-noise limit
     grid = json.loads((config_dir / "kernel_quadratic.json").read_text())
     collapsed = variant("kernel_quadratic", "kernel_quadratic_1e-9",
                         lambda_grid=[*grid["lambda_grid"], 1e-9])
