@@ -115,14 +115,15 @@ def cut_points(disp: Dispersion, lo: float, hi: float) -> list[float]:
 
 def shell_density(disp: Dispersion, g, lo: float, hi: float, energy):
     """rho(E) = sum of w(k) |g(k)|^2 / |omega'(k)| over the roots k of
-    omega = E in (lo, hi), elementwise in E; omega' is evaluated at those
-    roots only.  The ends are left out: the radial lo = 0 is where w and
-    omega' vanish together, and g is negligible at any other."""
+    omega = E in [lo, hi], elementwise in E, with omega' taken at those roots
+    only.  A flat root, which only an energy rounded onto a stationary value
+    reaches, adds 0."""
     energy = np.asarray(energy, dtype=float)
     rho = np.zeros(energy.shape)
     for k in disp.roots(energy):
-        inside = (lo < k) & (k < hi)
+        inside = (lo <= k) & (k <= hi)
         k = k[inside]
-        rho[inside] += (measure_weight(disp, k) * np.abs(g(k)) ** 2
-                        / np.abs(disp.domega(k)))
+        slope = np.abs(disp.domega(k))
+        rho[inside] += np.divide(measure_weight(disp, k) * np.abs(g(k)) ** 2,
+                                 slope, out=np.zeros(k.shape), where=slope > 0)
     return rho

@@ -338,7 +338,7 @@ def test_cut_points_split_at_stationary_points():
 
 
 def test_shell_density_sums_the_in_range_roots():
-    """rho(E) = sum of w |g|^2 / |omega'| over the roots in (lo, hi): both
+    """rho(E) = sum of w |g|^2 / |omega'| over the roots in [lo, hi]: both
     roots +-k of a quadratic shell inside the range, one when the range
     holds one, none below omega's minimum, all without a numpy warning."""
     disp = mn.QuadraticDispersion(mass=0.5, offset=2.0)
@@ -393,6 +393,23 @@ def test_reservoir_pair_converges_down_to_lambda_1e_12(disp, g):
         budget = (1.5 * (lam ** 2 * abs(first) + lam ** 4 * abs(second))
                   + 1e-13 * abs(white))
         assert abs(val - white) <= budget, lam
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_reservoir_pair_threshold_piece_narrower_than_rounding(lam):
+    """A form factor whose momentum range starts 1e-7 below omega's
+    minimum at k = 0, so the piece from omega(0) to omega(lo) spans 5e-15 in
+    energy: its nodes' energies omega(0) + lambda^2 t^2 round onto omega(0),
+    whose double root k = 0 is flat.  Dividing by omega' there raised
+    FloatingPointError; the piece holds only |g|^2 ~ 1e-18."""
+    reach = 3.0 - panels.envelope(mn.gaussian(3.0, 0.35), panels.MOMENTUM_TOL)[0]
+    g = mn.gaussian(reach - 1e-7, 0.35)  # the range starts at -1e-7
+    assert -2e-7 < panels.envelope(g, panels.MOMENTUM_TOL)[0] < 0
+    disp, f = mn.QuadraticDispersion(offset=2.0), mn.gaussian(width=0.5)
+    with np.errstate(all="raise"):
+        val = mn.reservoir_pair(disp, g, lam, f, f)
+    oracle = _k_form_oracle(disp, g, lam, f, f)
+    assert abs(val - oracle) <= 1e-9 * abs(oracle)
 
 
 @pytest.mark.parametrize("disp, g, lam, f_minus, f_plus", [
