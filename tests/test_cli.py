@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import multinoise
-from multinoise import checks, cli, config, expansion, gamma
+from multinoise import checks, cli, config, expansion, gamma, wick
 from multinoise.atoms import gaussian, linear_combination
 from multinoise.gamma import GammaRow, GammaTable
 from multinoise.config import load_config
@@ -810,7 +810,6 @@ def test_forced_quadratic_run_integrates_the_threshold_piece(tmp_path, capsys,
     omega(0)/0.5^2.  At lambda = 0.5 the pair integrates the piece that
     starts at that threshold in t, from t = 0, under the CLI's errstate,
     and the run exits 0 with the gate's line alone on stderr."""
-    from multinoise import wick
     pieces = _counting(monkeypatch, wick, "panel_sum")
     form_factor = linear_combination(
         [1e4, -1e4], [gaussian(2.5, 0.4), gaussian(2.5001, 0.4)])
