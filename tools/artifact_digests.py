@@ -140,9 +140,9 @@ def _failure_runs(config_dir: Path):
     # integrated in momentum, both ends of the u-window gave the shell root
     # k = 2 in rounding; in energy the run passes at the white-noise limit
     grid = json.loads((config_dir / "kernel_quadratic.json").read_text())
-    collapsed = variant("kernel_quadratic", "kernel_quadratic_1e-9",
-                        lambda_grid=[*grid["lambda_grid"], 1e-9])
-    yield "kernel-check", "kernel_quadratic@lambda=1e-9", collapsed, []
+    tiny = variant("kernel_quadratic", "kernel_quadratic_1e-9",
+                   lambda_grid=[*grid["lambda_grid"], 1e-9])
+    yield "kernel-check", "kernel_quadratic@lambda=1e-9", tiny, []
 
 
 def _sha(data: bytes) -> str:
