@@ -3,17 +3,20 @@
     python tools/artifact_digests.py > tests/data/artifact_digests.txt
 
 The first line names the Python and numpy versions the digests were taken
-with, ``# python <version> numpy <version>``.  Each run is ``python -m multinoise.cli`` on this tree's ``src/``, in a fresh
-process whose working directory is a temporary directory that is removed
-afterwards, so nothing is written into the tree.  The runs are the five
-shipped configs under their own commands, kernel-check and corr-check on
+with, ``# python <version> numpy <version>``.  Each run is
+``python -m multinoise.cli`` on this tree's ``src/``, in a fresh process
+whose working directory is a temporary directory that is removed afterwards,
+so nothing is written into the tree.  The runs are the five shipped configs
+under their own commands, gamma on catalog_linear moved onto a radial linear
+shell at k = 3 with the form factor centred at 3.5 (sigma cutoff 512, the
+cap, and 25,808 momentum nodes), kernel-check and corr-check on
 catalog_linear with orders [0, 1] and a fixed 8-point lambda grid, the same
 two on that grid for three more dispersions that no shipped config reaches
 (radial linear and radial quadratic with their shell at k = 2, and 1-D
 linear with its shell at k = 3, each under a form factor of width 0.35
-centred on its shell), and rep-check on catalog_linear at four seeds.  Every path a run sees is
-relative to its working directory, so its output does not depend on where
-the temporary directory lies.  Per run the script prints
+centred on its shell), and rep-check on catalog_linear at four seeds.  Every
+path a run sees is relative to its working directory, so its output does not
+depend on where the temporary directory lies.  Per run the script prints
 
     exit <code> <command> <config>
     <sha256> <command> <config> <artifact>
@@ -72,6 +75,11 @@ GRID8_DISPERSIONS = (
     ("linear_shell3", {"kind": "linear", "slope": 1.0, "offset": 3.0,
                        "dimension": 1}, 3.0),
 )
+# (label, dispersion, form-factor centre) of a gamma run on catalog_linear
+# whose sigma cutoff reaches the cap, 512: its momentum rule has 25,808 nodes
+SIGMA_CAP_RUN = ("radial_linear_sigma512",
+                 {"kind": "linear", "slope": 1.0, "offset": 3.0,
+                  "dimension": 3}, 3.5)
 
 
 def _runs(config_dir: Path):
@@ -79,6 +87,13 @@ def _runs(config_dir: Path):
     for command, name in SHIPPED:
         yield command, name, config_dir / f"{name}.json", []
     raw = json.loads((config_dir / "catalog_linear.json").read_text())
+    label, dispersion, center = SIGMA_CAP_RUN
+    wide = config_dir / f"{label}.json"
+    wide.write_text(json.dumps(
+        dict(raw, dispersion=dispersion,
+             form_factor=[dict(raw["form_factor"][0], center=center)]),
+        indent=2, sort_keys=True) + "\n")
+    yield "gamma", label, wide, []
     raw.update(orders=[0, 1], lambda_grid=list(LAMBDA_GRID))
     grid = config_dir / "linear_grid8.json"
     grid.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n")
