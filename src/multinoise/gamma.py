@@ -14,8 +14,12 @@ exp(i Sigma omega)),
     M_n(x) = integral_{-1}^{1} t^n exp(i x t) dt,
 
 and M_n is taken in closed form (``_moment_kernel``), so no sigma grid is
-built.  The test suite checks M_n against high-precision values and gamma_n
-against sigma panels over I summed node by node.
+built.  The rule's densities, the decay probes and the moment kernel run on
+slices of at most CHUNK nodes, so their temporaries do not grow with Sigma;
+densities and kernel terms are bitwise the same whatever CHUNK is, and only
+the probes, compared with SIGMA_DECAY_TOL, are summed slice by slice.  The
+test suite checks M_n against high-precision values and gamma_n against
+sigma panels over I summed node by node.
 
 The independent oracle pushes |g|^2 through omega:  with
 rho(E) = sum_{omega(k)=E} w(k) |g(k)|^2 / |omega'(k)|  (the shell density),
@@ -59,6 +63,7 @@ SIGMA_DECAY_TOL = 1e-12
 SIGMA_CAP = 512.0
 DEGENERATE_SLOPE = 1e-6
 SERIES_FROM = 8.0  # |Sigma omega| from which M_n is summed by parts
+CHUNK = 4096  # momentum nodes evaluated at once, bounding the temporaries
 
 
 def _stationary_in_range(disp: Dispersion, g: TestFunction, tol: float):
@@ -83,6 +88,11 @@ def check_support(disp: Dispersion, g: TestFunction) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _chunks(size: int):
+    """Consecutive slices of at most CHUNK nodes covering range(size)."""
+    return (slice(i, i + CHUNK) for i in range(0, size, CHUNK))
+
+
 def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
     """Panel blocks of (omega values, weighted |g|^2) resolving exp(i sigma omega).
 
@@ -103,7 +113,11 @@ def _momentum_rule(disp: Dispersion, g: TestFunction, sigma_max: float):
                 0.5 * min_width, (hi - lo) / 4.0)
 
     def block(nodes, weights):
-        density = weights * measure_weight(disp, nodes) * np.abs(g(nodes)) ** 2
+        density = np.empty(nodes.size)
+        for s in _chunks(nodes.size):
+            k = nodes[s]
+            density[s] = (weights[s] * measure_weight(disp, k)
+                          * np.abs(g(k)) ** 2)
         return np.asarray(disp.omega(nodes)), density
 
     if lo < 0.0 < hi:
@@ -156,8 +170,10 @@ def _sigma_cutoff(disp: Dispersion, g: TestFunction) -> float:
         blocks = _momentum_rule(disp, g, 1.7 * sig)
         # einsum, one probe at a time: the 3-row product through @ paged in
         # zgemm, 0.7 MB of high-water mark on kernel_quadratic
-        return max(abs(sum(np.einsum("i,i->", np.exp(1j * p * omega), density)
-                           for omega, density in blocks))
+        return max(abs(sum(np.einsum("i,i->", np.exp(1j * p * omega[s]),
+                                     density[s])
+                           for omega, density in blocks
+                           for s in _chunks(omega.size)))
                    for p in (sig, 1.3 * sig, 1.7 * sig))
 
     sigma_end = 1.0
@@ -201,9 +217,10 @@ def gamma_osc(disp: Dispersion, g: TestFunction, n: int, rule=None) -> float:
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}")
     sigma_end, blocks = rule or _truncated_rule(disp, g)
-    acc = 0.0
-    for omega_nodes, density in blocks:
-        acc = acc + density * _moment_kernel(n, sigma_end * omega_nodes)
+    acc = np.zeros(max((omega.size for omega, _ in blocks), default=0))
+    for s in _chunks(acc.size):
+        for omega, density in blocks:
+            acc[s] += density[s] * _moment_kernel(n, sigma_end * omega[s])
     scale = (-1) ** ((n + 1) // 2) * sigma_end ** (n + 1) / math.factorial(n)
     return scale * float(np.sum(acc)) + 0.0
 

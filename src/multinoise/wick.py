@@ -117,7 +117,7 @@ def reservoir_pair(disp: Dispersion, g: TestFunction, lam: float,
     MAX_PANELS panels.  The test suite checks it by adaptive quadrature in u
     on its own branch inverse and in k, and by a time-domain tensor rule.
     """
-    if not lam > 0:
+    if not (lam > 0 and lam * lam > 0):
         raise ValueError("coupling lambda must be positive")
     lo, hi = clip_domain(disp, *envelope(g, MOMENTUM_TOL))
     if hi <= lo:

@@ -344,6 +344,51 @@ def test_gamma_osc_allocates_no_sigma_table(quadratic_catalog):
     assert peak <= 5e6
 
 
+@pytest.mark.parametrize("catalog, sigma, chunk", [
+    ("linear_catalog", 8.0, 1),  # mirror blocks of 272 nodes
+    ("quadratic_catalog", 8.0, 7),  # 752 nodes, a chunk end in most panels
+    ("quadratic_catalog", 64.0, 4096),  # the shipped rule: 5,936 a block
+])
+def test_node_chunks_change_no_bit(catalog, sigma, chunk, request,
+                                   monkeypatch):
+    """The momentum rule, gamma_osc and Sigma, evaluated CHUNK nodes at a
+    time, are bitwise what one chunk as long as the rule gives."""
+    disp, g = request.getfixturevalue(catalog)
+
+    def evaluate(size):
+        monkeypatch.setattr(gamma_mod, "CHUNK", size)
+        blocks = gamma_mod._momentum_rule(disp, g, sigma)
+        gammas = [gamma_mod.gamma_osc(disp, g, n, (sigma, blocks)).hex()
+                  for n in range(gamma_mod.MAX_ORDER + 1)]
+        return blocks, gammas, gamma_mod._sigma_cutoff(disp, g)
+
+    whole_blocks, whole, whole_sigma = evaluate(10**9)
+    blocks, chunked, chunked_sigma = evaluate(chunk)
+    assert len(blocks) == len(whole_blocks) == 2
+    for got, want in zip(blocks, whole_blocks):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert chunked == whole
+    assert chunked_sigma == whole_sigma
+
+
+def test_gamma_table_working_set_stays_below_2_mb():
+    """A radial linear shell at k = 3 under a width-1 Gaussian centred at 3.5
+    takes Sigma to the cap, 512, where the last decay probe's rule has 43,872
+    nodes.  Its nodes, weights, omega and density are 1.4 MB; node-wise
+    temporaries are CHUNK long.  Evaluated on whole rules, gamma_table's
+    traced peak was 4.2 MB."""
+    disp = mn.LinearDispersion(slope=1.0, offset=3.0, dimension=3)
+    g = mn.gaussian(center=3.5)
+    tracemalloc.start()
+    try:
+        gamma_mod.gamma_table(disp, g, range(4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gamma_mod._sigma_cutoff(disp, g) == gamma_mod.SIGMA_CAP
+    assert peak < 2e6
+
+
 @pytest.mark.parametrize("lo, hi, width", [
     (0.0, 1.0, 1.0 / (MAX_RULE_PANELS + 1)),
     (0.0, 6.4e300, 1.8),

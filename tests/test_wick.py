@@ -569,7 +569,8 @@ def test_letter_validation(rng):
         mn.correlation((-1, +1), (1,), (f, f), {1: 1.0})
 
 
-@pytest.mark.parametrize("lam", [0.0, -0.5])
+# 1e-170 squares to 0, where energies / lambda^2 would divide by zero
+@pytest.mark.parametrize("lam", [0.0, -0.5, 1e-170])
 def test_reservoir_pair_rejects_nonpositive_lambda(lam):
     f = mn.gaussian()
     with pytest.raises(ValueError, match="lambda must be positive"):
