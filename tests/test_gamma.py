@@ -351,8 +351,8 @@ def test_gamma_osc_allocates_no_sigma_table(quadratic_catalog):
 ])
 def test_node_chunks_change_no_bit(catalog, sigma, chunk, request,
                                    monkeypatch):
-    """The momentum rule, gamma_osc and Sigma, evaluated CHUNK nodes at a
-    time, are bitwise what one chunk as long as the rule gives."""
+    """The momentum rule, gamma_osc and Sigma are bitwise the same at every
+    CHUNK; a CHUNK of 10**9 evaluates each block in one piece."""
     disp, g = request.getfixturevalue(catalog)
 
     def evaluate(size):
@@ -376,7 +376,7 @@ def test_gamma_table_working_set_stays_below_2_mb():
     takes Sigma to the cap, 512, where the last decay probe's rule has 43,872
     nodes.  Its nodes, weights, omega and density are 1.4 MB; node-wise
     temporaries are CHUNK long.  Evaluated on whole rules, gamma_table's
-    traced peak was 4.2 MB."""
+    traced peak is 4.2 MB."""
     disp = mn.LinearDispersion(slope=1.0, offset=3.0, dimension=3)
     g = mn.gaussian(center=3.5)
     tracemalloc.start()
