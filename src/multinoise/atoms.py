@@ -26,19 +26,77 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import hermite as _herm
 
 __all__ = [
     "Atom",
     "TestFunction",
     "gaussian",
+    "herm2poly",
     "hermite_fn",
+    "hermval",
     "linear_combination",
 ]
 
 # highest multipole order n that a study runs: the coefficients gamma_n and
 # the Fock sectors H_n
 MAX_ORDER = 6
+
+
+# -- Hermite series -----------------------------------------------------------
+# numpy's hermval and herm2poly with their operation order, so every value
+# keeps its bits; importing numpy's polynomial package costs about 0.7 MB of
+# peak RSS
+
+
+def hermval(x, c, tensor: bool = True):
+    """sum_k c[k] H_k(x) by Clenshaw's recurrence, as numpy's hermval.
+
+    With ``tensor`` each coefficient column is evaluated at every point of x;
+    without it the columns broadcast against x.
+    """
+    c = np.asarray(c)
+    if tensor:
+        c = c.reshape(c.shape + (1,) * np.ndim(x))
+    x2 = x * 2
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1 * (2 * (len(c) - i + 1)), c0 + c1 * x2
+    return c0 + c1 * x2
+
+
+def _trimmed(c) -> np.ndarray:
+    """c as an array without trailing zeros, keeping at least one entry."""
+    c = np.atleast_1d(c)
+    end = len(c)
+    while end > 1 and c[end - 1] == 0:
+        end -= 1
+    return c[:end]
+
+
+def _series_sum(a, b) -> np.ndarray:
+    """a + b on power series, the shorter added into a copy of the longer."""
+    a, b = sorted((_trimmed(a), _trimmed(b)), key=len)
+    out = b.copy()
+    out[:len(a)] += a
+    return _trimmed(out)
+
+
+def _plus_2x(a, b) -> np.ndarray:
+    """a + 2 x b on power series; numpy's polymulx puts b[0] * 0 first."""
+    return _series_sum(a, np.concatenate(([b[0] * 0], b)) * 2)
+
+
+def herm2poly(c) -> np.ndarray:
+    """Power-basis coefficients of the Hermite series c, as numpy's herm2poly."""
+    c = _trimmed(np.array(c))
+    if len(c) == 2:
+        c[1] *= 2
+    if len(c) < 3:
+        return c
+    c0, c1 = c[-2], c[-1:]
+    for i in range(len(c) - 1, 1, -1):
+        c0, c1 = _series_sum(c[i - 2], -(c1 * (2 * (i - 1)))), _plus_2x(c0, c1)
+    return _plus_2x(c0, c1)
 
 
 @dataclass(frozen=True)
@@ -73,7 +131,7 @@ class TestFunction:
             u = (arr - a.center) / a.width
             out += (
                 coeff
-                * _herm.hermval(u, np.asarray(a.poly, dtype=complex))
+                * hermval(u, np.asarray(a.poly, dtype=complex))
                 * np.exp(-0.5 * u * u)
                 * np.exp(1j * a.modulation * arr)
             )
@@ -136,7 +194,7 @@ class TestFunction:
         for coeff, a in self.atoms:
             if coeff == 0 or not any(a.poly):
                 continue
-            mono = np.abs(_herm.herm2poly(np.asarray(a.poly, dtype=complex)))
+            mono = np.abs(herm2poly(np.asarray(a.poly, dtype=complex)))
             amp = abs(coeff)
 
             def bound(s, _mono=mono, _amp=amp):

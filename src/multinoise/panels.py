@@ -12,7 +12,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .atoms import TestFunction
 from .errors import QuadratureFailure
@@ -21,9 +20,16 @@ __all__ = ["GL_ORDER", "MAX_PANELS", "MAX_RULE_PANELS", "MOMENTUM_TOL",
            "envelope", "panel_rule", "panel_sum"]
 
 GL_ORDER = 16
-# leggauss refines its nodes by Newton steps, about half a millisecond a call,
-# and the reservoir kernel builds a panel rule per doubling step
-GL_NODES, GL_WEIGHTS = leggauss(GL_ORDER)
+# the positive half of numpy's leggauss(16), bit for bit (repr round-trips);
+# computing it runs LAPACK's eigvalsh, whose first call pages in about 1 MB
+_GL_HALF_NODES = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                  0.9445750230732326, 0.9894009349916499)
+_GL_HALF_WEIGHTS = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                    0.062253523938647456, 0.027152459411754176)
+GL_NODES = np.array([-x for x in _GL_HALF_NODES[::-1]] + list(_GL_HALF_NODES))
+GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + _GL_HALF_WEIGHTS)
 MAX_PANELS = 1024  # doubling cap of panel_sum
 MAX_RULE_PANELS = 100_000  # largest single rule; the tests need about 11,000
 MOMENTUM_TOL = 1e-9  # |g| threshold bounding the momentum integrals over g

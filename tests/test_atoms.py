@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite as numpy_hermite
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import multinoise as mn
 from multinoise import config
+from multinoise.atoms import herm2poly, hermval
 from conftest import atom_json, random_test_function
 
 PHI0_AMP = math.pi ** -0.25
@@ -154,3 +156,27 @@ def test_atom_validation():
         mn.Atom(0.0, 1.0, 0.0, ())
     with pytest.raises(ValueError):
         mn.gaussian().derivative(-1)
+
+
+def same_bits(got, want) -> bool:
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def test_hermite_helpers_are_numpys_bit_for_bit(rng):
+    """hermval, in both tensor modes, and herm2poly, trimming included, on
+    random series of length 1 to 70 with interior and trailing zeros; every
+    third series is real, as _hermite_to_powers passes."""
+    for length in range(1, 71):
+        c = rng.normal(size=length) + 1j * rng.normal(size=length)
+        c[rng.random(length) < 0.3] = 0
+        if length % 2:
+            c[rng.integers(length):] = 0
+        if length % 3 == 0:
+            c = c.real.copy()
+        assert same_bits(herm2poly(c), numpy_hermite.herm2poly(c))
+        x = rng.normal(scale=3.0, size=(2, 5))
+        assert same_bits(hermval(x, c), numpy_hermite.hermval(x, c))
+        columns = c[:, None, None] * rng.normal(size=(1, 2, 5))
+        assert same_bits(hermval(x, columns, tensor=False),
+                         numpy_hermite.hermval(x, columns, tensor=False))

@@ -478,9 +478,11 @@ for command, name in (("gamma", "catalog_linear"),
     code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
                      "--out", f"{sys.argv[2]}/{command}-{name}"])
     assert code == 0, (command, code)
-# checks draws from its own counter streams and forms sums erfcx's
-# coefficients directly, so no command loads numpy's generator or FFT
-assert not [m for m in sys.modules if m.startswith(("numpy.random", "numpy.fft"))]
+# checks draws from its own counter streams, forms sums erfcx's coefficients
+# directly and the Hermite and Gauss rules are the package's own, so no
+# command loads numpy's generator, FFT or polynomial classes
+assert not [m for m in sys.modules
+            if m.startswith(("numpy.random", "numpy.fft", "numpy.polynomial"))]
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
@@ -498,8 +500,8 @@ def fresh_env(**extra) -> dict:
 
 
 def test_cli_commands_run_without_scipy(tmp_path):
-    """No command imports scipy, numpy.random or numpy.fft; only the tests'
-    oracles use them.
+    """No command imports scipy, numpy.random, numpy.fft or numpy.polynomial;
+    only the tests' oracles use them.
 
     Runs in a fresh interpreter, since this one has scipy loaded already.
     """
@@ -508,6 +510,39 @@ def test_cli_commands_run_without_scipy(tmp_path):
         capture_output=True, text=True, env=fresh_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
+LINALG_GUARD = """
+import sys
+import numpy.linalg
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg called")
+for name in numpy.linalg.__all__:
+    if not isinstance(getattr(numpy.linalg, name), type):
+        setattr(numpy.linalg, name, refuse)
+from multinoise import cli
+for command, name in (("gamma", "catalog_linear"), ("gamma", "catalog_quadratic"),
+                      ("kernel-check", "kernel_linear"),
+                      ("kernel-check", "kernel_quadratic"),
+                      ("corr-check", "corr_quadratic")):
+    code = cli.main([command, "--config", f"{sys.argv[1]}/{name}.json",
+                     "--out", f"{sys.argv[2]}/{command}-{name}"])
+    assert code == 0, (command, name, code)
+"""
+
+
+def test_expansion_and_gamma_commands_call_no_linalg(tmp_path):
+    """gamma, kernel-check and corr-check run every shipped config with each
+    public numpy.linalg function replaced by one that raises.
+
+    The first LAPACK call of a process pages in its code, about 1 MB of peak
+    memory; numpy's leggauss and hermgauss make one through numpy.linalg.
+    Only rep-check's Krein basis (eigh) and unit draws (norm) use LAPACK.
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", LINALG_GUARD, str(CONFIG_DIR), str(tmp_path)],
+        capture_output=True, text=True, env=fresh_env())
+    assert done.returncode == 0, done.stderr
 
 
 LOAD_GUARD = """

@@ -1,16 +1,20 @@
 """The inner products, their cross-route identities, and the grid metric."""
 
 import math
+import timeit
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
 import multinoise as mn
-from multinoise import panels
+from multinoise import config, panels
+from multinoise.atoms import MAX_ORDER
 from multinoise.errors import QuadratureFailure, ZeroGamma
-from multinoise.forms import ENVELOPE_TOL, QUAD_REL, _erfcx
+from multinoise.forms import ENVELOPE_TOL, QUAD_REL, _erfcx, _gauss_hermite
 from conftest import random_test_function
 from oracles import complex_quad
 
@@ -407,3 +411,51 @@ def test_erfcx_matches_scipy_on_right_half_plane(scale):
     z = np.concatenate([z, [0.0, 1j * scale, -1j * scale, scale]])
     want = erfcx(z)
     assert np.max(np.abs(_erfcx(z) - want) / np.abs(want)) <= 1e-13
+
+
+# -- the quadrature rules ------------------------------------------------------
+
+# An atom pair's polynomial has degree at most 2 (MAX_POLY_TERMS - 1) plus the
+# order (a derivative or the weight x^n), and _line_pairs takes degree // 2 + 1
+# Gauss-Hermite nodes
+LARGEST_HERMITE_RULE = (2 * (config.MAX_POLY_TERMS - 1) + MAX_ORDER) // 2 + 1
+
+
+def test_gauss_legendre_table_is_numpys_rule():
+    """The tabulated panel rule is leggauss(16) bit for bit, and exact on
+    every even power it should integrate."""
+    nodes, weights = leggauss(panels.GL_ORDER)
+    assert panels.GL_NODES.tobytes() == nodes.tobytes()
+    assert panels.GL_WEIGHTS.tobytes() == weights.tobytes()
+    for j in range(panels.GL_ORDER):
+        assert_allclose(np.sum(panels.GL_WEIGHTS * panels.GL_NODES ** (2 * j)),
+                        2.0 / (2 * j + 1), rtol=1e-14)
+
+
+def test_gauss_hermite_rule_against_numpy_and_exact_moments():
+    """Every node count a config reaches: nodes within 1e-15 (relative above
+    1) and weights within 2e-13 of hermgauss; at 67 nodes mpmath's 40-digit
+    weights are 3.3e-14 from hermgauss's and 4.5e-14 from these.  The rule
+    integrates x^(2j) e^(-x^2) to Gamma(j + 1/2) for 2j <= 2n - 1, and its
+    one-node rule is hermgauss's bit for bit."""
+    for n in range(1, LARGEST_HERMITE_RULE + 1):
+        with np.errstate(all="raise"):
+            x, w = _gauss_hermite.__wrapped__(n)
+        want_x, want_w = hermgauss(n)
+        assert np.all(np.abs(x - want_x) <= 1e-15 * np.maximum(1.0, np.abs(want_x)))
+        assert_allclose(w, want_w, rtol=2e-13)
+        j = np.arange(n)
+        moments = np.sum(w * x ** (2 * j[:, None]), axis=1)
+        assert_allclose(moments, [math.gamma(k + 0.5) for k in j], rtol=2e-14)
+    assert _gauss_hermite.__wrapped__(1)[0].tobytes() == hermgauss(1)[0].tobytes()
+    assert _gauss_hermite.__wrapped__(1)[1].tobytes() == hermgauss(1)[1].tobytes()
+
+
+def test_gauss_hermite_rule_is_fast_at_the_largest_count():
+    """All nodes are refined together, so the largest rule a config reaches
+    takes about 0.5 ms, as numpy's eigenvalue route does; root by root it
+    took about 60 ms."""
+    best = min(timeit.repeat(
+        lambda: _gauss_hermite.__wrapped__(LARGEST_HERMITE_RULE),
+        number=1, repeat=5))
+    assert best < 5e-3
