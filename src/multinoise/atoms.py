@@ -48,15 +48,12 @@ MAX_ORDER = 6
 # peak RSS
 
 
-def hermval(x, c, tensor: bool = True):
+def hermval(x, c):
     """sum_k c[k] H_k(x) by Clenshaw's recurrence, as numpy's hermval.
 
-    With ``tensor`` each coefficient column is evaluated at every point of x;
-    without it the columns broadcast against x.
+    Coefficient columns c[k] broadcast against x, as numpy's tensor=False.
     """
     c = np.asarray(c)
-    if tensor:
-        c = c.reshape(c.shape + (1,) * np.ndim(x))
     x2 = x * 2
     c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
     for i in range(3, len(c) + 1):

@@ -178,9 +178,9 @@ def _line_pairs(fa: _AtomTable, fb: _AtomTable, k: int) -> np.ndarray:
     x, w = _gauss_hermite(degree // 2 + 1)
     t = (B / (2.0 * A))[..., None] + x / root[..., None]
     left = hermval((t - fa.center[:, None, None]) / fa.width[:, None, None],
-                   np.conj(fa.poly).T[:, :, None, None], tensor=False)
+                   np.conj(fa.poly).T[:, :, None, None])
     right = hermval((t - fb.center[:, None]) / fb.width[:, None],
-                    fb.poly.T[:, None, :, None], tensor=False)
+                    fb.poly.T[:, None, :, None])
     return np.exp(B * B / (4.0 * A) + C) / root * ((left * right * t ** k) @ w)
 
 

@@ -164,9 +164,10 @@ def same_bits(got, want) -> bool:
 
 
 def test_hermite_helpers_are_numpys_bit_for_bit(rng):
-    """hermval, in both tensor modes, and herm2poly, trimming included, on
-    random series of length 1 to 70 with interior and trailing zeros; every
-    third series is real, as _hermite_to_powers passes."""
+    """hermval, on a 1-D series against numpy's default and on coefficient
+    columns against numpy's tensor=False, and herm2poly, trimming included,
+    on random series of length 1 to 70 with interior and trailing zeros;
+    every third series is real, as _hermite_to_powers passes."""
     for length in range(1, 71):
         c = rng.normal(size=length) + 1j * rng.normal(size=length)
         c[rng.random(length) < 0.3] = 0
@@ -178,5 +179,5 @@ def test_hermite_helpers_are_numpys_bit_for_bit(rng):
         x = rng.normal(scale=3.0, size=(2, 5))
         assert same_bits(hermval(x, c), numpy_hermite.hermval(x, c))
         columns = c[:, None, None] * rng.normal(size=(1, 2, 5))
-        assert same_bits(hermval(x, columns, tensor=False),
+        assert same_bits(hermval(x, columns),
                          numpy_hermite.hermval(x, columns, tensor=False))
